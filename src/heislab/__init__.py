@@ -8,10 +8,9 @@ from .groups import (DimensionMismatch, DomainError, GroupPoint,
                      radon_hurwitz, skew_inverse_norm, smallness_margin,
                      standard_heisenberg, theta_grid)
 from .spheres import (ScalarField, SphereRule, TimeSelector,
-                      fixed_time_selector, lp_norm, maximal_value,
-                      maximal_value_batch, operator_ratio,
-                      spherical_average, spherical_average_batch,
-                      sphere_rule)
+                      fixed_time_selector, maximal_value,
+                      maximal_value_batch, spherical_average,
+                      spherical_average_batch, sphere_rule)
 from .phase import (ChartError, CurvatureReport, PhaseModel, certify_point,
                     curvature_block_form, curvature_matrix,
                     det_identity_rhs, fold_cone_block_form,
@@ -21,8 +20,8 @@ from .phase import (ChartError, CurvatureReport, PhaseModel, certify_point,
 from .families import (ExampleInstance, ExponentFit, ParamRegion,
                        ball_example, experiment_csv, fit_exponent,
                        knapp_example, moment_example, moment_structure,
-                       predicted_exponent, run_ladder, scaling_example,
-                       stein_example, stein_growth_exponent,
+                       operator_ratio, predicted_exponent, run_ladder,
+                       scaling_example, stein_growth_exponent,
                        stein_probe_curve)
 from .regions import (RatPoint, Region, averaging_region, bourgain_vertex,
                       contains, convex_hull, export_region, is_member,

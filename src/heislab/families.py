@@ -1,9 +1,10 @@
 """Counterexample families for the averaging and maximal operators.
 
-Each family packages an input field, a thin test region with its own
-measure-correct lattice, a time selector, and a predicted power of delta
-for the ratio |Mf|_q / |f|_p.  Running a family down a delta ladder and
-fitting the log-log slope reproduces the necessary-condition exponents.
+Each family packages an input field with the region its norm is taken
+over, a thin test region with its own measure-correct lattice, a time
+selector, and a predicted power of delta for the ratio |Mf|_q / |f|_p.
+Running a family down a delta ladder and fitting the log-log slope
+reproduces the necessary-condition exponents.
 
 Test regions are parametrized over the unit cube with explicit Jacobians,
 so thin slabs are integrated in coordinates aligned with their thin
@@ -21,9 +22,9 @@ import numpy as np
 
 from .groups import DomainError, MetivierStructure, standard_heisenberg
 from .spheres import (ScalarField, SphereRule, TimeSelector,
-                      fixed_time_selector, operator_ratio, sphere_rule)
+                      fixed_time_selector, maximal_value_batch, sphere_rule)
 
-FAMILIES = ("ball", "scaling", "knapp", "stein", "moment")
+FAMILIES = ("ball", "scaling", "knapp", "moment")
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,8 @@ class ParamRegion:
         return pts, w
 
     def lq_norm(self, values_fn, q: float) -> float:
+        if not q >= 1:
+            raise DomainError(f"exponent {q!r} must be >= 1 or inf")
         pts, w = self.points_and_weights()
         vals = np.abs(np.asarray(values_fn(pts), dtype=float))
         if np.isinf(q):
@@ -73,15 +76,51 @@ class ExampleInstance:
     delta: float
     structure: MetivierStructure
     field: ScalarField
-    test_region: Optional[ParamRegion]
-    field_region: Optional[ParamRegion]
+    test_region: ParamRegion
+    field_region: ParamRegion
     selector: TimeSelector
     rule: SphereRule
-    field_lattice: int = 24
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
+
+
+def operator_ratio(s: MetivierStructure, instance: ExampleInstance,
+                   p: float, q: float) -> float:
+    """Certified lower bound of |Mf|_q / |f|_p for a counterexample instance.
+
+    The numerator integrates the maximal value over the instance's test
+    region, the denominator the input field over its field region.
+    """
+    f = instance.field
+    # the denominator first: a bad p fails before any sphere average
+    denom = instance.field_region.lq_norm(f, p)
+    numer = instance.test_region.lq_norm(
+        lambda pts: maximal_value_batch(s, f, pts, instance.selector,
+                                        instance.rule), q)
+    rung = f"{instance.family} delta={instance.delta!r}"
+    if denom == 0.0:
+        raise DomainError(f"{rung}: input field has zero norm at this "
+                          "resolution")
+    if numer == 0.0:
+        raise DomainError(f"{rung}: no sphere node hits the field's support")
+    return numer / denom
+
+
+def _box_region(f: ScalarField) -> ParamRegion:
+    """Midpoint lattice of the field's support box, 24 nodes per axis."""
+    lo, hi = f.support_lo, f.support_hi
+    volume = float(np.prod(hi - lo))
+
+    def mapper(u):
+        # in place: a 24^5 lattice takes 318 MB per copy
+        pts = (hi - lo) * u
+        pts += lo
+        return pts
+
+    return ParamRegion(len(lo), mapper, lambda u: np.full(len(u), volume),
+                       (24,) * len(lo))
 
 
 # --- family constants ----------------------------------------------------
@@ -207,7 +246,8 @@ def ball_example(s: MetivierStructure, delta: float,
     rule = sphere_rule(n, res)
     sel = TimeSelector(kind="map",
                        mapper=lambda pts: np.linalg.norm(pts[:, :two_n], axis=1))
-    return ExampleInstance("ball", delta, s, f, region, None, sel, rule)
+    return ExampleInstance("ball", delta, s, f, region, _box_region(f), sel,
+                           rule)
 
 
 # --- scaling family ------------------------------------------------------
@@ -411,49 +451,11 @@ def knapp_example(s: MetivierStructure, delta: float,
         return np.linalg.norm(pts[:, :two_n] @ P.T, axis=1)
 
     sel = TimeSelector(kind="map", mapper=t_of)
-    return ExampleInstance("knapp", delta, s, f, region, None, sel, rule)
+    return ExampleInstance("knapp", delta, s, f, region, _box_region(f), sel,
+                           rule)
 
 
-# --- stein density -------------------------------------------------------
-
-def stein_example(s: MetivierStructure, alpha: float,
-                  cutoff: float) -> ExampleInstance:
-    """Singular density whose spherical means diverge as the cutoff shrinks.
-
-    f(v) = |ubar v|^{-(2n-1)} |log |ubar v||^{-alpha} on cutoff <=
-    |ubar v| <= 1/2, |vbar| <= 1.  The density lies in L^{2n/(2n-1)} for
-    alpha above the conjugate threshold, yet its maximal function is
-    infinite on a set of positive measure in the limit.
-    """
-    if s.m != 1:
-        raise DomainError("this family needs a one-dimensional center")
-    n = s.n
-    p2 = 2.0 * n / (2.0 * n - 1.0)
-    if not 1.0 / p2 < alpha < 1.0:
-        raise DomainError("alpha must lie strictly between 1/p2 and 1")
-    if not 0.0 < cutoff < 0.5:
-        raise DomainError("cutoff must lie in (0, 1/2)")
-    two_n = 2 * n
-
-    def ev(pts):
-        ubar = pts[:, :two_n]
-        r = np.linalg.norm(ubar, axis=1)
-        vbar = pts[:, two_n]
-        ok = (r >= cutoff) & (r <= 0.5) & (np.abs(vbar) <= 1.0)
-        out = np.zeros(len(pts))
-        rr = np.where(ok, r, 1.0)
-        out[ok] = (rr[ok] ** (-(two_n - 1))
-                   * np.abs(np.log(rr[ok])) ** (-alpha))
-        return out
-
-    lo = np.concatenate([-0.5 * np.ones(two_n), [-1.0]])
-    f = ScalarField(ev, lo, -lo, f"stein density alpha={alpha} eps={cutoff}")
-    sel = TimeSelector(
-        kind="map",
-        mapper=lambda pts: np.linalg.norm(pts[:, :two_n], axis=1))
-    rule = sphere_rule(n, 512 if n == 1 else 24)
-    return ExampleInstance("stein", cutoff, s, f, None, None, sel, rule)
-
+# --- stein divergence diagnostic -----------------------------------------
 
 STEIN_PROBE = (1.5, 0.0, 0.0)
 
@@ -594,9 +596,6 @@ def predicted_exponent(family: str, n: int, m: int, p, q) -> Fraction:
         if (n, m) != (1, 1):
             raise DomainError("moment exponent defined for n = m = 1 only")
         return 1 + 6 * iq - 6 * ip
-    if family == "stein":
-        raise DomainError("the stein family is a divergence diagnostic, "
-                          "it has no ratio exponent")
     raise DomainError(f"unknown family {family!r}")
 
 

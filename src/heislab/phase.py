@@ -84,10 +84,6 @@ def _split_x(pm: PhaseModel, x: np.ndarray):
     return x[: two_n - 1], x[two_n - 1], x[two_n: two_n + pm.m]
 
 
-def _split_y(pm: PhaseModel, y: np.ndarray):
-    return _split_x(pm, y)
-
-
 def _w_of(pm: PhaseModel, x: np.ndarray, t: float, yp: np.ndarray):
     xp = x[: 2 * pm.n - 1]
     return (xp - yp) / t
@@ -114,7 +110,7 @@ def defining_functions(pm: PhaseModel, x: np.ndarray, t: float,
 
 def phi(pm: PhaseModel, x: np.ndarray, t: float, y: np.ndarray) -> float:
     """Phase y_{2n} S^{2n} + sum ybar_i Sbar_i."""
-    yp, y2n, ybar = _split_y(pm, y)
+    yp, y2n, ybar = _split_x(pm, y)
     S2n, Sbar = defining_functions(pm, x, t, yp)
     return float(y2n * S2n + ybar @ Sbar)
 
@@ -123,7 +119,7 @@ def xi(pm: PhaseModel, x: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
     """Gradient of Phi in (x, t), a vector in R^{d+1}."""
     s = pm.structure
     two_n = 2 * s.n
-    yp, y2n, ybar = _split_y(pm, y)
+    yp, y2n, ybar = _split_x(pm, y)
     w = _w_of(pm, x, t, yp)
     g = g_value(w)
     gg = g_grad(w)
@@ -156,7 +152,7 @@ def sigma_value(pm: PhaseModel, x: np.ndarray, t: float,
     """Rotational-curvature scalar y_{2n} + (ubar x^T J^{ybar} - t L^{ybar}) e_{2n}."""
     s = pm.structure
     two_n = 2 * s.n
-    _, y2n, ybar = _split_y(pm, y)
+    _, y2n, ybar = _split_x(pm, y)
     Jy = s.J_theta(ybar)
     Ly = s.Lambda_theta(ybar)
     return float(y2n + x[:two_n] @ Jy[:, -1] - t * Ly[-1])
@@ -177,7 +173,7 @@ def xi_y(pm: PhaseModel, x: np.ndarray, t: float,
     """Columns Xi_{y_1}..Xi_{y_d} of the mixed Hessian, shape (d+1, d)."""
     s = pm.structure
     two_n = 2 * s.n
-    yp, y2n, ybar = _split_y(pm, y)
+    yp, y2n, ybar = _split_x(pm, y)
     w = _w_of(pm, x, t, yp)
     g = g_value(w)
     gg = g_grad(w)
@@ -232,7 +228,7 @@ def det_identity_rhs(pm: PhaseModel, x: np.ndarray, t: float,
     """
     s = pm.structure
     two_n = 2 * s.n
-    yp, _, ybar = _split_y(pm, y)
+    yp, _, ybar = _split_x(pm, y)
     w = _w_of(pm, x, t, yp)
     Jy = s.J_theta(ybar)
     sig = sigma_value(pm, x, t, y)
@@ -320,7 +316,7 @@ def c_value(pm: PhaseModel, x: np.ndarray, t: float, y: np.ndarray,
     """
     s = pm.structure
     two_n = 2 * s.n
-    _, _, ybar = _split_y(pm, y)
+    _, _, ybar = _split_x(pm, y)
     Jy = s.J_theta(ybar)
     Ly = s.Lambda_theta(ybar)
     sig = sigma_value(pm, x, t, y)
@@ -335,7 +331,7 @@ def c_lower_bound(pm: PhaseModel, t: float, y: np.ndarray,
     """Certified floor t^{-1} |ybar| |ubar a| (s_min(J^v) - |L^v|), v = ybar/|ybar|."""
     s = pm.structure
     two_n = 2 * s.n
-    _, _, ybar = _split_y(pm, y)
+    _, _, ybar = _split_x(pm, y)
     r = float(np.linalg.norm(ybar))
     if r == 0.0:
         raise DomainError("ybar must be nonzero")
@@ -360,10 +356,17 @@ def _second_difference(f, y: np.ndarray, j: int, l: int, h: float) -> float:
     return (f(ypp) - f(ypm) - f(ymp) + f(ymm)) / (4.0 * h ** 2)
 
 
-def _richardson_second(f, y: np.ndarray, j: int, l: int, h: float) -> float:
-    d1 = _second_difference(f, y, j, l, h)
-    d2 = _second_difference(f, y, j, l, h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+def _fd_hessian(f, z: np.ndarray, step: float) -> np.ndarray:
+    """Symmetric Hessian of f at z: central second differences at step and
+    step/2, combined by one Richardson refinement."""
+    k = len(z)
+    H = np.zeros((k, k))
+    for j in range(k):
+        for l in range(j, k):
+            d1 = _second_difference(f, z, j, l, step)
+            d2 = _second_difference(f, z, j, l, step / 2.0)
+            H[j, l] = H[l, j] = (4.0 * d2 - d1) / 3.0
+    return H
 
 
 def curvature_matrix(pm: PhaseModel, x: np.ndarray, t: float,
@@ -379,13 +382,7 @@ def curvature_matrix(pm: PhaseModel, x: np.ndarray, t: float,
     def f(yy):
         return float(N @ xi(pm, x, t, yy))
 
-    d = pm.d
-    C = np.zeros((d, d))
-    for j in range(d):
-        for l in range(j, d):
-            v = _richardson_second(f, y, j, l, step)
-            C[j, l] = v
-            C[l, j] = v
+    C = _fd_hessian(f, y, step)
     rank, sv = matrix_rank_report(C, tol)
     return C, rank, sv
 
@@ -480,14 +477,7 @@ def fold_cone_curvature(pm: PhaseModel, x: np.ndarray, t: float,
     def f(z):
         return float(nu @ fold_map(pm, x, t, z[: two_n - 1], z[two_n - 1:]))
 
-    z0 = np.concatenate([yp, ybar])
-    k = s.d - 1
-    C = np.zeros((k, k))
-    for j in range(k):
-        for l in range(j, k):
-            v = _richardson_second(f, z0, j, l, step)
-            C[j, l] = v
-            C[l, j] = v
+    C = _fd_hessian(f, np.concatenate([yp, ybar]), step)
     rank, sv = matrix_rank_report(C, tol)
     return rank, sv, nu
 
@@ -501,7 +491,7 @@ def fold_cone_block_form(pm: PhaseModel, x: np.ndarray, t: float,
     """
     s = pm.structure
     two_n = 2 * s.n
-    _, _, ybar = _split_y(pm, y)
+    _, _, ybar = _split_x(pm, y)
     Jy = s.J_theta(ybar)
     ubar_a = nu[:two_n]
     gamma = float(ubar_a @ Jy[:, -1])

@@ -57,6 +57,15 @@ def convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
+def _labelled_hull(named):
+    """Hull vertices of (label, RatPoint) pairs, and the label of each."""
+    verts, labels = [], []
+    for pair in convex_hull([p.as_pair() for _, p in named]):
+        verts.append(RatPoint(*pair))
+        labels.append(next(lab for lab, q in named if q.as_pair() == pair))
+    return tuple(verts), tuple(labels)
+
+
 @dataclass(frozen=True)
 class Region:
     """Convex polygon with labeled vertices and per-mode corner exclusions.
@@ -150,19 +159,13 @@ def maximal_region(n: int, m: int) -> Region:
         ("Q3", RatPoint(Fraction(d - 1, d + m), Fraction(m + 1, d + m))),
         ("Q4", RatPoint(Fraction(d * (d - 1), D), Fraction((m + 1) * (d - 1), D))),
     ]
-    hull = convex_hull([p.as_pair() for _, p in named])
-    verts, labels = [], []
-    for pair in hull:
-        pt = RatPoint(*pair)
-        lab = next(lab for lab, q in named if q.as_pair() == pair)
-        verts.append(pt)
-        labels.append(lab)
+    verts, labels = _labelled_hull(named)
     flags = () if n >= 2 else ("outside-theorem-scope-n1",)
     excluded = {
         "strong": frozenset(lab for lab in labels if lab != "Q1"),
         "rwt": frozenset(),
     }
-    return Region(tuple(verts), tuple(labels), excluded, flags)
+    return Region(verts, labels, excluded, flags)
 
 
 def averaging_region(n: int, m: int) -> Region:
@@ -200,15 +203,9 @@ def averaging_region(n: int, m: int) -> Region:
         ("P5", RatPoint(Fraction(2 * m, 3 * m + 1),
                         Fraction(2 * m * m + 2 * m, 6 * m * m + 5 * m + 1))),
     ]
-    hull = convex_hull([p.as_pair() for _, p in named])
-    verts, labels = [], []
-    for pair in hull:
-        pt = RatPoint(*pair)
-        lab = next(lab for lab, q in named if q.as_pair() == pair)
-        verts.append(pt)
-        labels.append(lab)
+    verts, labels = _labelled_hull(named)
     flags = () if m == 1 else ("sharpness-unknown",)
-    return Region(tuple(verts), tuple(labels),
+    return Region(verts, labels,
                   {"strong": frozenset(), "rwt": frozenset()}, flags)
 
 

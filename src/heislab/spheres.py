@@ -1,4 +1,4 @@
-"""Sphere quadrature, spherical averages, maximal values, and Lebesgue norms.
+"""Sphere quadrature, spherical averages, and maximal values.
 
 The averaging operator acts on scalar fields over the group: the value at x
 is the mean of f over the t-dilated tilted sphere through x.  Quadrature
@@ -252,61 +252,3 @@ def maximal_value_batch(s: MetivierStructure, f: ScalarField,
 def maximal_value(s: MetivierStructure, f: ScalarField, x: GroupPoint,
                   sel: TimeSelector, rule: SphereRule) -> float:
     return float(maximal_value_batch(s, f, x.as_array()[None, :], sel, rule)[0])
-
-
-def lp_norm(values_fn: Callable[[np.ndarray], np.ndarray], p: float,
-            box_lo, box_hi, lattice_resolution) -> float:
-    """L^p norm on a box via a midpoint lattice; p=inf takes the sample max.
-
-    lattice_resolution is one count per axis (or a single int for all axes).
-    """
-    lo = np.asarray(box_lo, dtype=float)
-    hi = np.asarray(box_hi, dtype=float)
-    if lo.shape != hi.shape or lo.ndim != 1:
-        raise DimensionMismatch("box lo/hi must be matching vectors")
-    if np.any(hi <= lo):
-        raise DomainError("empty box")
-    dim = len(lo)
-    if np.isscalar(lattice_resolution):
-        counts = [int(lattice_resolution)] * dim
-    else:
-        counts = [int(c) for c in lattice_resolution]
-    axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(counts[i]) + 0.5) / counts[i]
-            for i in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = np.abs(np.asarray(values_fn(pts), dtype=float))
-    if np.isinf(p):
-        return float(vals.max())
-    if p < 1:
-        raise DomainError("p must be >= 1 or inf")
-    cell = float(np.prod((hi - lo) / counts))
-    return float((np.sum(vals ** p) * cell) ** (1.0 / p))
-
-
-def operator_ratio(s: MetivierStructure, instance, p: float, q: float,
-                   resolutions=None) -> float:
-    """Certified lower bound of |Mf|_q / |f|_p for a counterexample instance.
-
-    The numerator integrates the maximal value over the instance's test
-    region only, using the region's measure-correct lattice; the
-    denominator is the L^p norm of the input field, computed on the
-    field's adapted region when the instance carries one (thin supports
-    need coordinates aligned with their thin directions) and on a plain
-    support-box lattice otherwise.  Duck-typed over instances exposing
-    field, test_region, selector, rule, field_lattice, and optionally
-    field_region.
-    """
-    f = instance.field
-    region = instance.test_region
-    numer = region.lq_norm(
-        lambda pts: maximal_value_batch(s, f, pts, instance.selector,
-                                        instance.rule), q)
-    fregion = getattr(instance, "field_region", None)
-    if fregion is not None:
-        denom = fregion.lq_norm(f, p)
-    else:
-        denom = lp_norm(f, p, f.support_lo, f.support_hi, instance.field_lattice)
-    if denom == 0.0:
-        raise DomainError("input field has zero norm at this resolution")
-    return numer / denom

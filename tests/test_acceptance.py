@@ -15,10 +15,7 @@ from heislab.families import (ball_example, fit_exponent, knapp_example,
                               moment_example, predicted_exponent,
                               run_ladder, scaling_example,
                               stein_growth_exponent, stein_probe_curve)
-from heislab.groups import (GroupPoint, dilate, group_inverse,
-                            group_multiply, identity_point,
-                            normalized_heisenberg, quaternionic_htype,
-                            skew_inverse_norm, standard_heisenberg)
+from heislab.groups import normalized_heisenberg, standard_heisenberg
 from heislab.phase import (PhaseModel, c_lower_bound, c_value, certify_point,
                            det_identity_rhs, fold_cone_curvature,
                            normal_vector, sample_chart_point,
@@ -37,61 +34,50 @@ def report(capsys, num, name, ok):
     assert ok, f"criterion {num} ({name}) failed"
 
 
+def check_rows(capsys, argv):
+    """Exit code and (first column, status) of each row of a check's CSV."""
+    code = cli_main(argv)
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+            if line and not line.startswith("#")]
+    col = rows[0].index("status")
+    return code, [(row[0], row[col]) for row in rows[1:]]
+
+
 # --- criterion 1: closed-form skew norm vs brute force -------------------
 
 def test_criterion_01_skew_norm_oracle(capsys):
-    rng = np.random.default_rng(101)
-    ok = True
-    for _ in range(200):
-        size = int(rng.integers(2, 9))
-        raw = rng.standard_normal((size, size))
-        B = raw - raw.T
-        rho = float(rng.uniform(-2.0, 2.0)) or 1.0
-        got = skew_inverse_norm(rho, B)
-        brute = np.linalg.norm(np.linalg.inv(rho * np.eye(size) + B), 2)
-        ok = ok and abs(got - brute) / brute <= 1e-10
-        if size % 2 == 1:
-            ok = ok and abs(got - 1.0 / abs(rho)) <= 1e-10
+    code, rows = check_rows(capsys, ["lemma-check", "--seed", "101",
+                                     "--set", "samples=200",
+                                     "--set", "tolerance=1e-10"])
+    ok = (code == 0 and len(rows) == 200
+          and all(status == "pass" for _, status in rows))
     report(capsys, 1, "skew inverse norm formula", ok)
 
 
 # --- criterion 2: group laws ---------------------------------------------
 
 def test_criterion_02_group_laws(capsys):
-    s = standard_heisenberg(2)
-    rng = np.random.default_rng(102)
-    e = identity_point(s)
-    worst = 0.0
-    for _ in range(1000):
-        pts = [GroupPoint(rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 1))
-               for _ in range(3)]
-        x, y, z = pts
-        a = group_multiply(s, group_multiply(s, x, y), z).as_array()
-        b = group_multiply(s, x, group_multiply(s, y, z)).as_array()
-        worst = max(worst, float(np.max(np.abs(a - b))))
-        worst = max(worst, float(np.max(np.abs(
-            group_multiply(s, x, e).as_array() - x.as_array()))))
-        worst = max(worst, float(np.max(np.abs(
-            group_multiply(s, x, group_inverse(s, x)).as_array()))))
-        t = float(rng.uniform(0.5, 2.0))
-        da = dilate(s, t, group_multiply(s, x, y)).as_array()
-        db = group_multiply(s, dilate(s, t, x), dilate(s, t, y)).as_array()
-        worst = max(worst, float(np.max(np.abs(da - db))))
-    report(capsys, 2, "group law suite", worst <= 1e-12)
+    code, rows = check_rows(capsys, ["group-check", "--seed", "102",
+                                     "--set", "n=2", "--set", "samples=1000",
+                                     "--set", "tolerance=1e-12"])
+    checks = dict(row for row in rows if row[0] != "margin")
+    ok = (code == 0
+          and set(checks) == {"associativity", "identity", "inverse",
+                              "dilation"}
+          and all(status == "pass" for status in checks.values()))
+    report(capsys, 2, "group law suite", ok)
 
 
 # --- criterion 3: h-type identity ----------------------------------------
 
 def test_criterion_03_htype_identity(capsys):
-    s = quaternionic_htype(1, 3)
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    for _ in range(100):
-        th = rng.standard_normal(3)
-        Jt = s.J_theta(th)
-        dev = Jt @ Jt + float(th @ th) * np.eye(2 * s.n)
-        worst = max(worst, float(np.max(np.abs(dev))))
-    report(capsys, 3, "quaternionic h-type identity", worst <= 1e-12)
+    code, rows = check_rows(capsys, ["group-check", "--seed", "103",
+                                     "--set", "kind=quaternionic",
+                                     "--set", "tolerance=1e-12"])
+    checks = dict(row for row in rows if row[0] != "margin")
+    ok = (code == 0 and "htype" in checks
+          and all(status == "pass" for status in checks.values()))
+    report(capsys, 3, "quaternionic h-type identity", ok)
 
 
 # --- criteria 4 and 5: shared geometry sampling --------------------------

@@ -208,6 +208,15 @@ def test_counterexample_tight_tolerance_fails(tmp_path, capsys):
     assert "# verdict=FAIL" in out
 
 
+def test_counterexample_exponent_below_one_exits_2(capsys):
+    code, out, err = run(["counterexample", "--set", "family=moment",
+                          "--set", "p=1/2",
+                          "--set", "deltas=2^-3,2^-4,2^-5"], capsys)
+    assert code == 2
+    assert "verdict" not in out
+    assert "error:" in err and ">= 1" in err
+
+
 # --- region ---------------------------------------------------------------
 
 def test_region_csv(capsys):

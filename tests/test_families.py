@@ -1,6 +1,7 @@
 """Counterexample families: geometry invariants, exponents, fitting, CSV."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +9,14 @@ import pytest
 
 from heislab.groups import DomainError, normalized_heisenberg, \
     standard_heisenberg
-from heislab.families import (ExampleInstance, ParamRegion, ball_example,
-                              c_one, c_ring, c_zero, experiment_csv,
-                              fit_exponent, knapp_example, knapp_frame,
-                              moment_example, moment_structure,
-                              predicted_exponent, run_ladder,
-                              scaling_example, stein_example,
-                              stein_growth_exponent, stein_probe_curve)
-from heislab.spheres import operator_ratio, spherical_average_batch
+from heislab.families import (ExampleInstance, ParamRegion, _box_region,
+                              ball_example, c_one, c_ring, c_zero,
+                              experiment_csv, fit_exponent, knapp_example,
+                              knapp_frame, moment_example, moment_structure,
+                              operator_ratio, predicted_exponent, run_ladder,
+                              scaling_example, stein_growth_exponent,
+                              stein_probe_curve)
+from heislab.spheres import ScalarField, spherical_average_batch
 
 F = Fraction
 
@@ -41,12 +42,122 @@ def test_param_region_measure():
     assert sup <= 1.0
 
 
+def box_indicator(lo, hi, box_lo, box_hi):
+    """Indicator of the box [lo, hi] declared on the larger box_lo..box_hi."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+
+    def ev(pts):
+        return np.all((pts >= lo) & (pts <= hi), axis=1).astype(float)
+
+    return ScalarField(ev, box_lo, box_hi, "box indicator")
+
+
+def box_region(f, count):
+    """The field's support-box region at count nodes per axis."""
+    return replace(_box_region(f), counts=(count,) * len(f.support_lo))
+
+
+def test_box_region_indicator_norms():
+    f = box_indicator([0.0, 0.0], [0.5, 0.8], [-1.0, -1.0], [1.0, 1.0])
+    reg = box_region(f, 48)
+    vol = 0.4
+    for p in (1.0, 2.0, 3.0):
+        got = reg.lq_norm(f, p)
+        assert abs(got - vol ** (1.0 / p)) / vol ** (1.0 / p) <= 0.02
+    assert reg.lq_norm(f, np.inf) == 1.0
+
+
+def test_lq_norm_homogeneity_exact():
+    f = box_indicator([0.0, 0.0], [0.5, 0.8], [-1.0, -1.0], [1.0, 1.0])
+    reg = box_region(f, 32)
+
+    def doubled(pts):
+        return 2.0 * f(pts)
+
+    assert reg.lq_norm(doubled, 2.0) == 2.0 * reg.lq_norm(f, 2.0)
+
+
+def test_lq_norm_scaling_jacobian_law():
+    f = box_indicator([-1.0, -1.0], [1.0, 1.0], [-2.0, -2.0], [2.0, 2.0])
+    reg = box_region(f, 64)
+    c = 2.0
+
+    def squeezed(pts):
+        return f(c * pts)
+
+    # |f(c .)|_p = c^{-dim/p} |f|_p, dim = 2
+    for p in (1.0, 2.0):
+        a = reg.lq_norm(f, p)
+        b = reg.lq_norm(squeezed, p)
+        assert b == pytest.approx(c ** (-2.0 / p) * a, rel=0.02)
+
+
+def test_lq_norm_rejects_exponent_below_one():
+    f = box_indicator([0.0], [1.0], [0.0], [1.0])
+    reg = _box_region(f)
+    for bad in (0.5, 0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            reg.lq_norm(f, bad)
+
+
+def test_field_region_seed_denominators():
+    # the support-box lattice reproduces the seed's denominators
+    cases = [
+        (ball_example(standard_heisenberg(1), 0.125), 1.0, 8.147063078703706),
+        (ball_example(standard_heisenberg(2), 0.125), 2.0, 4.014756944444445),
+        (knapp_example(normalized_heisenberg(2), 0.125), 2.0,
+         21.739549781247955),
+    ]
+    for inst, p, want in cases:
+        assert inst.field_region.counts == (24,) * inst.structure.d
+        got = inst.field_region.lq_norm(inst.field, p)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_instance_rejects_unknown_family():
     s = standard_heisenberg(1)
     inst = ball_example(s, 0.125)
     with pytest.raises(DomainError):
         ExampleInstance("cone", 0.125, s, inst.field, inst.test_region,
-                        None, inst.selector, inst.rule)
+                        inst.field_region, inst.selector, inst.rule)
+
+
+# --- operator ratio -------------------------------------------------------
+
+def test_operator_ratio_field_homogeneity():
+    s = standard_heisenberg(1)
+    inst = ball_example(s, 0.125)
+    base = operator_ratio(s, inst, 1.0, np.inf)
+    f = inst.field
+
+    def doubled(pts):
+        return 2.0 * f(pts)
+
+    f2 = ScalarField(doubled, f.support_lo, f.support_hi, "doubled")
+    inst2 = ExampleInstance(inst.family, inst.delta, inst.structure, f2,
+                            inst.test_region, inst.field_region,
+                            inst.selector, inst.rule)
+    assert operator_ratio(s, inst2, 1.0, np.inf) == pytest.approx(base,
+                                                                  rel=1e-12)
+
+
+def test_operator_ratio_rejects_exponent_below_one():
+    inst = moment_example(0.125)
+    for p, q in ((0.5, 2.0), (2.0, 0.5)):
+        with pytest.raises(DomainError, match=">= 1"):
+            operator_ratio(inst.structure, inst, p, q)
+
+
+def test_operator_ratio_zero_numerator_raises():
+    # eight circle nodes all miss the ball of radius 10 * 2^-7
+    s = standard_heisenberg(1)
+    inst = ball_example(s, 2.0 ** -7, sphere_resolution=8)
+    with pytest.raises(DomainError) as err:
+        operator_ratio(s, inst, 1.0, math.inf)
+    msg = str(err.value)
+    assert "ball" in msg and repr(2.0 ** -7) in msg
+    assert "no sphere node hits the field's support" in msg
 
 
 def test_delta_window():
@@ -273,34 +384,7 @@ def test_knapp_region_selector_window():
     assert np.all(w > 0)
 
 
-# --- stein family ---------------------------------------------------------
-
-def test_stein_field_window():
-    s = standard_heisenberg(1)
-    inst = stein_example(s, 0.9, 2.0 ** -10)
-    f = inst.field
-    vals = f(np.array([[0.25, 0.0, 0.0],       # inside the annulus
-                       [0.75, 0.0, 0.0],       # beyond the outer radius
-                       [2.0 ** -12, 0.0, 0.0],  # inside the cutoff
-                       [0.25, 0.0, 1.5]]))     # outside the center window
-    assert vals[0] > 0.0
-    assert vals[1] == 0.0
-    assert vals[2] == 0.0
-    assert vals[3] == 0.0
-    # density value from the closed form
-    r = 0.25
-    assert vals[0] == pytest.approx(r ** -1 * abs(math.log(r)) ** -0.9)
-
-
-def test_stein_parameter_windows():
-    s = standard_heisenberg(1)
-    with pytest.raises(DomainError):
-        stein_example(s, 0.4, 0.01)      # below 1/p2 = 1/2
-    with pytest.raises(DomainError):
-        stein_example(s, 1.1, 0.01)
-    with pytest.raises(DomainError):
-        stein_example(s, 0.9, 0.7)
-
+# --- stein diagnostic -----------------------------------------------------
 
 def test_stein_probe_curve_monotone():
     curve = stein_probe_curve(0.9, 30, j_lo=10)

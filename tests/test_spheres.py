@@ -1,4 +1,4 @@
-"""Sphere quadrature, spherical averages, maximal values, norms."""
+"""Sphere quadrature, spherical averages, maximal values."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,9 @@ import pytest
 from heislab.groups import (DomainError, GroupPoint, MetivierStructure,
                             normalized_heisenberg, standard_heisenberg)
 from heislab.spheres import (ScalarField, SphereRule, TimeSelector,
-                             fixed_time_selector, lp_norm, maximal_value,
-                             maximal_value_batch, operator_ratio,
-                             spherical_average, spherical_average_batch,
-                             sphere_rule)
+                             fixed_time_selector, maximal_value,
+                             maximal_value_batch, spherical_average,
+                             spherical_average_batch, sphere_rule)
 
 
 def box_indicator(lo, hi):
@@ -216,70 +215,9 @@ def test_maximal_batch_matches_scalar():
         assert batch[i] == maximal_value(s, f, x, sel, rule)
 
 
-# --- Lebesgue norms ------------------------------------------------------
-
-def test_lp_norm_box_indicator():
-    f = box_indicator([0.0, 0.0], [0.5, 0.8])
-    vol = 0.4
-    for p in (1.0, 2.0, 3.0):
-        got = lp_norm(f, p, [-1.0, -1.0], [1.0, 1.0], 48)
-        assert abs(got - vol ** (1.0 / p)) / vol ** (1.0 / p) <= 0.02
-    assert lp_norm(f, np.inf, [-1.0, -1.0], [1.0, 1.0], 48) == 1.0
-
-
-def test_lp_norm_homogeneity_exact():
-    f = box_indicator([0.0, 0.0], [0.5, 0.8])
-
-    def doubled(pts):
-        return 2.0 * f(pts)
-
-    a = lp_norm(f, 2.0, [-1.0, -1.0], [1.0, 1.0], 32)
-    b = lp_norm(doubled, 2.0, [-1.0, -1.0], [1.0, 1.0], 32)
-    assert b == 2.0 * a
-
-
-def test_lp_norm_scaling_jacobian_law():
-    f = box_indicator([-1.0, -1.0], [1.0, 1.0])
-    c = 2.0
-
-    def squeezed(pts):
-        return f(c * pts)
-
-    # |f(c .)|_p = c^{-dim/p} |f|_p, dim = 2
-    for p in (1.0, 2.0):
-        a = lp_norm(f, p, [-2.0, -2.0], [2.0, 2.0], 64)
-        b = lp_norm(squeezed, p, [-2.0, -2.0], [2.0, 2.0], 64)
-        assert b == pytest.approx(c ** (-2.0 / p) * a, rel=0.02)
-
-
-def test_lp_norm_validation():
-    f = box_indicator([0.0], [1.0])
-    with pytest.raises(DomainError):
-        lp_norm(f, 0.5, [0.0], [1.0], 8)
-    with pytest.raises(DomainError):
-        lp_norm(f, 2.0, [1.0], [0.0], 8)
-
+# --- scalar fields -------------------------------------------------------
 
 def test_scalar_field_validation():
     with pytest.raises(DomainError):
         ScalarField(lambda p: np.zeros(len(p)), np.ones(2), -np.ones(2))
 
-
-# --- operator ratio ------------------------------------------------------
-
-def test_operator_ratio_field_homogeneity():
-    from heislab.families import ball_example
-    s = standard_heisenberg(1)
-    inst = ball_example(s, 0.125)
-    base = operator_ratio(s, inst, 1.0, np.inf)
-    f = inst.field
-
-    def doubled(pts):
-        return 2.0 * f(pts)
-
-    f2 = ScalarField(doubled, f.support_lo, f.support_hi, "doubled")
-    inst2 = type(inst)(inst.family, inst.delta, inst.structure, f2,
-                       inst.test_region, inst.field_region, inst.selector,
-                       inst.rule, inst.field_lattice)
-    assert operator_ratio(s, inst2, 1.0, np.inf) == pytest.approx(base,
-                                                                  rel=1e-12)
