@@ -2,15 +2,13 @@
 on Heisenberg and Metivier groups."""
 
 from .groups import (DimensionMismatch, DomainError, GroupPoint,
-                     MetivierStructure, SINGULAR, SmallnessMargin, dilate,
+                     MetivierStructure, SmallnessMargin, dilate,
                      group_inverse, group_multiply, identity_point,
                      normalized_heisenberg, quaternionic_htype,
                      radon_hurwitz, skew_inverse_norm, smallness_margin,
                      standard_heisenberg, theta_grid)
-from .spheres import (ScalarField, SphereRule, TimeSelector,
-                      fixed_time_selector, maximal_value,
-                      maximal_value_batch, spherical_average,
-                      spherical_average_batch, sphere_rule)
+from .spheres import (ScalarField, SphereRule, spherical_average_batch,
+                      sphere_rule)
 from .phase import (ChartError, CurvatureReport, PhaseModel, certify_point,
                     curvature_block_form, curvature_matrix,
                     det_identity_rhs, fold_cone_block_form,

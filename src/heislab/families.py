@@ -1,8 +1,9 @@
 """Counterexample families for the averaging and maximal operators.
 
 Each family packages an input field with the region its norm is taken
-over, a thin test region with its own measure-correct lattice, a time
-selector, and a predicted power of delta for the ratio |Mf|_q / |f|_p.
+over, a thin test region with its own measure-correct lattice, a time map
+x -> t(x) that picks one average per test point, and a predicted power of
+delta for the ratio |Mf|_q / |f|_p.
 Running a family down a delta ladder and fitting the log-log slope
 reproduces the necessary-condition exponents.
 
@@ -14,15 +15,15 @@ is then delta-independent and cancels in the fitted slope.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import DomainError, MetivierStructure, standard_heisenberg
-from .spheres import (ScalarField, SphereRule, TimeSelector,
-                      fixed_time_selector, maximal_value_batch, sphere_rule)
+from . import spheres
+from .groups import DomainError, MetivierStructure
+from .spheres import ScalarField, SphereRule, sphere_rule
 
 FAMILIES = ("ball", "scaling", "knapp", "moment")
 
@@ -31,15 +32,14 @@ FAMILIES = ("ball", "scaling", "knapp", "moment")
 class ParamRegion:
     """Region given by a unit-cube parametrization with Jacobian weight.
 
-    mapper sends a (count, k) batch of cube points to (count, d) group
-    coordinates; jacobian gives the volume factor so that integrals over
-    the region equal integrals of F(mapper(u)) * jacobian(u) over the cube.
+    param sends a (count, k) batch of cube points u to the (count, d) group
+    points and the (count,) volume factors, so that integrals over the
+    region equal integrals of F(points) * jacobian over the cube.  counts
+    gives the midpoint lattice size along each of the k cube axes.
     """
 
-    dim: int
-    mapper: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
     counts: Tuple[int, ...]
+    param: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
     def lattice(self) -> np.ndarray:
         axes = [(np.arange(c) + 0.5) / c for c in self.counts]
@@ -48,9 +48,8 @@ class ParamRegion:
 
     def points_and_weights(self):
         u = self.lattice()
-        pts = self.mapper(u)
-        w = np.asarray(self.jacobian(u), dtype=float) / len(u)
-        return pts, w
+        pts, jac = self.param(u)
+        return pts, np.asarray(jac, dtype=float) / len(u)
 
     def lq_norm(self, values_fn, q: float) -> float:
         if not q >= 1:
@@ -60,12 +59,6 @@ class ParamRegion:
         if np.isinf(q):
             return float(vals.max())
         return float((np.sum(vals ** q * w)) ** (1.0 / q))
-
-    def mean_value(self, values_fn) -> float:
-        pts, w = self.points_and_weights()
-        vals = np.asarray(values_fn(pts), dtype=float)
-        total = float(np.sum(w))
-        return float(np.sum(vals * w) / total)
 
 
 @dataclass(frozen=True)
@@ -78,7 +71,7 @@ class ExampleInstance:
     field: ScalarField
     test_region: ParamRegion
     field_region: ParamRegion
-    selector: TimeSelector
+    time: Callable[[np.ndarray], np.ndarray]  # (P, d) points -> (P,) times
     rule: SphereRule
 
     def __post_init__(self):
@@ -90,15 +83,23 @@ def operator_ratio(s: MetivierStructure, instance: ExampleInstance,
                    p: float, q: float) -> float:
     """Certified lower bound of |Mf|_q / |f|_p for a counterexample instance.
 
-    The numerator integrates the maximal value over the instance's test
-    region, the denominator the input field over its field region.
+    The numerator integrates |A_t(x) f(x)|, with the instance's time map
+    clamped to [1, 2], over the test region: a lower bound of the maximal
+    function sup_{1<=t<=2} |A_t f|.  The denominator integrates the input
+    field over its field region.
     """
     f = instance.field
+
+    def maximal(pts):
+        t = np.clip(instance.time(pts), 1.0, 2.0)
+        # called through the module, so a wrapper installed on
+        # heislab.spheres (as bench/tracer.py does) sees every average
+        return np.abs(spheres.spherical_average_batch(s, f, t, pts,
+                                                      instance.rule))
+
     # the denominator first: a bad p fails before any sphere average
     denom = instance.field_region.lq_norm(f, p)
-    numer = instance.test_region.lq_norm(
-        lambda pts: maximal_value_batch(s, f, pts, instance.selector,
-                                        instance.rule), q)
+    numer = instance.test_region.lq_norm(maximal, q)
     rung = f"{instance.family} delta={instance.delta!r}"
     if denom == 0.0:
         raise DomainError(f"{rung}: input field has zero norm at this "
@@ -113,14 +114,13 @@ def _box_region(f: ScalarField) -> ParamRegion:
     lo, hi = f.support_lo, f.support_hi
     volume = float(np.prod(hi - lo))
 
-    def mapper(u):
+    def param(u):
         # in place: a 24^5 lattice takes 318 MB per copy
         pts = (hi - lo) * u
         pts += lo
-        return pts
+        return pts, np.full(len(u), volume)
 
-    return ParamRegion(len(lo), mapper, lambda u: np.full(len(u), volume),
-                       (24,) * len(lo))
+    return ParamRegion((24,) * len(lo), param)
 
 
 # --- family constants ----------------------------------------------------
@@ -157,6 +157,14 @@ def _check_delta(delta: float):
         raise DomainError("delta must lie in (0, 1/4]")
 
 
+def _check_structure(s: MetivierStructure):
+    # sphere rules and direction charts exist for S^1 and S^3 only, and
+    # the sheared regions take one center coordinate
+    if s.n > 2 or s.m != 1:
+        raise DomainError("this family is implemented for n <= 2, m = 1, "
+                          f"not n={s.n}, m={s.m}")
+
+
 # --- sphere direction parametrizations ----------------------------------
 
 def _circle_dir(u: np.ndarray):
@@ -175,18 +183,11 @@ def _hopf_dir(u: np.ndarray):
 
 
 def _sphere_dir(n: int, u: np.ndarray):
-    if n == 1:
-        return _circle_dir(u[:, 0])
-    if n == 2:
-        return _hopf_dir(u[:, :3])
-    raise DomainError("direction parametrization implemented for n <= 2")
+    """Directions on S^{2n-1}, n = 1 or 2, from 2n-1 cube coordinates."""
+    return _circle_dir(u[:, 0]) if n == 1 else _hopf_dir(u[:, :3])
 
 
-def _dir_dims(n: int) -> int:
-    return 1 if n == 1 else 3
-
-
-def default_sphere_resolution(n: int, delta: float) -> int:
+def _cap_resolution(n: int, delta: float) -> int:
     """Per-factor node count keeping the nodes-per-cap count stable in delta."""
     if n == 1:
         return max(256, int(math.ceil(64.0 / delta)))
@@ -201,16 +202,14 @@ def _indicator(test) -> Callable[[np.ndarray], np.ndarray]:
     return ev
 
 
-def ball_example(s: MetivierStructure, delta: float,
-                 sphere_resolution: Optional[int] = None,
-                 region_counts: Optional[Tuple[int, ...]] = None,
-                 ) -> ExampleInstance:
+def ball_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     """Indicator of the 10 delta ball against the shell-adapted slab.
 
     Test region: 9/8 <= |ubar x| <= 15/8 with the center coordinate within
-    delta/C of the tilt sheet, selector t(x) = |ubar x|.
+    delta/C of the tilt sheet, time map t(x) = |ubar x|.
     """
     _check_delta(delta)
+    _check_structure(s)
     n, m, d = s.n, s.m, s.d
     two_n = 2 * n
     C = c_ring(s)
@@ -222,40 +221,29 @@ def ball_example(s: MetivierStructure, delta: float,
     f = ScalarField(_indicator(inside), -r_ball * np.ones(d),
                     r_ball * np.ones(d), f"ball indicator delta={delta}")
 
-    dd = _dir_dims(n)
+    dd = two_n - 1
     half_b = delta / C
 
-    def mapper(u):
+    def param(u):
         r = 9.0 / 8.0 + (6.0 / 8.0) * u[:, 0]
-        dirs, _ = _sphere_dir(n, u[:, 1:1 + dd])
+        dirs, ang = _sphere_dir(n, u[:, 1:1 + dd])
         ubar = r[:, None] * dirs
         b = half_b * (2.0 * u[:, 1 + dd:1 + dd + m] - 1.0)
         bar = b + r[:, None] * (ubar @ s.Lambda.T)
-        return np.concatenate([ubar, bar], axis=1)
+        jac = (6.0 / 8.0) * r ** (two_n - 1) * ang * (2.0 * half_b) ** m
+        return np.concatenate([ubar, bar], axis=1), jac
 
-    def jac(u):
-        r = 9.0 / 8.0 + (6.0 / 8.0) * u[:, 0]
-        _, ang = _sphere_dir(n, u[:, 1:1 + dd])
-        return (6.0 / 8.0) * r ** (two_n - 1) * ang * (2.0 * half_b) ** m
-
-    if region_counts is None:
-        region_counts = (8, 16, 8) if n == 1 else (3, 4, 6, 6, 4)
-    region = ParamRegion(dim=1 + dd + m, mapper=mapper, jacobian=jac,
-                         counts=region_counts)
-    res = sphere_resolution or default_sphere_resolution(n, delta)
-    rule = sphere_rule(n, res)
-    sel = TimeSelector(kind="map",
-                       mapper=lambda pts: np.linalg.norm(pts[:, :two_n], axis=1))
-    return ExampleInstance("ball", delta, s, f, region, _box_region(f), sel,
-                           rule)
+    counts = (8, 16, 8) if n == 1 else (3, 4, 6, 6, 4)
+    return ExampleInstance(
+        "ball", delta, s, f, ParamRegion(counts, param), _box_region(f),
+        lambda pts: np.linalg.norm(pts[:, :two_n], axis=1),
+        sphere_rule(n, _cap_resolution(n, delta)))
 
 
 # --- scaling family ------------------------------------------------------
 
-def scaling_example(s: MetivierStructure, delta: float, t: float = 1.5,
-                    sphere_resolution: Optional[int] = None,
-                    region_counts: Optional[Tuple[int, ...]] = None,
-                    ) -> ExampleInstance:
+def scaling_example(s: MetivierStructure, delta: float,
+                    t: float = 1.5) -> ExampleInstance:
     """Fixed-time shell indicator tested near the origin.
 
     Field: indicator of ||ubar y| - t| <= C0 delta, |ybar - t Lambda
@@ -263,9 +251,10 @@ def scaling_example(s: MetivierStructure, delta: float, t: float = 1.5,
     within delta of the tilt sheet; the average there is order one.
     """
     _check_delta(delta)
+    _check_structure(s)
     if not 1.0 <= t <= 2.0:
         raise DomainError("t must lie in [1, 2]")
-    n, m, d = s.n, s.m, s.d
+    n, m = s.n, s.m
     two_n = 2 * n
     C0 = c_zero(s)
     shell = C0 * delta
@@ -285,47 +274,36 @@ def scaling_example(s: MetivierStructure, delta: float, t: float = 1.5,
     f = ScalarField(_indicator(inside), lo, hi,
                     f"shell indicator delta={delta} t={t}")
 
-    dd = _dir_dims(n)
+    dd = two_n - 1
 
     # Field support in adapted shell coordinates: exact up to the smooth
     # radial Jacobian, so the denominator norm carries no delta-dependent
     # lattice bias.
-    def f_mapper(u):
+    def f_param(u):
         r = (t - shell) + 2.0 * shell * u[:, 0]
-        dirs, _ = _sphere_dir(n, u[:, 1:1 + dd])
+        dirs, ang = _sphere_dir(n, u[:, 1:1 + dd])
         ubar = r[:, None] * dirs
         b = shell * (2.0 * u[:, 1 + dd:1 + dd + m] - 1.0)
         bar = b + t * (ubar @ s.Lambda.T)
-        return np.concatenate([ubar, bar], axis=1)
+        jac = 2.0 * shell * r ** (two_n - 1) * ang * (2.0 * shell) ** m
+        return np.concatenate([ubar, bar], axis=1), jac
 
-    def f_jac(u):
-        r = (t - shell) + 2.0 * shell * u[:, 0]
-        _, ang = _sphere_dir(n, u[:, 1:1 + dd])
-        return 2.0 * shell * r ** (two_n - 1) * ang * (2.0 * shell) ** m
-
-    def r_mapper(u):
+    def r_param(u):
         rho = delta * u[:, 0] ** (1.0 / two_n)
-        dirs, _ = _sphere_dir(n, u[:, 1:1 + dd])
+        dirs, ang = _sphere_dir(n, u[:, 1:1 + dd])
         ubar = rho[:, None] * dirs
         b = delta * (2.0 * u[:, 1 + dd:1 + dd + m] - 1.0)
         bar = b + t * (ubar @ s.Lambda.T)
-        return np.concatenate([ubar, bar], axis=1)
-
-    def r_jac(u):
         # equidistributed radial substitution: rho^{2n-1} drho = delta^{2n}/(2n) du
-        _, ang = _sphere_dir(n, u[:, 1:1 + dd])
-        return delta ** two_n / two_n * ang * np.ones(len(u)) * (2.0 * delta) ** m
+        jac = (delta ** two_n / two_n * ang * np.ones(len(u))
+               * (2.0 * delta) ** m)
+        return np.concatenate([ubar, bar], axis=1), jac
 
-    if region_counts is None:
-        counts = (8, 16, 8) if n == 1 else (4, 4, 8, 8, 4)
-    else:
-        counts = region_counts
-    region = ParamRegion(1 + dd + m, r_mapper, r_jac, counts)
-    fregion = ParamRegion(1 + dd + m, f_mapper, f_jac, counts)
-    res = sphere_resolution or (256 if n == 1 else 16)
-    rule = sphere_rule(n, res)
-    return ExampleInstance("scaling", delta, s, f, region, fregion,
-                           fixed_time_selector(t), rule)
+    counts = (8, 16, 8) if n == 1 else (4, 4, 8, 8, 4)
+    return ExampleInstance(
+        "scaling", delta, s, f, ParamRegion(counts, r_param),
+        ParamRegion(counts, f_param), lambda pts: np.full(len(pts), t),
+        sphere_rule(n, 256 if n == 1 else 16))
 
 
 # --- knapp family --------------------------------------------------------
@@ -358,22 +336,20 @@ def knapp_frame(s: MetivierStructure):
     return u, v, comp
 
 
-def knapp_example(s: MetivierStructure, delta: float,
-                  sphere_resolution: Optional[int] = None,
-                  region_counts: Optional[Tuple[int, ...]] = None,
-                  ) -> ExampleInstance:
+def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     """Anisotropic slab aligned with a flat direction of the incidence set.
 
     Field: indicator of |P_perp ubar y| <= C1 sqrt(delta), |P ubar y| <=
     C1 delta, |y_d| <= C1 delta, where P projects onto span{u, v}.  Test
-    region: sqrt(delta)-tube over an arc window, selector t(x) =
+    region: sqrt(delta)-tube over an arc window, time map t(x) =
     |P ubar x|.
     """
     _check_delta(delta)
-    n, d = s.n, s.d
+    n = s.n
     two_n = 2 * n
-    if n < 2:
-        raise DomainError("the slab needs a nontrivial complement, n >= 2")
+    if n != 2:
+        raise DomainError("the slab region is implemented for n = 2, "
+                          f"not n={n}")
     C1 = c_one(s)
     u_dir, v_dir, comp = knapp_frame(s)
     P = np.outer(u_dir, u_dir) + np.outer(v_dir, v_dir)
@@ -402,57 +378,35 @@ def knapp_example(s: MetivierStructure, delta: float,
     # Test region coordinates: polar radius/angle in the plane, polar
     # coordinates in the sqrt(delta)-thin complement, sheared center.
     phi_lo, phi_hi = 0.73, 0.84
-    k_perp = two_n - 2
 
-    def split(u):
+    def param(u):
         rho = 9.0 / 8.0 + (6.0 / 8.0) * u[:, 0]
         phi = phi_lo + (phi_hi - phi_lo) * u[:, 1]
-        rperp = sq * u[:, 2] ** (1.0 / k_perp) if k_perp > 0 else None
-        return rho, phi, rperp
-
-    def mapper(u):
-        rho, phi, rperp = split(u)
+        rperp = sq * u[:, 2] ** 0.5
+        psi = 2.0 * np.pi * u[:, 3]
         ubar = (rho * np.cos(phi))[:, None] * u_dir + \
                (rho * np.sin(phi))[:, None] * v_dir
-        if k_perp == 2:
-            psi = 2.0 * np.pi * u[:, 3]
-            w = rperp[:, None] * (np.cos(psi)[:, None] * comp[:, 0]
-                                  + np.sin(psi)[:, None] * comp[:, 1])
-            ubar = ubar + w
-            bcol = 4
-        else:
-            raise DomainError("region parametrization implemented for n = 2")
-        b = delta * (2.0 * u[:, bcol] - 1.0)
-        t_here = rho
-        bar = b + t_here * (ubar @ lam)
-        return np.concatenate([ubar, bar[:, None]], axis=1)
-
-    def jac(u):
-        rho, phi, rperp = split(u)
+        ubar = ubar + rperp[:, None] * (np.cos(psi)[:, None] * comp[:, 0]
+                                        + np.sin(psi)[:, None] * comp[:, 1])
+        bar = delta * (2.0 * u[:, 4] - 1.0) + rho * (ubar @ lam)
         # plane polar: rho drho dphi; complement polar via equidistributed
-        # radius: rperp dr dpsi = delta/2 du dpsi for k_perp = 2
-        return ((6.0 / 8.0) * rho * (phi_hi - phi_lo)
-                * (delta / 2.0) * (2.0 * np.pi)
-                * (2.0 * delta) * np.ones(len(u)))
-
-    if region_counts is None:
-        region_counts = (3, 4, 4, 5, 4)
-    region = ParamRegion(dim=5, mapper=mapper, jacobian=jac,
-                         counts=region_counts)
-    if sphere_resolution is None:
-        # caps are delta-thin in the Hopf latitude and sqrt(delta)-wide in
-        # the angles; match the rule to that anisotropy
-        c_lat = max(24, int(math.ceil(3.0 / delta)))
-        c_ang = max(24, int(math.ceil(10.0 / sq)))
-        sphere_resolution = (c_lat, c_ang, c_ang)
-    rule = sphere_rule(n, sphere_resolution, latitude="uniform")
+        # radius: rperp drperp dpsi = delta/2 du dpsi
+        jac = ((6.0 / 8.0) * rho * (phi_hi - phi_lo)
+               * (delta / 2.0) * (2.0 * np.pi)
+               * (2.0 * delta) * np.ones(len(u)))
+        return np.concatenate([ubar, bar[:, None]], axis=1), jac
 
     def t_of(pts):
         return np.linalg.norm(pts[:, :two_n] @ P.T, axis=1)
 
-    sel = TimeSelector(kind="map", mapper=t_of)
-    return ExampleInstance("knapp", delta, s, f, region, _box_region(f), sel,
-                           rule)
+    # caps are delta-thin in the Hopf latitude and sqrt(delta)-wide in the
+    # angles; match the rule to that anisotropy
+    c_lat = max(24, int(math.ceil(3.0 / delta)))
+    c_ang = max(24, int(math.ceil(10.0 / sq)))
+    return ExampleInstance(
+        "knapp", delta, s, f, ParamRegion((3, 4, 4, 5, 4), param),
+        _box_region(f), t_of,
+        sphere_rule(n, (c_lat, c_ang, c_ang), latitude="uniform"))
 
 
 # --- stein divergence diagnostic -----------------------------------------
@@ -523,10 +477,7 @@ def moment_structure() -> MetivierStructure:
     return MetivierStructure(n=1, m=1, J=J, Lambda=np.zeros((1, 2)))
 
 
-def moment_example(delta: float,
-                   sphere_resolution: Optional[int] = None,
-                   region_counts: Optional[Tuple[int, ...]] = None,
-                   ) -> ExampleInstance:
+def moment_example(delta: float) -> ExampleInstance:
     """Sheared box matched to the circle average on the 3-dimensional group.
 
     Field: indicator of |y1| <= (2 delta)^2, |y2| <= 2 delta,
@@ -546,31 +497,25 @@ def moment_example(delta: float,
     f = ScalarField(_indicator(inside), lo, -lo,
                     f"moment box delta={delta}")
 
-    def f_mapper(u):
+    def f_param(u):
         y1 = hw1 * (2 * u[:, 0] - 1)
         y2 = hw2 * (2 * u[:, 1] - 1)
         z = hw3 * (2 * u[:, 2] - 1)
-        return np.stack([y1, y2, z - y2], axis=1)
+        return (np.stack([y1, y2, z - y2], axis=1),
+                8.0 * hw1 * hw2 * hw3 * np.ones(len(u)))
 
-    def f_jac(u):
-        return 8.0 * hw1 * hw2 * hw3 * np.ones(len(u))
-
-    def v_mapper(u):
+    def v_param(u):
         x1 = 1.0 + delta ** 2 * (2 * u[:, 0] - 1)
         x2 = delta * (2 * u[:, 1] - 1)
         x3 = delta ** 3 * (2 * u[:, 2] - 1)
-        return np.stack([x1, x2, x3], axis=1)
+        return (np.stack([x1, x2, x3], axis=1),
+                8.0 * delta ** 6 * np.ones(len(u)))
 
-    def v_jac(u):
-        return 8.0 * delta ** 6 * np.ones(len(u))
-
-    counts = region_counts or (6, 6, 6)
-    region = ParamRegion(3, v_mapper, v_jac, counts)
-    fregion = ParamRegion(3, f_mapper, f_jac, counts)
-    res = sphere_resolution or max(256, int(math.ceil(64.0 / delta)))
-    rule = sphere_rule(1, res)
-    return ExampleInstance("moment", delta, s, f, region, fregion,
-                           fixed_time_selector(1.0), rule)
+    counts = (6, 6, 6)
+    return ExampleInstance(
+        "moment", delta, s, f, ParamRegion(counts, v_param),
+        ParamRegion(counts, f_param), lambda pts: np.ones(len(pts)),
+        sphere_rule(1, _cap_resolution(1, delta)))
 
 
 # --- exponents and fitting ----------------------------------------------

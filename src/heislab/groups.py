@@ -7,6 +7,7 @@ averaging surface.  Group elements are stored in exponential coordinates
 (ubar, bar) in R^{2n} x R^m.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,16 +259,13 @@ def smallness_margin(s, grid_resolution=None):
                            worst_theta=thetas[k])
 
 
-SINGULAR = "singular"
-
-
 def skew_inverse_norm(rho, B):
     """Spectral norm of (rho I + B)^{-1} for skew-symmetric B, in closed form.
 
     Even size: singular iff rho = 0 and B singular; norm is 1/|rho| when
     det B = 0 and (rho^2 + |B^{-1}|^{-2})^{-1/2} otherwise.  Odd size:
-    singular iff rho = 0, else 1/|rho|.  Returns the string "singular"
-    for non-invertible input.
+    singular iff rho = 0, else 1/|rho|.  Returns math.inf for
+    non-invertible input.
     """
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
@@ -279,9 +277,7 @@ def skew_inverse_norm(rho, B):
     sv = np.linalg.svd(B, compute_uv=False)
     sv_max = sv[0] if N else 0.0
     b_singular = N == 0 or sv[-1] <= 1e-12 * max(1.0, sv_max)
-    if N % 2 == 1:
-        return SINGULAR if rho == 0.0 else 1.0 / abs(rho)
-    if b_singular:
-        return SINGULAR if rho == 0.0 else 1.0 / abs(rho)
+    if N % 2 == 1 or b_singular:
+        return math.inf if rho == 0.0 else 1.0 / abs(rho)
     inv_norm_B = sv[-1]  # |B^{-1}|^{-1} equals the smallest singular value
     return 1.0 / np.hypot(rho, inv_norm_B)

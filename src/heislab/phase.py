@@ -115,36 +115,38 @@ def phi(pm: PhaseModel, x: np.ndarray, t: float, y: np.ndarray) -> float:
     return float(y2n * S2n + ybar @ Sbar)
 
 
-def xi(pm: PhaseModel, x: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
-    """Gradient of Phi in (x, t), a vector in R^{d+1}."""
+def _linear_columns(pm: PhaseModel, x: np.ndarray, t: float,
+                    yp: np.ndarray) -> np.ndarray:
+    """Columns Xi_{y_2n}, Xi_{ybar_1}..Xi_{ybar_m}, shape (d+1, m+1).
+
+    Xi is linear in (y_2n, ybar), and these columns depend on y' only.
+    """
     s = pm.structure
     two_n = 2 * s.n
-    yp, y2n, ybar = _split_x(pm, y)
     w = _w_of(pm, x, t, yp)
     g = g_value(w)
     gg = g_grad(w)
     h = h_value(w)
-    ubar_x = x[:two_n]
     vec = np.concatenate([yp, [-t * g]])
-    out = np.zeros(s.d + 1)
-    # y_{2n} branch: (-grad g, 1, 0_m, h)
-    out[: two_n - 1] += y2n * (-gg)
-    out[two_n - 1] += y2n
-    out[s.d] += y2n * h
-    # ybar branches
-    P_rows = slice(0, two_n - 1)
-    e2n = np.zeros(two_n)
-    e2n[-1] = 1.0
+    cols = np.zeros((s.d + 1, s.m + 1))
+    # y_{2n} column: (-grad g, 1, 0_m, h)
+    cols[: two_n - 1, 0] = -gg
+    cols[two_n - 1, 0] = 1.0
+    cols[s.d, 0] = h
     for i in range(s.m):
         Ji = s.J[i]
-        ci = float(ubar_x @ Ji[:, -1] - t * s.Lambda[i, -1])
-        top = Ji[P_rows, :] @ vec - ci * gg
-        mid = Ji[-1, :] @ vec
-        out[: two_n - 1] += ybar[i] * top
-        out[two_n - 1] += ybar[i] * mid
-        out[two_n + i] += ybar[i]
-        out[s.d] += ybar[i] * (h * ci - s.Lambda[i] @ vec)
-    return out
+        ci = float(x[:two_n] @ Ji[:, -1] - t * s.Lambda[i, -1])
+        cols[: two_n - 1, 1 + i] = Ji[: two_n - 1, :] @ vec - ci * gg
+        cols[two_n - 1, 1 + i] = Ji[-1, :] @ vec
+        cols[two_n + i, 1 + i] = 1.0
+        cols[s.d, 1 + i] = h * ci - s.Lambda[i] @ vec
+    return cols
+
+
+def xi(pm: PhaseModel, x: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
+    """Gradient of Phi in (x, t), a vector in R^{d+1}."""
+    k = 2 * pm.n - 1
+    return _linear_columns(pm, x, t, y[:k]) @ y[k:]
 
 
 def sigma_value(pm: PhaseModel, x: np.ndarray, t: float,
@@ -175,16 +177,12 @@ def xi_y(pm: PhaseModel, x: np.ndarray, t: float,
     two_n = 2 * s.n
     yp, y2n, ybar = _split_x(pm, y)
     w = _w_of(pm, x, t, yp)
-    g = g_value(w)
     gg = g_grad(w)
     gh = g_hess(w)
-    h = h_value(w)
     hg = h_grad(w)
-    ubar_x = x[:two_n]
     Jy = s.J_theta(ybar)
     Ly = s.Lambda_theta(ybar)
-    sig = float(y2n + ubar_x @ Jy[:, -1] - t * Ly[-1])
-    vec = np.concatenate([yp, [-t * g]])
+    sig = float(y2n + x[:two_n] @ Jy[:, -1] - t * Ly[-1])
     cols = np.zeros((s.d + 1, s.d))
     for j in range(two_n - 1):
         ej_ext = np.zeros(two_n)
@@ -195,22 +193,7 @@ def xi_y(pm: PhaseModel, x: np.ndarray, t: float,
         col[two_n - 1] = Jy[-1, :] @ ej_ext
         col[s.d] = -sig / t * hg[j] - Ly @ ej_ext
         cols[:, j] = col
-    # y_{2n} column
-    col = np.zeros(s.d + 1)
-    col[: two_n - 1] = -gg
-    col[two_n - 1] = 1.0
-    col[s.d] = h
-    cols[:, two_n - 1] = col
-    # ybar columns
-    for i in range(s.m):
-        Ji = s.J[i]
-        ci = float(ubar_x @ Ji[:, -1] - t * s.Lambda[i, -1])
-        col = np.zeros(s.d + 1)
-        col[: two_n - 1] = Ji[: two_n - 1, :] @ vec - ci * gg
-        col[two_n - 1] = Ji[-1, :] @ vec
-        col[two_n + i] = 1.0
-        col[s.d] = h * ci - s.Lambda[i] @ vec
-        cols[:, two_n + i] = col
+    cols[:, two_n - 1:] = _linear_columns(pm, x, t, yp)
     return cols
 
 

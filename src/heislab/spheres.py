@@ -1,17 +1,16 @@
-"""Sphere quadrature, spherical averages, and maximal values.
+"""Sphere quadrature and batched spherical averages.
 
 The averaging operator acts on scalar fields over the group: the value at x
 is the mean of f over the t-dilated tilted sphere through x.  Quadrature
 rules carry normalized weights so the constant field averages to itself.
 """
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .groups import DimensionMismatch, DomainError, GroupPoint, MetivierStructure
+from .groups import DimensionMismatch, DomainError, MetivierStructure
 
 
 @dataclass(frozen=True)
@@ -20,7 +19,6 @@ class SphereRule:
 
     nodes: np.ndarray    # (count, 2n), unit rows
     weights: np.ndarray  # (count,), positive, sum 1
-    monte_carlo: bool = False
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -38,8 +36,7 @@ class SphereRule:
         object.__setattr__(self, "weights", weights)
 
 
-def sphere_rule(n: int, resolution, seed: int = 0,
-                latitude: str = "gauss") -> SphereRule:
+def sphere_rule(n: int, resolution, latitude: str = "gauss") -> SphereRule:
     """Quadrature rule on S^{2n-1}, normalized to total mass 1.
 
     n=1: uniform angular grid on the circle (exact on trigonometric
@@ -48,65 +45,56 @@ def sphere_rule(n: int, resolution, seed: int = 0,
     (latitude, angle, angle) triple for anisotropic integrands.  The
     latitude parameter carries a uniform measure, so latitude="gauss"
     (best for smooth integrands) and latitude="uniform" (even spacing,
-    best for thin indicator caps) are both consistent.  n>=3: seeded
-    Monte Carlo fallback, flagged and warned about.
+    best for thin indicator caps) are both consistent.  Spheres of higher
+    dimension have no rule.
     """
+    if n not in (1, 2):
+        raise DomainError(f"sphere rules exist for n = 1, 2, not n={n}")
     if n == 2 and not np.isscalar(resolution):
         cu, ca, cb = (int(c) for c in resolution)
     else:
         cu = ca = cb = int(resolution)
     if min(cu, ca, cb) < 4:
         raise DomainError("resolution must be at least 4")
-    resolution = cu
     if n == 1:
-        ang = 2 * np.pi * np.arange(resolution) / resolution
+        ang = 2 * np.pi * np.arange(cu) / cu
         nodes = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        weights = np.full(resolution, 1.0 / resolution)
+        weights = np.full(cu, 1.0 / cu)
         return SphereRule(nodes, weights)
-    if n == 2:
-        # Write omega = (sqrt(1-u) cos a, sqrt(1-u) sin a, sqrt(u) cos b,
-        # sqrt(u) sin b); the normalized measure is du da db / (2 pi)^2
-        # with u in [0,1].
-        if latitude == "gauss":
-            gl_x, gl_w = np.polynomial.legendre.leggauss(cu)
-            u = 0.5 * (gl_x + 1.0)
-            wu = 0.5 * gl_w
-        elif latitude == "uniform":
-            u = (np.arange(cu) + 0.5) / cu
-            wu = np.full(cu, 1.0 / cu)
-        else:
-            raise DomainError(f"unknown latitude rule {latitude!r}")
-        # half-step offsets keep grid lines off the coordinate circles
-        ang_a = 2 * np.pi * (np.arange(ca) + 0.5) / ca
-        ang_b = 2 * np.pi * (np.arange(cb) + 0.5) / cb
-        r0 = np.sqrt(1.0 - u)
-        r1 = np.sqrt(u)
-        blk = ca * cb
-        nodes = np.empty((cu * blk, 4))
-        weights = np.empty(cu * blk)
-        k = 0
-        for iu in range(cu):
-            n0 = np.empty((blk, 4))
-            n0[:, 0] = np.repeat(r0[iu] * np.cos(ang_a), cb)
-            n0[:, 1] = np.repeat(r0[iu] * np.sin(ang_a), cb)
-            n0[:, 2] = np.tile(r1[iu] * np.cos(ang_b), ca)
-            n0[:, 3] = np.tile(r1[iu] * np.sin(ang_b), ca)
-            nodes[k:k + blk] = n0
-            weights[k:k + blk] = wu[iu] / blk
-            k += blk
-        nrm = np.linalg.norm(nodes, axis=1)
-        nodes /= nrm[:, None]
-        weights /= weights.sum()
-        return SphereRule(nodes, weights)
-    # Monte Carlo fallback for high-dimensional spheres.
-    warnings.warn(f"sphere_rule falls back to Monte Carlo for n={n}",
-                  RuntimeWarning, stacklevel=2)
-    rng = np.random.default_rng(seed)
-    count = max(resolution ** 2, 4096)
-    raw = rng.standard_normal((count, 2 * n))
-    nodes = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    weights = np.full(count, 1.0 / count)
-    return SphereRule(nodes, weights, monte_carlo=True)
+    # Write omega = (sqrt(1-u) cos a, sqrt(1-u) sin a, sqrt(u) cos b,
+    # sqrt(u) sin b); the normalized measure is du da db / (2 pi)^2
+    # with u in [0,1].
+    if latitude == "gauss":
+        gl_x, gl_w = np.polynomial.legendre.leggauss(cu)
+        u = 0.5 * (gl_x + 1.0)
+        wu = 0.5 * gl_w
+    elif latitude == "uniform":
+        u = (np.arange(cu) + 0.5) / cu
+        wu = np.full(cu, 1.0 / cu)
+    else:
+        raise DomainError(f"unknown latitude rule {latitude!r}")
+    # half-step offsets keep grid lines off the coordinate circles
+    ang_a = 2 * np.pi * (np.arange(ca) + 0.5) / ca
+    ang_b = 2 * np.pi * (np.arange(cb) + 0.5) / cb
+    r0 = np.sqrt(1.0 - u)
+    r1 = np.sqrt(u)
+    blk = ca * cb
+    nodes = np.empty((cu * blk, 4))
+    weights = np.empty(cu * blk)
+    k = 0
+    for iu in range(cu):
+        n0 = np.empty((blk, 4))
+        n0[:, 0] = np.repeat(r0[iu] * np.cos(ang_a), cb)
+        n0[:, 1] = np.repeat(r0[iu] * np.sin(ang_a), cb)
+        n0[:, 2] = np.tile(r1[iu] * np.cos(ang_b), ca)
+        n0[:, 3] = np.tile(r1[iu] * np.sin(ang_b), ca)
+        nodes[k:k + blk] = n0
+        weights[k:k + blk] = wu[iu] / blk
+        k += blk
+    nrm = np.linalg.norm(nodes, axis=1)
+    nodes /= nrm[:, None]
+    weights /= weights.sum()
+    return SphereRule(nodes, weights)
 
 
 @dataclass(frozen=True)
@@ -135,48 +123,6 @@ class ScalarField:
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.asarray(self.evaluator(pts), dtype=float)
-
-
-@dataclass(frozen=True)
-class TimeSelector:
-    """Time choice for the maximal operator over t in [1,2].
-
-    kind="grid": uniform grid of count points on [1,2]; the maximal value
-    is the max over the grid.  kind="map": an explicit selector x -> t(x),
-    clamped to [1,2]; the maximal value is the single average at t(x),
-    which lower-bounds the supremum.
-    """
-
-    kind: str
-    count: int = 0
-    mapper: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        if self.kind == "grid":
-            if self.count < 2:
-                raise DomainError("grid selector needs count >= 2")
-        elif self.kind == "map":
-            if self.mapper is None:
-                raise DomainError("map selector needs a mapper")
-        else:
-            raise DomainError(f"unknown selector kind {self.kind!r}")
-
-    def times(self, pts: np.ndarray) -> np.ndarray:
-        """Selector times for a batch of points, shape (count,) for kind=map."""
-        if self.kind != "map":
-            raise DomainError("times() applies to map selectors")
-        t = np.asarray(self.mapper(np.atleast_2d(pts)), dtype=float)
-        return np.clip(t, 1.0, 2.0)
-
-    def grid(self) -> np.ndarray:
-        if self.kind != "grid":
-            raise DomainError("grid() applies to grid selectors")
-        return np.linspace(1.0, 2.0, self.count)
-
-
-def fixed_time_selector(t: float) -> TimeSelector:
-    t = float(t)
-    return TimeSelector(kind="map", mapper=lambda pts: np.full(len(pts), t))
 
 
 def _sphere_images(s: MetivierStructure, pts: np.ndarray, t: np.ndarray,
@@ -225,30 +171,3 @@ def spherical_average_batch(s: MetivierStructure, f: ScalarField,
         # node count, never on the batch shape
         out[sl] = np.sum(vals * rule.weights[None, :], axis=1)
     return out
-
-
-def spherical_average(s: MetivierStructure, f: ScalarField, t: float,
-                      x: GroupPoint, rule: SphereRule) -> float:
-    """Mean of f over the t-dilated tilted sphere translated to x."""
-    pt = x.as_array()[None, :]
-    return float(spherical_average_batch(s, f, np.array([float(t)]), pt, rule)[0])
-
-
-def maximal_value_batch(s: MetivierStructure, f: ScalarField,
-                        pts: np.ndarray, sel: TimeSelector,
-                        rule: SphereRule) -> np.ndarray:
-    """|average| maximized over the selector's times, for a batch of points."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if sel.kind == "map":
-        t = sel.times(pts)
-        return np.abs(spherical_average_batch(s, f, t, pts, rule))
-    best = np.zeros(len(pts))
-    for t in sel.grid():
-        vals = np.abs(spherical_average_batch(s, f, t, pts, rule))
-        best = np.maximum(best, vals)
-    return best
-
-
-def maximal_value(s: MetivierStructure, f: ScalarField, x: GroupPoint,
-                  sel: TimeSelector, rule: SphereRule) -> float:
-    return float(maximal_value_batch(s, f, x.as_array()[None, :], sel, rule)[0])

@@ -217,6 +217,20 @@ def test_counterexample_exponent_below_one_exits_2(capsys):
     assert "error:" in err and ">= 1" in err
 
 
+@pytest.mark.parametrize("structure", [
+    ["--set", "family=ball", "--set", "n=3"],
+    ["--set", "family=knapp", "--set", "kind=normalized", "--set", "n=3"],
+    ["--set", "family=ball", "--set", "kind=quaternionic", "--set", "m=2"],
+    ["--set", "family=scaling", "--set", "kind=quaternionic", "--set", "m=2"],
+])
+def test_counterexample_unsupported_structure_exits_2(structure, capsys):
+    code, out, err = run(["counterexample", *structure,
+                          "--set", "deltas=2^-3,2^-4,2^-5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # --- region ---------------------------------------------------------------
 
 def test_region_csv(capsys):

@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heislab.groups import DomainError, normalized_heisenberg, \
-    standard_heisenberg
+from heislab.groups import (DomainError, normalized_heisenberg,
+                            quaternionic_htype, standard_heisenberg)
 from heislab.families import (ExampleInstance, ParamRegion, _box_region,
                               ball_example, c_one, c_ring, c_zero,
                               experiment_csv, fit_exponent, knapp_example,
@@ -16,7 +16,7 @@ from heislab.families import (ExampleInstance, ParamRegion, _box_region,
                               operator_ratio, predicted_exponent, run_ladder,
                               scaling_example, stein_growth_exponent,
                               stein_probe_curve)
-from heislab.spheres import ScalarField, spherical_average_batch
+from heislab.spheres import ScalarField, sphere_rule, spherical_average_batch
 
 F = Fraction
 
@@ -25,19 +25,18 @@ F = Fraction
 
 def test_param_region_measure():
     # quarter disc in polar coordinates: area pi/4
-    def mapper(u):
+    def param(u):
         r = np.sqrt(u[:, 0])
         a = 0.5 * np.pi * u[:, 1]
-        return np.stack([r * np.cos(a), r * np.sin(a)], axis=1)
+        return (np.stack([r * np.cos(a), r * np.sin(a)], axis=1),
+                0.25 * np.pi * np.ones(len(u)))
 
-    def jac(u):
-        return 0.25 * np.pi * np.ones(len(u))
-
-    reg = ParamRegion(2, mapper, jac, (40, 40))
+    reg = ParamRegion((40, 40), param)
     one = reg.lq_norm(lambda pts: np.ones(len(pts)), 1.0)
     assert one == pytest.approx(np.pi / 4.0, rel=1e-12)
-    assert reg.mean_value(lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2) == \
-        pytest.approx(0.5, rel=1e-3)
+    pts, w = reg.points_and_weights()
+    mean = np.sum((pts[:, 0] ** 2 + pts[:, 1] ** 2) * w) / np.sum(w)
+    assert mean == pytest.approx(0.5, rel=1e-3)
     sup = reg.lq_norm(lambda pts: pts[:, 0], np.inf)
     assert sup <= 1.0
 
@@ -120,7 +119,7 @@ def test_instance_rejects_unknown_family():
     inst = ball_example(s, 0.125)
     with pytest.raises(DomainError):
         ExampleInstance("cone", 0.125, s, inst.field, inst.test_region,
-                        inst.field_region, inst.selector, inst.rule)
+                        inst.field_region, inst.time, inst.rule)
 
 
 # --- operator ratio -------------------------------------------------------
@@ -137,7 +136,7 @@ def test_operator_ratio_field_homogeneity():
     f2 = ScalarField(doubled, f.support_lo, f.support_hi, "doubled")
     inst2 = ExampleInstance(inst.family, inst.delta, inst.structure, f2,
                             inst.test_region, inst.field_region,
-                            inst.selector, inst.rule)
+                            inst.time, inst.rule)
     assert operator_ratio(s, inst2, 1.0, np.inf) == pytest.approx(base,
                                                                   rel=1e-12)
 
@@ -152,12 +151,37 @@ def test_operator_ratio_rejects_exponent_below_one():
 def test_operator_ratio_zero_numerator_raises():
     # eight circle nodes all miss the ball of radius 10 * 2^-7
     s = standard_heisenberg(1)
-    inst = ball_example(s, 2.0 ** -7, sphere_resolution=8)
+    inst = replace(ball_example(s, 2.0 ** -7), rule=sphere_rule(1, 8))
     with pytest.raises(DomainError) as err:
         operator_ratio(s, inst, 1.0, math.inf)
     msg = str(err.value)
     assert "ball" in msg and repr(2.0 ** -7) in msg
     assert "no sphere node hits the field's support" in msg
+
+
+def test_operator_ratio_clamps_time_map():
+    # a time map outside [1, 2] acts as its clamped value
+    def const(t):
+        return lambda pts: np.full(len(pts), t)
+
+    def ratio(inst, t):
+        return operator_ratio(inst.structure, replace(inst, time=const(t)),
+                              2.0, 2.0)
+
+    moment = moment_example(0.125)
+    assert ratio(moment, 0.2) == ratio(moment, 1.0)
+    # the moment caps miss the field at t = 2; the ball's do not
+    ball = ball_example(standard_heisenberg(1), 0.125)
+    assert ratio(ball, 0.2) == ratio(ball, 1.0)
+    assert ratio(ball, 7.0) == ratio(ball, 2.0)
+    assert ratio(ball, 2.0) != ratio(ball, 1.0)
+
+
+def test_families_reject_unsupported_structures():
+    for s in (standard_heisenberg(3), quaternionic_htype(1, 2)):
+        for make in (ball_example, scaling_example):
+            with pytest.raises(DomainError, match="n <= 2, m = 1"):
+                make(s, 0.125)
 
 
 def test_delta_window():
@@ -310,7 +334,7 @@ def test_scaling_average_is_one_on_region():
     for delta in (0.125, 0.03125):
         inst = scaling_example(s, delta)
         pts, _ = inst.test_region.points_and_weights()
-        t = inst.selector.times(pts)
+        t = np.clip(inst.time(pts), 1.0, 2.0)
         vals = spherical_average_batch(s, inst.field, t, pts, inst.rule)
         assert np.min(vals) >= 0.999
         assert np.max(vals) <= 1.0 + 1e-12
@@ -350,8 +374,9 @@ def test_knapp_frame_invariance():
 def test_knapp_requires_normalized_structure():
     with pytest.raises(DomainError):
         knapp_example(standard_heisenberg(2), 0.125)
-    with pytest.raises(DomainError):
-        knapp_example(normalized_heisenberg(1), 0.125)
+    for n in (1, 3):
+        with pytest.raises(DomainError):
+            knapp_example(normalized_heisenberg(n), 0.125)
 
 
 def test_knapp_field_anisotropy():
@@ -378,7 +403,7 @@ def test_knapp_region_selector_window():
     s = normalized_heisenberg(2)
     inst = knapp_example(s, 0.125)
     pts, w = inst.test_region.points_and_weights()
-    t = inst.selector.times(pts)
+    t = np.clip(inst.time(pts), 1.0, 2.0)
     assert np.all(t >= 9.0 / 8.0 - 1e-12)
     assert np.all(t <= 15.0 / 8.0 + 1e-12)
     assert np.all(w > 0)
@@ -420,7 +445,7 @@ def test_moment_average_lower_bound_on_region():
     for delta in (0.125, 0.0625):
         inst = moment_example(delta)
         pts, _ = inst.test_region.points_and_weights()
-        t = inst.selector.times(pts)
+        t = np.clip(inst.time(pts), 1.0, 2.0)
         vals = spherical_average_batch(s, inst.field, t, pts, inst.rule)
         assert np.min(vals) >= 0.2 * delta
 

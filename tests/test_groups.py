@@ -1,11 +1,13 @@
 """Group arithmetic, structure constructors, margins, and the skew norm."""
 
+import math
+
 import numpy as np
 import pytest
 
 from heislab.groups import (DimensionMismatch, DomainError, GroupPoint,
-                            MetivierStructure, SINGULAR, dilate,
-                            group_inverse, group_multiply, identity_point,
+                            MetivierStructure, dilate, group_inverse,
+                            group_multiply, identity_point,
                             normalized_heisenberg, quaternionic_htype,
                             radon_hurwitz, skew_inverse_norm,
                             smallness_margin, standard_heisenberg,
@@ -211,13 +213,13 @@ def test_skew_inverse_norm_oracle():
 
 def test_skew_inverse_norm_singular_cases():
     assert skew_inverse_norm(0.0, np.array([[0.0, 1.0], [-1.0, 0.0]])) \
-        != SINGULAR
+        != math.inf
     # odd size with rho = 0 is always singular
     raw = np.random.default_rng(2).standard_normal((3, 3))
     B = raw - raw.T
-    assert skew_inverse_norm(0.0, B) == SINGULAR
+    assert skew_inverse_norm(0.0, B) == math.inf
     # even size, singular B, rho = 0
-    assert skew_inverse_norm(0.0, np.zeros((2, 2))) == SINGULAR
+    assert skew_inverse_norm(0.0, np.zeros((2, 2))) == math.inf
     # even size, singular B, rho nonzero: 1/|rho|
     assert skew_inverse_norm(-2.0, np.zeros((4, 4))) == pytest.approx(0.5)
     with pytest.raises(DimensionMismatch):

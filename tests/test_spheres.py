@@ -1,14 +1,11 @@
-"""Sphere quadrature, spherical averages, maximal values."""
+"""Sphere quadrature and batched spherical averages."""
 
 import numpy as np
 import pytest
 
-from heislab.groups import (DomainError, GroupPoint, MetivierStructure,
-                            normalized_heisenberg, standard_heisenberg)
-from heislab.spheres import (ScalarField, SphereRule, TimeSelector,
-                             fixed_time_selector, maximal_value,
-                             maximal_value_batch, spherical_average,
-                             spherical_average_batch, sphere_rule)
+from heislab.groups import DomainError, standard_heisenberg
+from heislab.spheres import (ScalarField, SphereRule, spherical_average_batch,
+                             sphere_rule)
 
 
 def box_indicator(lo, hi):
@@ -30,7 +27,6 @@ def test_rule_weights_and_nodes():
         assert abs(rule.weights.sum() - 1.0) <= 1e-12
         assert np.all(rule.weights > 0)
         assert np.max(np.abs(np.linalg.norm(rule.nodes, axis=1) - 1.0)) <= 1e-12
-        assert not rule.monte_carlo
 
 
 def test_circle_second_moment():
@@ -61,34 +57,34 @@ def test_rule_validation():
         SphereRule(np.array([[2.0, 0.0]]), np.array([1.0]))
 
 
-def test_monte_carlo_fallback():
-    with pytest.warns(RuntimeWarning):
-        rule = sphere_rule(3, 16, seed=5)
-    assert rule.monte_carlo
-    assert rule.nodes.shape[1] == 6
-    with pytest.warns(RuntimeWarning):
-        again = sphere_rule(3, 16, seed=5)
-    assert np.array_equal(rule.nodes, again.nodes)
+def test_rule_rejects_n_above_two():
+    for n in (0, 3):
+        with pytest.raises(DomainError):
+            sphere_rule(n, 16)
 
 
 # --- averages ------------------------------------------------------------
+
+def average_at(s, f, t, ubar, bar, rule):
+    """Average at the single point (ubar, bar) through the batched path."""
+    pt = np.concatenate([ubar, bar])[None, :]
+    return float(spherical_average_batch(s, f, t, pt, rule)[0])
+
 
 def test_constant_field_averages_to_one():
     s = standard_heisenberg(1)
     big = 100.0 * np.ones(3)
     f = ScalarField(lambda pts: np.ones(len(pts)), -big, big, "one")
     rule = sphere_rule(1, 64)
-    x = GroupPoint(np.array([0.3, -0.2]), np.array([0.1]))
-    assert spherical_average(s, f, 1.5, x, rule) == pytest.approx(1.0,
-                                                                  abs=1e-12)
+    got = average_at(s, f, 1.5, [0.3, -0.2], [0.1], rule)
+    assert got == pytest.approx(1.0, abs=1e-12)
 
 
 def test_disjoint_support_is_exact_zero():
     s = standard_heisenberg(1)
     f = box_indicator([5.0, 5.0, 5.0], [6.0, 6.0, 6.0])
     rule = sphere_rule(1, 64)
-    x = GroupPoint(np.zeros(2), np.zeros(1))
-    assert spherical_average(s, f, 1.0, x, rule) == 0.0
+    assert average_at(s, f, 1.0, np.zeros(2), np.zeros(1), rule) == 0.0
 
 
 def test_circle_average_matches_closed_form():
@@ -98,9 +94,8 @@ def test_circle_average_matches_closed_form():
     big = 10.0 * np.ones(3)
     f = ScalarField(lambda pts: pts[:, 0] ** 2, -big, big, "x1 squared")
     rule = sphere_rule(1, 512)
-    x = GroupPoint(np.zeros(2), np.zeros(1))
     t = 1.7
-    got = spherical_average(s, f, t, x, rule)
+    got = average_at(s, f, t, np.zeros(2), np.zeros(1), rule)
     assert got == pytest.approx(t ** 2 / 2.0, abs=1e-10)
 
 
@@ -130,8 +125,8 @@ def test_average_rotation_covariance():
         ub = rng.uniform(-1, 1, 2)
         bar = rng.uniform(-1, 1, 1)
         t = float(rng.uniform(1.0, 2.0))
-        a = spherical_average(s, f, t, GroupPoint(ub, bar), rule)
-        b = spherical_average(s, f_rot, t, GroupPoint(R @ ub, bar), rule)
+        a = average_at(s, f, t, ub, bar, rule)
+        b = average_at(s, f_rot, t, R @ ub, bar, rule)
         assert abs(a - b) <= 1e-10
 
 
@@ -160,59 +155,29 @@ def test_dimension_mismatch_raises():
 # --- maximal values ------------------------------------------------------
 
 def test_maximal_constant_is_one():
+    # every average of the constant field is one, whatever time each
+    # point picks in [1, 2]
     s = standard_heisenberg(1)
     big = 100.0 * np.ones(3)
     f = ScalarField(lambda pts: np.ones(len(pts)), -big, big, "one")
     rule = sphere_rule(1, 64)
-    sel = TimeSelector(kind="grid", count=9)
-    x = GroupPoint(np.zeros(2), np.zeros(1))
-    assert maximal_value(s, f, x, sel, rule) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_maximal_dominates_single_time():
-    s = standard_heisenberg(1)
-    f = box_indicator(-0.4 * np.ones(3), 0.4 * np.ones(3))
-    rule = sphere_rule(1, 128)
-    sel = TimeSelector(kind="grid", count=9)
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        x = GroupPoint(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 1))
-        mv = maximal_value(s, f, x, sel, rule)
-        for t in np.linspace(1.0, 2.0, 9):
-            assert mv >= abs(spherical_average(s, f, t, x, rule)) - 1e-14
-
-
-def test_map_selector_clamps():
-    sel = TimeSelector(kind="map", mapper=lambda pts: pts[:, 0])
-    t = sel.times(np.array([[0.2, 0.0], [1.5, 0.0], [7.0, 0.0]]))
-    assert np.array_equal(t, [1.0, 1.5, 2.0])
-    fix = fixed_time_selector(1.25)
-    assert np.array_equal(fix.times(np.zeros((3, 2))), [1.25, 1.25, 1.25])
-
-
-def test_selector_validation():
-    with pytest.raises(DomainError):
-        TimeSelector(kind="grid", count=1)
-    with pytest.raises(DomainError):
-        TimeSelector(kind="map")
-    with pytest.raises(DomainError):
-        TimeSelector(kind="sup")
-    sel = TimeSelector(kind="grid", count=4)
-    with pytest.raises(DomainError):
-        sel.times(np.zeros((1, 2)))
+    t = np.linspace(1.0, 2.0, 9)
+    vals = spherical_average_batch(s, f, t, np.zeros((9, 3)), rule)
+    assert np.max(np.abs(vals - 1.0)) <= 1e-12
 
 
 def test_maximal_batch_matches_scalar():
+    # per-point times in one batch give each point's single-row average
     s = standard_heisenberg(1)
     f = box_indicator(-0.5 * np.ones(3), 0.5 * np.ones(3))
     rule = sphere_rule(1, 64)
-    sel = TimeSelector(kind="grid", count=5)
     rng = np.random.default_rng(8)
     pts = rng.uniform(-1, 1, (6, 3))
-    batch = maximal_value_batch(s, f, pts, sel, rule)
+    t = rng.uniform(1.0, 2.0, 6)
+    batch = spherical_average_batch(s, f, t, pts, rule)
     for i in range(6):
-        x = GroupPoint(pts[i, :2], pts[i, 2:])
-        assert batch[i] == maximal_value(s, f, x, sel, rule)
+        assert batch[i] == average_at(s, f, t[i], pts[i, :2], pts[i, 2:],
+                                      rule)
 
 
 # --- scalar fields -------------------------------------------------------
