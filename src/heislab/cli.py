@@ -271,10 +271,11 @@ def cmd_counterexample(cfg, seed, out_path, fmt):
     rows = families.run_ladder(make, deltas, p, q)
     fit = families.fit_exponent(rows)
     text = families.experiment_csv(family, s.n, s.m, p, q, rows, predicted)
-    verdict = abs(fit.slope - float(predicted)) <= tol
+    verdict = families.fit_passes(fit, predicted, tol)
     text += (f"# slope={fit.slope!r} intercept={fit.intercept!r} "
              f"r_squared={fit.r_squared!r}\n")
-    text += f"# predicted={predicted} tolerance={tol!r}\n"
+    text += (f"# predicted={predicted} tolerance={tol!r} "
+             f"min_r_squared={families.R2_MIN!r}\n")
     text += f"# verdict={'pass' if verdict else 'FAIL'}\n"
     _emit(text, out_path)
     return 0 if verdict else 1

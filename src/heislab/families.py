@@ -202,6 +202,11 @@ def _indicator(test) -> Callable[[np.ndarray], np.ndarray]:
     return ev
 
 
+def _sq_norm(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row."""
+    return np.einsum("ij,ij->i", x, x)
+
+
 def ball_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     """Indicator of the 10 delta ball against the shell-adapted slab.
 
@@ -216,7 +221,7 @@ def ball_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     r_ball = 10.0 * delta
 
     def inside(pts):
-        return (np.linalg.norm(pts, axis=1) <= r_ball)
+        return _sq_norm(pts) <= r_ball * r_ball
 
     f = ScalarField(_indicator(inside), -r_ball * np.ones(d),
                     r_ball * np.ones(d), f"ball indicator delta={delta}")
@@ -364,8 +369,8 @@ def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
         yd = pts[:, two_n]
         in_plane = ubar @ P.T
         perp = ubar - in_plane
-        return ((np.linalg.norm(perp, axis=1) <= hw_perp)
-                & (np.linalg.norm(in_plane, axis=1) <= hw_plane)
+        return ((_sq_norm(perp) <= C1 * C1 * delta)
+                & (_sq_norm(in_plane) <= hw_plane * hw_plane)
                 & (np.abs(yd) <= C1 * delta))
 
     plane_part = np.sqrt(u_dir ** 2 + v_dir ** 2)
@@ -569,6 +574,17 @@ def fit_exponent(points: Sequence[Tuple[float, float]]) -> ExponentFit:
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return ExponentFit(float(slope), float(intercept), float(r2))
+
+
+# A fitted ladder passes when its slope is within the tolerance of the
+# predicted exponent and the log-log points lie on a line.
+R2_MIN = 0.98
+
+
+def fit_passes(fit: ExponentFit, predicted, tol: float) -> bool:
+    """The verdict rule: |slope - predicted| <= tol and r^2 >= R2_MIN."""
+    return (abs(fit.slope - float(predicted)) <= tol
+            and fit.r_squared >= R2_MIN)
 
 
 def run_ladder(make_instance: Callable[[float], ExampleInstance],

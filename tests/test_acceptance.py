@@ -11,8 +11,9 @@ from fractions import Fraction
 import numpy as np
 
 from heislab.cli import main as cli_main
-from heislab.families import (ball_example, fit_exponent, knapp_example,
-                              moment_example, predicted_exponent,
+from heislab.families import (ball_example, fit_exponent, fit_passes,
+                              knapp_example, moment_example,
+                              predicted_exponent,
                               run_ladder, scaling_example,
                               stein_growth_exponent, stein_probe_curve)
 from heislab.groups import normalized_heisenberg, standard_heisenberg
@@ -180,8 +181,7 @@ def test_criterion_06_region_exactness(capsys):
 
 def ladder_ok(rows, target, tol=0.15):
     fit = fit_exponent(rows)
-    return (abs(fit.slope - target) <= tol and fit.r_squared >= 0.98,
-            fit)
+    return fit_passes(fit, target, tol), fit
 
 
 def test_criterion_07_counterexample_slopes(capsys):

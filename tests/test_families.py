@@ -7,11 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heislab.groups import (DomainError, normalized_heisenberg,
-                            quaternionic_htype, standard_heisenberg)
+from heislab.groups import (DomainError, MetivierStructure,
+                            normalized_heisenberg, quaternionic_htype,
+                            standard_heisenberg)
 from heislab.families import (ExampleInstance, ParamRegion, _box_region,
                               ball_example, c_one, c_ring, c_zero,
-                              experiment_csv, fit_exponent, knapp_example,
+                              experiment_csv, fit_exponent, fit_passes,
+                              knapp_example,
                               knapp_frame, moment_example, moment_structure,
                               operator_ratio, predicted_exponent, run_ladder,
                               scaling_example, stein_growth_exponent,
@@ -265,6 +267,21 @@ def test_fit_noisy_power_law():
     assert abs(fit.slope - 0.75) <= 0.05
 
 
+def test_fit_passes_needs_a_straight_line():
+    # residuals +a, -a, +a, -a, +a are orthogonal to the centred log
+    # deltas, so the slope stays exactly 1/2 while r^2 drops below 0.9
+    deltas = [2.0 ** -k for k in range(3, 8)]
+    zigzag = [0.2, -0.2, 0.2, -0.2, 0.2]
+    fit = fit_exponent([(d, d ** 0.5 * math.exp(e))
+                        for d, e in zip(deltas, zigzag)])
+    assert fit.slope == pytest.approx(0.5, abs=1e-12)
+    assert fit.r_squared < 0.9
+    assert not fit_passes(fit, F(1, 2), 0.15)
+    straight = fit_exponent([(d, d ** 0.5) for d in deltas])
+    assert fit_passes(straight, F(1, 2), 0.15)
+    assert not fit_passes(straight, F(1, 2) + F(1, 5), 0.15)
+
+
 def test_fit_constant_ratios():
     deltas = [2.0 ** -k for k in range(3, 7)]
     fit = fit_exponent([(d, 0.7) for d in deltas])
@@ -324,6 +341,32 @@ def test_ball_two_rung_slope():
                       1.0, math.inf)
     e = math.log(rows[1][1] / rows[0][1]) / math.log(0.5)
     assert abs(e - (-2.0)) <= 0.2
+
+
+def test_fields_vanish_outside_support_box():
+    # the spherical averages skip every sphere node whose image misses the
+    # field's support box, so each field must vanish just past each face
+    s1, s2 = standard_heisenberg(1), standard_heisenberg(2)
+    s2n = normalized_heisenberg(2)
+    tilted2 = MetivierStructure(2, 1, s2n.J, np.array([[0.03, 0.0, 0.02, 0.0]]))
+    tilted1 = MetivierStructure(1, 1, s1.J, np.array([[0.05, -0.02]]))
+    instances = [ball_example(s1, 0.125), ball_example(s2, 0.125),
+                 ball_example(tilted1, 0.125), scaling_example(s1, 0.125),
+                 scaling_example(s2, 0.0625), scaling_example(tilted2, 0.125),
+                 knapp_example(s2n, 0.125), knapp_example(tilted2, 0.0625),
+                 moment_example(0.125)]
+    rng = np.random.default_rng(23)
+    for inst in instances:
+        f = inst.field
+        lo, hi = f.support_lo, f.support_hi
+        d = len(lo)
+        pts = rng.uniform(lo, hi, (4000, d))
+        assert np.any(f(pts) != 0.0), inst.family
+        for i in range(d):
+            for edge, side in ((lo[i], -1.0), (hi[i], 1.0)):
+                face = np.vstack([pts, 0.5 * (lo + hi)])
+                face[:, i] = edge + side * 1e-9 * (1.0 + abs(edge))
+                assert not np.any(f(face) != 0.0), (inst.family, i, side)
 
 
 # --- scaling family -------------------------------------------------------

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heislab.groups import DomainError, standard_heisenberg
+from heislab.groups import (DimensionMismatch, DomainError, MetivierStructure,
+                            normalized_heisenberg, quaternionic_htype,
+                            standard_heisenberg)
 from heislab.spheres import (ScalarField, SphereRule, spherical_average_batch,
                              sphere_rule)
 
@@ -16,6 +20,46 @@ def box_indicator(lo, hi):
         return np.all((pts >= lo) & (pts <= hi), axis=1).astype(float)
 
     return ScalarField(ev, lo, hi, "box indicator")
+
+
+def thin_bump(lo, hi):
+    """Positive, non-constant values on the box [lo, hi], zero outside."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    freq = np.arange(1.0, len(lo) + 1.0)
+
+    def ev(pts):
+        inside = np.all((pts >= lo) & (pts <= hi), axis=1)
+        return inside * (2.0 + np.cos(pts @ freq))
+
+    return ScalarField(ev, lo, hi, "bump on a box")
+
+
+def dense_average(s, f, t, pts, rule):
+    """Oracle: every sphere image assembled and f evaluated on all of them."""
+    two_n = 2 * s.n
+    ubar, bar = pts[:, :two_n], pts[:, two_n:]
+    om = rule.nodes
+    t = np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))[:, None]
+    out_u = ubar[:, None, :] - t[:, :, None] * om[None, :, :]
+    twist = np.einsum("pj,ijk,wk->pwi", ubar, s.J, om)
+    lam = om @ s.Lambda.T
+    out_b = (bar[:, None, :] - (t * t)[:, :, None] * lam[None, :, :]
+             - t[:, :, None] * twist)
+    images = np.concatenate([out_u, out_b], axis=2).reshape(-1, s.d)
+    vals = f(images).reshape(len(pts), len(rule.weights))
+    return np.sum(vals * rule.weights[None, :], axis=1), images
+
+
+def near_sphere_points(s, count, rng, spread=0.15):
+    """Points whose t-sphere passes through the origin's neighbourhood."""
+    two_n = 2 * s.n
+    t = rng.uniform(1.0, 2.0, count)
+    dirs = rng.standard_normal((count, two_n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    r = t + rng.uniform(-spread, spread, count)
+    bar = rng.uniform(-spread, spread, (count, s.m))
+    return np.concatenate([r[:, None] * dirs, bar], axis=1), t
 
 
 # --- quadrature rules ----------------------------------------------------
@@ -61,6 +105,37 @@ def test_rule_rejects_n_above_two():
     for n in (0, 3):
         with pytest.raises(DomainError):
             sphere_rule(n, 16)
+
+
+def test_rule_product_shape():
+    assert sphere_rule(1, 64).shape == (64,)
+    assert sphere_rule(2, 12).shape == (12, 12, 12)
+    assert sphere_rule(2, (8, 12, 16), latitude="uniform").shape == (8, 12, 16)
+    rule = sphere_rule(2, (8, 12, 16))
+    a_nodes, b_nodes = rule.factors()
+    grid = rule.nodes.reshape(8, 12, 16, 4)
+    assert np.all(grid[..., :2] == np.moveaxis(a_nodes, 0, 2)[:, :, None])
+    assert np.all(grid[..., 2:] == np.moveaxis(b_nodes, 0, 2)[:, None])
+    # any node set is a product with one latitude per node
+    rng = np.random.default_rng(4)
+    nodes = rng.standard_normal((10, 4))
+    nodes /= np.linalg.norm(nodes, axis=1)[:, None]
+    assert SphereRule(nodes, np.full(10, 0.1)).shape == (10, 1, 1)
+    assert SphereRule(nodes[:, :2] / np.linalg.norm(nodes[:, :2], axis=1)
+                      [:, None], np.full(10, 0.1)).shape == (10,)
+
+
+def test_rule_rejects_wrong_shape():
+    rule = sphere_rule(2, (4, 4, 6))
+    with pytest.raises(DimensionMismatch):
+        SphereRule(rule.nodes, rule.weights, (4, 4, 5))
+    with pytest.raises(DimensionMismatch):
+        SphereRule(rule.nodes, rule.weights, (96,))
+    # swapping the angle factors breaks the product structure
+    with pytest.raises(DomainError):
+        SphereRule(rule.nodes, rule.weights, (4, 6, 4))
+    with pytest.raises(DimensionMismatch):
+        SphereRule(np.eye(3), np.full(3, 1.0 / 3.0))
 
 
 # --- averages ------------------------------------------------------------
@@ -141,6 +216,113 @@ def test_average_batch_chunk_invariance():
     a = spherical_average_batch(s, f, t, pts, rule, chunk=200000)
     b = spherical_average_batch(s, f, t, pts, rule, chunk=7)
     assert np.array_equal(a, b)
+
+
+def test_average_batch_chunk_invariance_thin_support():
+    # a thin box culls most nodes, and the chunks then hold different
+    # numbers of candidates
+    s = standard_heisenberg(2)
+    rng = np.random.default_rng(13)
+    pts, t = near_sphere_points(s, 37, rng)
+    rule = sphere_rule(2, (12, 10, 14))
+    f = thin_bump(-0.3 * np.ones(5), 0.3 * np.ones(5))
+    _, images = dense_average(s, f, t, pts, rule)
+    inside = np.all(np.abs(images) <= 0.3, axis=1)
+    assert 0.0 < inside.mean() < 0.1
+    a = spherical_average_batch(s, f, t, pts, rule)
+    assert np.count_nonzero(a) > 10
+    for chunk in (1, 7, len(rule.weights) + 1, 5 * len(rule.weights)):
+        b = spherical_average_batch(s, f, t, pts, rule, chunk=chunk)
+        assert np.array_equal(a, b)
+
+
+THIN_CASES = [
+    # (structure, rule): the circle rule, the Gauss n=2 rule, the
+    # anisotropic uniform-latitude rule of the knapp family, a tilted
+    # structure and a two-dimensional center
+    (standard_heisenberg(1), sphere_rule(1, 512)),
+    (standard_heisenberg(2), sphere_rule(2, 24)),
+    (normalized_heisenberg(2), sphere_rule(2, (40, 24, 24), latitude="uniform")),
+    (MetivierStructure(2, 1, normalized_heisenberg(2).J,
+                       np.array([[0.3, -0.2, 0.1, 0.05]])), sphere_rule(2, 16)),
+    (quaternionic_htype(1, 2), sphere_rule(2, (16, 20, 12))),
+]
+
+
+@pytest.mark.parametrize("s,rule", THIN_CASES)
+def test_culled_average_matches_dense(s, rule):
+    rng = np.random.default_rng(31)
+    pts, t = near_sphere_points(s, 40, rng)
+    for field in (thin_bump(-0.25 * np.ones(s.d), 0.25 * np.ones(s.d)),
+                  box_indicator(np.r_[-0.3 * np.ones(2 * s.n),
+                                      -0.1 * np.ones(s.m)],
+                                np.r_[0.3 * np.ones(2 * s.n),
+                                      0.1 * np.ones(s.m)])):
+        want, images = dense_average(s, field, t, pts, rule)
+        box = np.all((images >= field.support_lo)
+                     & (images <= field.support_hi), axis=1)
+        assert box.mean() < 0.1
+        assert np.count_nonzero(want) >= 10
+        got = spherical_average_batch(s, field, t, pts, rule)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_culled_average_default_shape_rule():
+    # a rule without product structure culls node by node
+    s = normalized_heisenberg(2)
+    rng = np.random.default_rng(32)
+    nodes = rng.standard_normal((3000, 4))
+    nodes /= np.linalg.norm(nodes, axis=1)[:, None]
+    rule = SphereRule(nodes, np.full(3000, 1.0 / 3000))
+    pts, t = near_sphere_points(s, 25, rng)
+    f = thin_bump(-0.3 * np.ones(5), 0.3 * np.ones(5))
+    want, _ = dense_average(s, f, t, pts, rule)
+    got = spherical_average_batch(s, f, t, pts, rule)
+    assert np.count_nonzero(want) >= 5
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+STRUCTURES = [standard_heisenberg(1), standard_heisenberg(2),
+              normalized_heisenberg(2),
+              MetivierStructure(1, 1, standard_heisenberg(1).J,
+                                np.array([[0.4, -0.3]]))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_culled_average_matches_dense_property(data):
+    s = data.draw(st.sampled_from(STRUCTURES))
+    if s.n == 1:
+        rule = sphere_rule(1, data.draw(st.integers(4, 64)))
+    else:
+        counts = data.draw(st.tuples(*[st.integers(4, 8)] * 3))
+        latitude = data.draw(st.sampled_from(["gauss", "uniform"]))
+        rule = sphere_rule(2, counts, latitude=latitude)
+
+    def vec(size, lo, hi):
+        return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=size,
+                                           max_size=size)))
+
+    center, half = vec(s.d, -2.0, 2.0), vec(s.d, 0.02, 1.0)
+    f = thin_bump(center - half, center + half)
+    # each point's sphere passes through a point y of the box at the
+    # direction w, so the averages are not all zero
+    count = data.draw(st.integers(1, 6))
+    t = vec(count, 0.5, 2.5)
+    pts = np.empty((count, s.d))
+    for k in range(count):
+        y = center + half * vec(s.d, -1.0, 1.0)
+        w = vec(2 * s.n, -1.0, 1.0) + 1e-3
+        w /= np.linalg.norm(w)
+        ubar = y[:2 * s.n] + t[k] * w
+        pts[k] = np.r_[ubar, y[2 * s.n:] + t[k] ** 2 * (s.Lambda @ w)
+                       + t[k] * np.einsum("j,ijk,k->i", ubar, s.J, w)]
+    want, _ = dense_average(s, f, t, pts, rule)
+    got = spherical_average_batch(s, f, t, pts, rule,
+                                  chunk=data.draw(st.integers(1, 2000)))
+    assert np.array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_dimension_mismatch_raises():
