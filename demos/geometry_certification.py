@@ -5,30 +5,29 @@ Run with: python3 demos/geometry_certification.py
 
 import numpy as np
 
-from heislab import (PhaseModel, certify_point, sample_chart_point,
-                     smallness_margin, standard_heisenberg)
+from heislab import (certify_point, sample_chart_point, smallness_margin,
+                     standard_heisenberg)
 
 
 def main():
     s = standard_heisenberg(2)
-    pm = PhaseModel(structure=s)
-    print(f"structure: H^2, d = {pm.d}, "
+    print(f"structure: H^2, d = {s.d}, "
           f"smallness margin = {float(smallness_margin(s)):.3f}")
 
     rng = np.random.default_rng(7)
     print("\ngeneric chart points (expect full rank d):")
     for _ in range(5):
-        x, t, y = sample_chart_point(pm, rng)
-        rep = certify_point(pm, x, t, y, with_curvature=False)
+        x, t, y = sample_chart_point(s, rng)
+        rep = certify_point(s, x, t, y, with_curvature=False)
         print(f"  sigma={rep.sigma:+.3f}  rank_xi={rep.rank_xi}  "
               f"rank_spatial={rep.rank_spatial}")
 
     print("\nfold points sigma=0 in the matched frame x'=y'")
     print("(expect ranks d, d-1, curvature d-1, and |c| above its floor):")
     for _ in range(5):
-        x, t, y = sample_chart_point(pm, rng, on_fold=True,
+        x, t, y = sample_chart_point(s, rng, on_fold=True,
                                      match_xprime=True)
-        rep = certify_point(pm, x, t, y)
+        rep = certify_point(s, x, t, y)
         print(f"  sigma={rep.sigma:+.1e}  rank_xi={rep.rank_xi}  "
               f"rank_spatial={rep.rank_spatial}  rank_curv={rep.rank_curv}  "
               f"|c|={abs(rep.c_value):.4f} >= {rep.c_bound:.4f}")

@@ -9,7 +9,7 @@ from .groups import (DimensionMismatch, DomainError, GroupPoint,
                      standard_heisenberg, theta_grid)
 from .spheres import (ScalarField, SphereRule, spherical_average_batch,
                       sphere_rule)
-from .phase import (ChartError, CurvatureReport, PhaseModel, certify_point,
+from .phase import (ChartError, CurvatureReport, certify_point,
                     curvature_block_form, curvature_matrix,
                     det_identity_rhs, fold_cone_block_form,
                     fold_cone_curvature, fold_point, fold_transversality,

@@ -102,6 +102,14 @@ def build_structure(cfg):
     return s
 
 
+def _count(cfg, key, default, least=0):
+    """Integer config entry of at least `least`."""
+    value = int(cfg.get(key, default))
+    if value < least:
+        raise ConfigError(f"{key}={value}: must be at least {least}")
+    return value
+
+
 def _emit(data, out_path):
     if isinstance(data, str):
         data = data.encode()
@@ -116,7 +124,7 @@ def _emit(data, out_path):
 
 def cmd_group_check(cfg, seed, out_path, fmt):
     s = build_structure(cfg)
-    samples = int(cfg.get("samples", 1000))
+    samples = _count(cfg, "samples", 1000, least=1)
     tol = float(cfg.get("tolerance", 1e-12))
     rng = np.random.default_rng(seed)
     worst = {"associativity": 0.0, "identity": 0.0, "inverse": 0.0,
@@ -173,7 +181,7 @@ def cmd_group_check(cfg, seed, out_path, fmt):
 
 
 def cmd_lemma_check(cfg, seed, out_path, fmt):
-    count = int(cfg.get("samples", 200))
+    count = _count(cfg, "samples", 200, least=1)
     tol = float(cfg.get("tolerance", 1e-10))
     rng = np.random.default_rng(seed)
     lines = ["# schema=1", "size,rho,formula,bruteforce,rel_error,status"]
@@ -201,27 +209,28 @@ def cmd_lemma_check(cfg, seed, out_path, fmt):
 
 def cmd_geometry(cfg, seed, out_path, fmt):
     s = build_structure(cfg)
-    pm = phase.PhaseModel(structure=s)
-    points = int(cfg.get("points", 100))
-    fold_points = int(cfg.get("fold_points", 50))
+    points = _count(cfg, "points", 100)
+    fold_points = _count(cfg, "fold_points", 50)
+    if points + fold_points == 0:
+        raise ConfigError("points=0 and fold_points=0: nothing to certify")
     margin = groups.smallness_margin(s)
     certified = float(margin) > 0
     rng = np.random.default_rng(seed)
     reports = []
     deviations = 0
     for _ in range(points):
-        x, t, y = phase.sample_chart_point(pm, rng)
-        rep = phase.certify_point(pm, x, t, y, with_curvature=False)
+        x, t, y = phase.sample_chart_point(s, rng)
+        rep = phase.certify_point(s, x, t, y, with_curvature=False)
         reports.append(rep)
-        if rep.rank_xi != pm.d:
+        if rep.rank_xi != s.d:
             deviations += 1
     for _ in range(fold_points):
-        x, t, y = phase.sample_chart_point(pm, rng, on_fold=True,
+        x, t, y = phase.sample_chart_point(s, rng, on_fold=True,
                                            match_xprime=True)
-        rep = phase.certify_point(pm, x, t, y)
+        rep = phase.certify_point(s, x, t, y)
         reports.append(rep)
-        if (rep.rank_xi != pm.d or rep.rank_spatial != pm.d - 1
-                or rep.rank_curv != pm.d - 1):
+        if (rep.rank_xi != s.d or rep.rank_spatial != s.d - 1
+                or rep.rank_curv != s.d - 1):
             deviations += 1
     text = phase.geometry_csv(reports, float(margin))
     status = "certified" if certified else "uncertified"

@@ -417,6 +417,8 @@ def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
 # --- stein divergence diagnostic -----------------------------------------
 
 STEIN_PROBE = (1.5, 0.0, 0.0)
+# Three levels give two increments, the fewest a slope can be fitted to.
+STEIN_MIN_LEVELS = 3
 
 
 def stein_probe_curve(alpha: float, j_hi: int, j_lo: int = 2,
@@ -429,10 +431,14 @@ def stein_probe_curve(alpha: float, j_hi: int, j_lo: int = 2,
     accumulated dyadic panel by dyadic panel with Gauss-Legendre nodes,
     so the returned sequence value[j] is increasing in j by construction.
 
-    Returns an array of (j, value) rows for j = j_lo .. j_hi.
+    Returns an array of (j, value) rows for j = max(j_lo, 2) .. j_hi, at
+    least STEIN_MIN_LEVELS of them.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
+    if j_hi - max(j_lo, 2) + 1 < STEIN_MIN_LEVELS:
+        raise DomainError(f"j_lo={j_lo}, j_hi={j_hi}: the probe curve needs "
+                          f"at least {STEIN_MIN_LEVELS} levels")
     t = STEIN_PROBE[0]
     gl_x, gl_w = np.polynomial.legendre.leggauss(panel_nodes)
 
@@ -464,6 +470,9 @@ def stein_growth_exponent(curve: np.ndarray) -> float:
     exponent is recovered from the increments, which scale like
     j^{-alpha}: fitted slope of log increment vs log j, plus one.
     """
+    if len(curve) < STEIN_MIN_LEVELS:
+        raise DomainError(f"the growth fit needs at least {STEIN_MIN_LEVELS} "
+                          f"levels, got {len(curve)}")
     j = curve[:, 0]
     vals = curve[:, 1]
     inc = np.diff(vals)

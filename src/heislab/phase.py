@@ -31,75 +31,50 @@ class ChartError(DomainError):
     """A point lies outside the graph chart |x' - y'| < t."""
 
 
-# --- graph chart scalars -------------------------------------------------
+# Radii of the y' ball and of the ubar x perturbation in sample_chart_point.
+YPRIME_RADIUS = X_PERTURBATION = 0.1
+# Finite-difference curvature Hessians: their step, and a rank cutoff well
+# above the differencing noise floor (about 1e-7 relative) and well below
+# any certified curvature.
+FD_STEP = 1e-4
+CURVATURE_TOL = 1e-5
+TRANSVERSAL_STEP = 1e-5     # central differences of fold_transversality
 
-def g_value(w: np.ndarray) -> float:
-    s = float(np.dot(w, w))
-    if s >= 1.0:
+
+# --- graph chart ---------------------------------------------------------
+
+def _chart(s: MetivierStructure, x: np.ndarray, t: float, yp: np.ndarray):
+    """(w, g, grad g) with w = (x' - y')/t and g(w) = sqrt(1 - |w|^2).
+
+    On the sphere chart h = <w, grad g> - g simplifies to -1/g, and
+    grad h to -w/g^3; callers write both inline.
+    """
+    w = (x[: 2 * s.n - 1] - yp) / t
+    ww = float(np.dot(w, w))
+    if ww >= 1.0:
         raise ChartError("argument leaves the upper hemisphere chart")
-    return float(np.sqrt(1.0 - s))
+    g = float(np.sqrt(1.0 - ww))
+    return w, g, -w / g
 
 
-def g_grad(w: np.ndarray) -> np.ndarray:
-    return -w / g_value(w)
-
-
-def g_hess(w: np.ndarray) -> np.ndarray:
-    g = g_value(w)
+def _g_hess(w: np.ndarray, g: float) -> np.ndarray:
     return -np.eye(len(w)) / g - np.outer(w, w) / g ** 3
 
 
-def h_value(w: np.ndarray) -> float:
-    # h = <w, grad g> - g simplifies to -1/g on the sphere chart.
-    return -1.0 / g_value(w)
+def _split_x(s: MetivierStructure, x: np.ndarray):
+    two_n = 2 * s.n
+    return x[: two_n - 1], x[two_n - 1], x[two_n: two_n + s.m]
 
 
-def h_grad(w: np.ndarray) -> np.ndarray:
-    return -w / g_value(w) ** 3
-
-
-@dataclass(frozen=True)
-class PhaseModel:
-    """Chart data for the phase functions of one group structure."""
-
-    structure: MetivierStructure
-    yprime_radius: float = 0.1
-    x_perturbation: float = 0.1
-
-    @property
-    def n(self):
-        return self.structure.n
-
-    @property
-    def m(self):
-        return self.structure.m
-
-    @property
-    def d(self):
-        return self.structure.d
-
-
-def _split_x(pm: PhaseModel, x: np.ndarray):
-    two_n = 2 * pm.n
-    return x[: two_n - 1], x[two_n - 1], x[two_n: two_n + pm.m]
-
-
-def _w_of(pm: PhaseModel, x: np.ndarray, t: float, yp: np.ndarray):
-    xp = x[: 2 * pm.n - 1]
-    return (xp - yp) / t
-
-
-def defining_functions(pm: PhaseModel, x: np.ndarray, t: float,
+def defining_functions(s: MetivierStructure, x: np.ndarray, t: float,
                        yp: np.ndarray) -> Tuple[float, np.ndarray]:
     """(S^{2n}, Sbar) at a chart point.
 
     S^{2n} = x_{2n} - t g((x'-y')/t) and
     Sbar_i = x_{2n+i} + (ubar x^T J_i - t Lambda_i)(P^T y' - t g e_{2n}).
     """
-    s = pm.structure
     two_n = 2 * s.n
-    w = _w_of(pm, x, t, yp)
-    g = g_value(w)
+    _, g, _ = _chart(s, x, t, yp)
     ubar_x = x[:two_n]
     vec = np.concatenate([yp, [-t * g]])          # P^T y' - t g e_{2n}
     S2n = x[two_n - 1] - t * g
@@ -108,78 +83,75 @@ def defining_functions(pm: PhaseModel, x: np.ndarray, t: float,
     return float(S2n), Sbar
 
 
-def phi(pm: PhaseModel, x: np.ndarray, t: float, y: np.ndarray) -> float:
+def phi(s: MetivierStructure, x: np.ndarray, t: float, y: np.ndarray) -> float:
     """Phase y_{2n} S^{2n} + sum ybar_i Sbar_i."""
-    yp, y2n, ybar = _split_x(pm, y)
-    S2n, Sbar = defining_functions(pm, x, t, yp)
+    yp, y2n, ybar = _split_x(s, y)
+    S2n, Sbar = defining_functions(s, x, t, yp)
     return float(y2n * S2n + ybar @ Sbar)
 
 
-def _linear_columns(pm: PhaseModel, x: np.ndarray, t: float,
-                    yp: np.ndarray) -> np.ndarray:
+def _linear_columns(s: MetivierStructure, x: np.ndarray, t: float,
+                    yp: np.ndarray, chart) -> np.ndarray:
     """Columns Xi_{y_2n}, Xi_{ybar_1}..Xi_{ybar_m}, shape (d+1, m+1).
 
-    Xi is linear in (y_2n, ybar), and these columns depend on y' only.
+    Xi is linear in (y_2n, ybar), and these columns depend on y' only,
+    through chart = _chart(s, x, t, yp).
     """
-    s = pm.structure
     two_n = 2 * s.n
-    w = _w_of(pm, x, t, yp)
-    g = g_value(w)
-    gg = g_grad(w)
-    h = h_value(w)
+    _, g, gg = chart
+    h = -1.0 / g
     vec = np.concatenate([yp, [-t * g]])
     cols = np.zeros((s.d + 1, s.m + 1))
-    # y_{2n} column: (-grad g, 1, 0_m, h)
+    # y_{2n} column: (-grad g, 1, 0_m, h); the time row is last
     cols[: two_n - 1, 0] = -gg
     cols[two_n - 1, 0] = 1.0
-    cols[s.d, 0] = h
+    cols[-1, 0] = h
     for i in range(s.m):
         Ji = s.J[i]
         ci = float(x[:two_n] @ Ji[:, -1] - t * s.Lambda[i, -1])
         cols[: two_n - 1, 1 + i] = Ji[: two_n - 1, :] @ vec - ci * gg
         cols[two_n - 1, 1 + i] = Ji[-1, :] @ vec
         cols[two_n + i, 1 + i] = 1.0
-        cols[s.d, 1 + i] = h * ci - s.Lambda[i] @ vec
+        cols[-1, 1 + i] = h * ci - s.Lambda[i] @ vec
     return cols
 
 
-def xi(pm: PhaseModel, x: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
+def xi(s: MetivierStructure, x: np.ndarray, t: float,
+       y: np.ndarray) -> np.ndarray:
     """Gradient of Phi in (x, t), a vector in R^{d+1}."""
-    k = 2 * pm.n - 1
-    return _linear_columns(pm, x, t, y[:k]) @ y[k:]
+    k = 2 * s.n - 1
+    yp = y[:k]
+    return _linear_columns(s, x, t, yp, _chart(s, x, t, yp)) @ y[k:]
 
 
-def sigma_value(pm: PhaseModel, x: np.ndarray, t: float,
+def sigma_value(s: MetivierStructure, x: np.ndarray, t: float,
                 y: np.ndarray) -> float:
     """Rotational-curvature scalar y_{2n} + (ubar x^T J^{ybar} - t L^{ybar}) e_{2n}."""
-    s = pm.structure
     two_n = 2 * s.n
-    _, y2n, ybar = _split_x(pm, y)
+    _, y2n, ybar = _split_x(s, y)
     Jy = s.J_theta(ybar)
     Ly = s.Lambda_theta(ybar)
     return float(y2n + x[:two_n] @ Jy[:, -1] - t * Ly[-1])
 
 
-def y2n_on_fold(pm: PhaseModel, x: np.ndarray, t: float,
+def y2n_on_fold(s: MetivierStructure, x: np.ndarray, t: float,
                 ybar: np.ndarray) -> float:
     """Solution of sigma = 0 in the y_{2n} slot."""
-    s = pm.structure
     two_n = 2 * s.n
     Jy = s.J_theta(ybar)
     Ly = s.Lambda_theta(ybar)
     return float(t * Ly[-1] - x[:two_n] @ Jy[:, -1])
 
 
-def xi_y(pm: PhaseModel, x: np.ndarray, t: float,
+def xi_y(s: MetivierStructure, x: np.ndarray, t: float,
          y: np.ndarray) -> np.ndarray:
     """Columns Xi_{y_1}..Xi_{y_d} of the mixed Hessian, shape (d+1, d)."""
-    s = pm.structure
     two_n = 2 * s.n
-    yp, y2n, ybar = _split_x(pm, y)
-    w = _w_of(pm, x, t, yp)
-    gg = g_grad(w)
-    gh = g_hess(w)
-    hg = h_grad(w)
+    yp, y2n, ybar = _split_x(s, y)
+    chart = _chart(s, x, t, yp)
+    w, g, gg = chart
+    gh = _g_hess(w, g)
+    hg = -w / g ** 3
     Jy = s.J_theta(ybar)
     Ly = s.Lambda_theta(ybar)
     sig = float(y2n + x[:two_n] @ Jy[:, -1] - t * Ly[-1])
@@ -188,12 +160,10 @@ def xi_y(pm: PhaseModel, x: np.ndarray, t: float,
         ej_ext = np.zeros(two_n)
         ej_ext[j] = 1.0
         ej_ext[-1] = gg[j]                     # e_j + (d_j g) e_{2n}
-        col = np.zeros(s.d + 1)
-        col[: two_n - 1] = sig / t * gh[:, j] + Jy[: two_n - 1, :] @ ej_ext
-        col[two_n - 1] = Jy[-1, :] @ ej_ext
-        col[s.d] = -sig / t * hg[j] - Ly @ ej_ext
-        cols[:, j] = col
-    cols[:, two_n - 1:] = _linear_columns(pm, x, t, yp)
+        cols[: two_n - 1, j] = sig / t * gh[:, j] + Jy[: two_n - 1, :] @ ej_ext
+        cols[two_n - 1, j] = Jy[-1, :] @ ej_ext
+        cols[-1, j] = -sig / t * hg[j] - Ly @ ej_ext
+    cols[:, two_n - 1:] = _linear_columns(s, x, t, yp, chart)
     return cols
 
 
@@ -202,21 +172,20 @@ def spatial_block(xi_cols: np.ndarray) -> np.ndarray:
     return xi_cols[:-1, :]
 
 
-def det_identity_rhs(pm: PhaseModel, x: np.ndarray, t: float,
+def det_identity_rhs(s: MetivierStructure, x: np.ndarray, t: float,
                      y: np.ndarray) -> float:
     """det of t^{-1} sigma g'' + P J^{ybar} P^T + B - B^T.
 
     Equal to det Pi Xi_y; at sigma = 0 the matrix is odd skew-symmetric,
     so both sides vanish.
     """
-    s = pm.structure
     two_n = 2 * s.n
-    yp, _, ybar = _split_x(pm, y)
-    w = _w_of(pm, x, t, yp)
+    yp, _, ybar = _split_x(s, y)
+    w, g, gg = _chart(s, x, t, yp)
     Jy = s.J_theta(ybar)
-    sig = sigma_value(pm, x, t, y)
-    B = np.outer(Jy[: two_n - 1, -1], g_grad(w))
-    M = sig / t * g_hess(w) + Jy[: two_n - 1, : two_n - 1] + B - B.T
+    sig = sigma_value(s, x, t, y)
+    B = np.outer(Jy[: two_n - 1, -1], gg)
+    M = sig / t * _g_hess(w, g) + Jy[: two_n - 1, : two_n - 1] + B - B.T
     return float(np.linalg.det(M))
 
 
@@ -236,14 +205,11 @@ class CurvatureReport:
     t: float
     y: np.ndarray
     sigma: float
-    normal: Optional[np.ndarray]
-    c_value: Optional[float]
-    c_bound: Optional[float]
-    singular_values_xi: np.ndarray
-    singular_values_curv: Optional[np.ndarray]
     rank_xi: int
     rank_spatial: int
-    rank_curv: Optional[int]
+    c_value: Optional[float] = None
+    c_bound: Optional[float] = None
+    rank_curv: Optional[int] = None
 
     def csv_row(self) -> str:
         fields = [repr(float(v)) for v in self.x]
@@ -257,64 +223,51 @@ class CurvatureReport:
         return ",".join(fields)
 
 
-def mixed_hessian_rank(pm: PhaseModel, x: np.ndarray, t: float,
-                       y: np.ndarray, tol: float = 1e-7) -> CurvatureReport:
-    """Rank certificate at one point, no curvature entries."""
-    cols = xi_y(pm, x, t, y)
-    rank_full, sv_full = matrix_rank_report(cols, tol)
-    rank_sp, _ = matrix_rank_report(spatial_block(cols), tol)
-    return CurvatureReport(
-        x=np.array(x), t=float(t), y=np.array(y),
-        sigma=sigma_value(pm, x, t, y),
-        normal=None, c_value=None, c_bound=None,
-        singular_values_xi=sv_full, singular_values_curv=None,
-        rank_xi=rank_full, rank_spatial=rank_sp, rank_curv=None)
+def _normal(s: MetivierStructure, cols: np.ndarray) -> np.ndarray:
+    """Unit left null vector of full-rank Xi_y columns, N_{2n} >= 0."""
+    u, _, _ = np.linalg.svd(cols)
+    N = u[:, -1]
+    if N[2 * s.n - 1] < 0:
+        N = -N
+    return N
 
 
-def normal_vector(pm: PhaseModel, x: np.ndarray, t: float,
+def normal_vector(s: MetivierStructure, x: np.ndarray, t: float,
                   y: np.ndarray) -> np.ndarray:
     """Unit vector in R^{d+1} orthogonal to all columns of Xi_y.
 
     Sign is fixed by a nonnegative 2n-th entry.  Raises when the columns
     are rank deficient, since then the null direction is not unique.
     """
-    cols = xi_y(pm, x, t, y)
-    rank, sv = matrix_rank_report(cols)
-    if rank < pm.d:
+    cols = xi_y(s, x, t, y)
+    if matrix_rank_report(cols)[0] < s.d:
         raise DomainError("mixed Hessian is rank deficient, normal undefined")
-    u, _, _ = np.linalg.svd(cols)
-    N = u[:, -1]
-    two_n = 2 * pm.n
-    if N[two_n - 1] < 0:
-        N = -N
-    return N
+    return _normal(s, cols)
 
 
-def c_value(pm: PhaseModel, x: np.ndarray, t: float, y: np.ndarray,
+def c_value(s: MetivierStructure, x: np.ndarray, t: float, y: np.ndarray,
             N: np.ndarray) -> float:
     """Diagonal curvature scalar of the x'=y' block form.
 
     c = t^{-1} ubar a^T J^{ybar} e_{2n} - t^{-2} a_{d+1} sigma
         - t^{-1} a_{d+1} L^{ybar} e_{2n} with a the normal components.
     """
-    s = pm.structure
     two_n = 2 * s.n
-    _, _, ybar = _split_x(pm, y)
+    _, _, ybar = _split_x(s, y)
     Jy = s.J_theta(ybar)
     Ly = s.Lambda_theta(ybar)
-    sig = sigma_value(pm, x, t, y)
+    sig = sigma_value(s, x, t, y)
     ubar_a = N[:two_n]
     a_last = N[s.d]
     return float(ubar_a @ Jy[:, -1] / t - a_last * sig / t ** 2
                  - a_last * Ly[-1] / t)
 
 
-def c_lower_bound(pm: PhaseModel, t: float, y: np.ndarray,
+def c_lower_bound(s: MetivierStructure, t: float, y: np.ndarray,
                   N: np.ndarray) -> float:
     """Certified floor t^{-1} |ybar| |ubar a| (s_min(J^v) - |L^v|), v = ybar/|ybar|."""
-    s = pm.structure
     two_n = 2 * s.n
-    _, _, ybar = _split_x(pm, y)
+    _, _, ybar = _split_x(s, y)
     r = float(np.linalg.norm(ybar))
     if r == 0.0:
         raise DomainError("ybar must be nonzero")
@@ -339,38 +292,35 @@ def _second_difference(f, y: np.ndarray, j: int, l: int, h: float) -> float:
     return (f(ypp) - f(ypm) - f(ymp) + f(ymm)) / (4.0 * h ** 2)
 
 
-def _fd_hessian(f, z: np.ndarray, step: float) -> np.ndarray:
-    """Symmetric Hessian of f at z: central second differences at step and
-    step/2, combined by one Richardson refinement."""
+def _fd_hessian(f, z: np.ndarray) -> np.ndarray:
+    """Symmetric Hessian of f at z: central second differences at FD_STEP
+    and FD_STEP/2, combined by one Richardson refinement."""
     k = len(z)
     H = np.zeros((k, k))
     for j in range(k):
         for l in range(j, k):
-            d1 = _second_difference(f, z, j, l, step)
-            d2 = _second_difference(f, z, j, l, step / 2.0)
+            d1 = _second_difference(f, z, j, l, FD_STEP)
+            d2 = _second_difference(f, z, j, l, FD_STEP / 2.0)
             H[j, l] = H[l, j] = (4.0 * d2 - d1) / 3.0
     return H
 
 
-def curvature_matrix(pm: PhaseModel, x: np.ndarray, t: float,
-                     y: np.ndarray, N: np.ndarray, step: float = 1e-4,
-                     tol: float = 1e-5):
+def curvature_matrix(s: MetivierStructure, x: np.ndarray, t: float,
+                     y: np.ndarray, N: np.ndarray):
     """Curvature matrix C_{jl} = d^2 <N, Xi> / dy_j dy_l and its rank.
 
     Central second differences with one Richardson refinement; N is held
-    fixed while y varies.  The rank cutoff sits well above the finite
-    difference noise floor (about 1e-7 relative) and well below any
-    certified curvature.
+    fixed while y varies.  The rank uses the cutoff CURVATURE_TOL.
     """
     def f(yy):
-        return float(N @ xi(pm, x, t, yy))
+        return float(N @ xi(s, x, t, yy))
 
-    C = _fd_hessian(f, y, step)
-    rank, sv = matrix_rank_report(C, tol)
+    C = _fd_hessian(f, y)
+    rank, sv = matrix_rank_report(C, CURVATURE_TOL)
     return C, rank, sv
 
 
-def curvature_block_form(pm: PhaseModel, x: np.ndarray, t: float,
+def curvature_block_form(s: MetivierStructure, x: np.ndarray, t: float,
                          y: np.ndarray, N: np.ndarray) -> np.ndarray:
     """Analytic curvature matrix at x'=y': [[c I, PA], [A^T P^T, 0]].
 
@@ -378,7 +328,6 @@ def curvature_block_form(pm: PhaseModel, x: np.ndarray, t: float,
     ubar a^T J_i - t^{-1}((ubar x^T J_i - t L_i) e_{2n}) ubar a^T
     - a_{d+1} L_i.
     """
-    s = pm.structure
     two_n = 2 * s.n
     d = s.d
     ubar_x = x[:two_n]
@@ -390,7 +339,7 @@ def curvature_block_form(pm: PhaseModel, x: np.ndarray, t: float,
         Ji = s.J[i]
         ci = float(ubar_x @ Ji[:, -1] - t * s.Lambda[i, -1])
         At[i + 1] = ubar_a @ Ji - (ci / t) * ubar_a - a_last * s.Lambda[i]
-    c = c_value(pm, x, t, y, N)
+    c = c_value(s, x, t, y, N)
     C = np.zeros((d, d))
     C[: two_n - 1, : two_n - 1] = c * np.eye(two_n - 1)
     PA = At[:, : two_n - 1].T
@@ -401,56 +350,29 @@ def curvature_block_form(pm: PhaseModel, x: np.ndarray, t: float,
 
 # --- fold cone -----------------------------------------------------------
 
-def fold_point(pm: PhaseModel, x: np.ndarray, t: float, yp: np.ndarray,
+def fold_point(s: MetivierStructure, x: np.ndarray, t: float, yp: np.ndarray,
                ybar: np.ndarray) -> np.ndarray:
     """Assemble y on the fold locus sigma = 0."""
-    y = np.zeros(pm.d)
-    two_n = 2 * pm.n
-    y[: two_n - 1] = yp
-    y[two_n - 1] = y2n_on_fold(pm, x, t, ybar)
-    y[two_n:] = ybar
-    return y
+    return np.concatenate([yp, [y2n_on_fold(s, x, t, ybar)], ybar])
 
 
-def fold_map(pm: PhaseModel, x: np.ndarray, t: float, yp: np.ndarray,
-             ybar: np.ndarray) -> np.ndarray:
-    """xi(x,t,y',ybar): spatial gradient restricted to the fold locus."""
-    y = fold_point(pm, x, t, yp, ybar)
-    return xi(pm, x, t, y)[:-1]
-
-
-def fold_tangent_columns(pm: PhaseModel, x: np.ndarray, t: float,
-                         yp: np.ndarray, ybar: np.ndarray) -> np.ndarray:
-    """The d-1 tangent vectors of the fold cone at (y', ybar), shape (d, d-1).
-
-    Chain rule through y_{2n} = y2n_on_fold: the ybar_i tangent picks up
-    the Xi_{y_{2n}} column times d(y2n_on_fold)/d ybar_i.
-    """
-    s = pm.structure
-    two_n = 2 * s.n
-    y = fold_point(pm, x, t, yp, ybar)
-    cols = spatial_block(xi_y(pm, x, t, y))
-    out = np.zeros((s.d, s.d - 1))
-    out[:, : two_n - 1] = cols[:, : two_n - 1]
-    ubar_x = x[:two_n]
-    for i in range(s.m):
-        dy2n = float(t * s.Lambda[i, -1] - ubar_x @ s.J[i][:, -1])
-        out[:, two_n - 1 + i] = cols[:, two_n + i] + dy2n * cols[:, two_n - 1]
-    return out
-
-
-def fold_cone_curvature(pm: PhaseModel, x: np.ndarray, t: float,
-                        yp: np.ndarray, ybar: np.ndarray,
-                        step: float = 1e-4, tol: float = 1e-5):
-    """Curvature rank of the fold cone at a point with sigma = 0.
+def fold_cone_curvature(s: MetivierStructure, x: np.ndarray, t: float,
+                        yp: np.ndarray, ybar: np.ndarray):
+    """Curvature rank of the fold cone (y', ybar) -> Pi Xi(x, t, y) at a
+    point with sigma = 0, where y_{2n} = y2n_on_fold.
 
     Returns (rank, singular values, normal nu).  The expected rank is
     d - 2: the cone's radial direction is flat and every other principal
     curvature is nonzero.
     """
-    s = pm.structure
     two_n = 2 * s.n
-    tang = fold_tangent_columns(pm, x, t, yp, ybar)
+    # The d-1 tangent vectors: by the chain rule through y_{2n}, the ybar_i
+    # tangent picks up the Xi_{y_2n} column times d(y2n_on_fold)/d ybar_i.
+    cols = spatial_block(xi_y(s, x, t, fold_point(s, x, t, yp, ybar)))
+    dy2n = [float(t * s.Lambda[i, -1] - x[:two_n] @ s.J[i][:, -1])
+            for i in range(s.m)]
+    tang = np.concatenate([cols[:, : two_n - 1], cols[:, two_n:]
+                           + np.outer(cols[:, two_n - 1], dy2n)], axis=1)
     rank_t, _ = matrix_rank_report(tang)
     if rank_t < s.d - 1:
         raise DomainError("degenerate tangent frame on the fold cone")
@@ -458,23 +380,23 @@ def fold_cone_curvature(pm: PhaseModel, x: np.ndarray, t: float,
     nu = u[:, -1]
 
     def f(z):
-        return float(nu @ fold_map(pm, x, t, z[: two_n - 1], z[two_n - 1:]))
+        y = fold_point(s, x, t, z[: two_n - 1], z[two_n - 1:])
+        return float(nu @ xi(s, x, t, y)[:-1])
 
-    C = _fd_hessian(f, np.concatenate([yp, ybar]), step)
-    rank, sv = matrix_rank_report(C, tol)
+    C = _fd_hessian(f, np.concatenate([yp, ybar]))
+    rank, sv = matrix_rank_report(C, CURVATURE_TOL)
     return rank, sv, nu
 
 
-def fold_cone_block_form(pm: PhaseModel, x: np.ndarray, t: float,
+def fold_cone_block_form(s: MetivierStructure, x: np.ndarray, t: float,
                          y: np.ndarray, nu: np.ndarray):
     """Analytic fold-cone curvature at x'=y': [[-t^{-1} g I, PM], [M^T P^T, 0]].
 
     gamma = ubar a^T J^{ybar} e_{2n} with nu = (ubar a, abar); the columns
     of M are -J_i ubar a.
     """
-    s = pm.structure
     two_n = 2 * s.n
-    _, _, ybar = _split_x(pm, y)
+    _, _, ybar = _split_x(s, y)
     Jy = s.J_theta(ybar)
     ubar_a = nu[:two_n]
     gamma = float(ubar_a @ Jy[:, -1])
@@ -488,8 +410,8 @@ def fold_cone_block_form(pm: PhaseModel, x: np.ndarray, t: float,
     return C, gamma
 
 
-def fold_transversality(pm: PhaseModel, x: np.ndarray, t: float,
-                        y: np.ndarray, step: float = 1e-5):
+def fold_transversality(s: MetivierStructure, x: np.ndarray, t: float,
+                        y: np.ndarray):
     """Directional derivatives of det Pi Xi_y along kernel and cokernel.
 
     At a fold point (sigma = 0, x' = y') the spatial block has a one
@@ -498,19 +420,20 @@ def fold_transversality(pm: PhaseModel, x: np.ndarray, t: float,
     what makes the singularity a two-sided fold.  Returns (left, right)
     derivatives together with the kernel and cokernel vectors.
     """
-    cols = spatial_block(xi_y(pm, x, t, y))
+    cols = spatial_block(xi_y(s, x, t, y))
     rank, _ = matrix_rank_report(cols)
-    if rank != pm.d - 1:
+    if rank != s.d - 1:
         raise DomainError("not a fold point: spatial rank is not d-1")
     u, _, vt = np.linalg.svd(cols)
     b = vt[-1]          # right null vector: kernel direction in y
     a = u[:, -1]        # left null vector: cokernel direction in x
 
     def det_at(xx, yy):
-        return float(np.linalg.det(spatial_block(xi_y(pm, xx, t, yy))))
+        return float(np.linalg.det(spatial_block(xi_y(s, xx, t, yy))))
 
-    left = (det_at(x, y + step * b) - det_at(x, y - step * b)) / (2 * step)
-    right = (det_at(x + step * a, y) - det_at(x - step * a, y)) / (2 * step)
+    h = TRANSVERSAL_STEP
+    left = (det_at(x, y + h * b) - det_at(x, y - h * b)) / (2 * h)
+    right = (det_at(x + h * a, y) - det_at(x - h * a, y)) / (2 * h)
     return left, right, b, a
 
 
@@ -522,7 +445,7 @@ def _ball(rng, dim, radius):
     return v * radius * rng.uniform() ** (1.0 / dim)
 
 
-def sample_chart_point(pm: PhaseModel, rng: np.random.Generator,
+def sample_chart_point(s: MetivierStructure, rng: np.random.Generator,
                        on_fold: bool = False, match_xprime: bool = False):
     """One seeded chart point (x, t, y).
 
@@ -531,12 +454,10 @@ def sample_chart_point(pm: PhaseModel, rng: np.random.Generator,
     y_{2n} slot is solved from sigma = 0; with match_xprime the x' block
     is set equal to y' (where the analytic block forms apply).
     """
-    s = pm.structure
     two_n = 2 * s.n
-    yp = _ball(rng, two_n - 1, pm.yprime_radius)
+    yp = _ball(rng, two_n - 1, YPRIME_RADIUS)
     x = np.zeros(s.d)
-    pert = _ball(rng, two_n, pm.x_perturbation)
-    x[:two_n] = pert
+    x[:two_n] = _ball(rng, two_n, X_PERTURBATION)
     x[two_n - 1] += 1.0
     if match_xprime:
         x[: two_n - 1] = yp
@@ -548,43 +469,35 @@ def sample_chart_point(pm: PhaseModel, rng: np.random.Generator,
     else:
         ybar = _ball(rng, s.m, 1.0)
         ybar *= rng.uniform(0.5, 2.0) / np.linalg.norm(ybar)
-    y = np.zeros(s.d)
-    y[: two_n - 1] = yp
-    y[two_n:] = ybar
-    if on_fold:
-        y[two_n - 1] = y2n_on_fold(pm, x, t, ybar)
-    else:
-        y[two_n - 1] = rng.uniform(-1.0, 1.0)
-    return x, t, y
+    y2n = y2n_on_fold(s, x, t, ybar) if on_fold else rng.uniform(-1.0, 1.0)
+    return x, t, np.concatenate([yp, [y2n], ybar])
 
 
-def certify_point(pm: PhaseModel, x: np.ndarray, t: float,
-                  y: np.ndarray, with_curvature: bool = True,
-                  tol: float = 1e-7) -> CurvatureReport:
-    """Full certification record for one chart point."""
-    base = mixed_hessian_rank(pm, x, t, y, tol)
-    if not with_curvature or base.rank_xi < pm.d:
-        return base
-    N = normal_vector(pm, x, t, y)
-    # the curvature matrix is finite-difference data; it keeps its own,
-    # coarser rank cutoff above the differencing noise floor
-    _, rank_c, sv_c = curvature_matrix(pm, x, t, y, N)
-    return CurvatureReport(
-        x=base.x, t=base.t, y=base.y, sigma=base.sigma,
-        normal=N, c_value=c_value(pm, x, t, y, N),
-        c_bound=c_lower_bound(pm, t, y, N),
-        singular_values_xi=base.singular_values_xi,
-        singular_values_curv=sv_c,
-        rank_xi=base.rank_xi, rank_spatial=base.rank_spatial,
-        rank_curv=rank_c)
-
-
-GEOMETRY_CSV_HEADER = "# schema=1"
+def certify_point(s: MetivierStructure, x: np.ndarray, t: float,
+                  y: np.ndarray,
+                  with_curvature: bool = True) -> CurvatureReport:
+    """Ranks of Xi_y and of its spatial block at one chart point; with
+    curvature, where Xi_y has full rank, also rank_curv, c and its floor."""
+    cols = xi_y(s, x, t, y)
+    rank_xi, _ = matrix_rank_report(cols)
+    rank_spatial, _ = matrix_rank_report(spatial_block(cols))
+    curvature = {}
+    if with_curvature and rank_xi == s.d:
+        N = _normal(s, cols)
+        # the curvature matrix is finite-difference data; it keeps its own,
+        # coarser rank cutoff above the differencing noise floor
+        _, rank_curv, _ = curvature_matrix(s, x, t, y, N)
+        curvature = dict(c_value=c_value(s, x, t, y, N),
+                         c_bound=c_lower_bound(s, t, y, N),
+                         rank_curv=rank_curv)
+    return CurvatureReport(x=np.array(x), t=float(t), y=np.array(y),
+                           sigma=sigma_value(s, x, t, y), rank_xi=rank_xi,
+                           rank_spatial=rank_spatial, **curvature)
 
 
 def geometry_csv(reports, margin: float) -> str:
     """CSV serialization of a batch of certification reports."""
-    lines = [GEOMETRY_CSV_HEADER, f"# smallness_margin={margin!r}"]
+    lines = ["# schema=1", f"# smallness_margin={margin!r}"]
     if reports:
         d = len(reports[0].x)
         cols = ([f"x{i}" for i in range(d)] + ["t"]

@@ -17,7 +17,7 @@ from heislab.families import (ball_example, fit_exponent, fit_passes,
                               run_ladder, scaling_example,
                               stein_growth_exponent, stein_probe_curve)
 from heislab.groups import normalized_heisenberg, standard_heisenberg
-from heislab.phase import (PhaseModel, c_lower_bound, c_value, certify_point,
+from heislab.phase import (c_lower_bound, c_value, certify_point,
                            det_identity_rhs, fold_cone_curvature,
                            normal_vector, sample_chart_point,
                            spatial_block, xi_y)
@@ -89,30 +89,30 @@ _GEOMETRY_CACHE = {}
 def geometry_records():
     if "records" in _GEOMETRY_CACHE:
         return _GEOMETRY_CACHE["records"]
-    pm = PhaseModel(structure=standard_heisenberg(2))
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(104)
     generic, folds = [], []
     for _ in range(100):
-        x, t, y = sample_chart_point(pm, rng, match_xprime=True)
-        rep = certify_point(pm, x, t, y, with_curvature=False)
-        lhs = float(np.linalg.det(spatial_block(xi_y(pm, x, t, y))))
-        rhs = det_identity_rhs(pm, x, t, y)
-        N = normal_vector(pm, x, t, y)
-        generic.append((rep, lhs, rhs, c_value(pm, x, t, y, N),
-                        c_lower_bound(pm, t, y, N)))
+        x, t, y = sample_chart_point(s, rng, match_xprime=True)
+        rep = certify_point(s, x, t, y, with_curvature=False)
+        lhs = float(np.linalg.det(spatial_block(xi_y(s, x, t, y))))
+        rhs = det_identity_rhs(s, x, t, y)
+        N = normal_vector(s, x, t, y)
+        generic.append((rep, lhs, rhs, c_value(s, x, t, y, N),
+                        c_lower_bound(s, t, y, N)))
     for _ in range(50):
-        x, t, y = sample_chart_point(pm, rng, on_fold=True,
+        x, t, y = sample_chart_point(s, rng, on_fold=True,
                                      match_xprime=True)
-        rep = certify_point(pm, x, t, y)
-        det_fold = float(np.linalg.det(spatial_block(xi_y(pm, x, t, y))))
-        cone_rank, _, _ = fold_cone_curvature(pm, x, t, y[:3], y[4:])
+        rep = certify_point(s, x, t, y)
+        det_fold = float(np.linalg.det(spatial_block(xi_y(s, x, t, y))))
+        cone_rank, _, _ = fold_cone_curvature(s, x, t, y[:3], y[4:])
         folds.append((rep, det_fold, cone_rank))
-    _GEOMETRY_CACHE["records"] = (pm, generic, folds)
+    _GEOMETRY_CACHE["records"] = (s, generic, folds)
     return _GEOMETRY_CACHE["records"]
 
 
 def test_criterion_04_rank_certificates(capsys):
-    pm, generic, folds = geometry_records()
+    s, generic, folds = geometry_records()
     ok = True
     for rep, lhs, rhs, _, _ in generic:
         ok = ok and rep.rank_xi == 5
@@ -124,12 +124,12 @@ def test_criterion_04_rank_certificates(capsys):
         ok = ok and rep.rank_curv == 4
         ok = ok and cone_rank == 3
         ok = ok and abs(det_fold) <= 1e-10
-        ok = ok and abs(det_identity_rhs(pm, rep.x, rep.t, rep.y)) <= 1e-10
+        ok = ok and abs(det_identity_rhs(s, rep.x, rep.t, rep.y)) <= 1e-10
     report(capsys, 4, "rank and fold certificates", ok)
 
 
 def test_criterion_05_c_lower_bound(capsys):
-    pm, generic, folds = geometry_records()
+    s, generic, folds = geometry_records()
     ok = True
     for _, _, _, c, bound in generic:
         ok = ok and abs(c) >= bound - 1e-8

@@ -107,6 +107,23 @@ def test_bad_structure_kind_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["geometry", "--set", "points=-3", "--set", "fold_points=-1"],
+    ["geometry", "--set", "points=5", "--set", "fold_points=-1"],
+    ["geometry", "--set", "points=0", "--set", "fold_points=0"],
+    ["lemma-check", "--set", "samples=0"],
+    ["lemma-check", "--set", "samples=-4"],
+    ["group-check", "--set", "samples=0"],
+])
+def test_run_that_checks_nothing_exits_2(argv, capsys):
+    # a certificate over zero or a negative number of samples checks
+    # nothing, so it is a usage error, not a pass
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # --- lemma check ----------------------------------------------------------
 
 def test_lemma_check(capsys):
@@ -160,6 +177,14 @@ def test_geometry_uncertified_margin(tmp_path, capsys):
     assert "# status=uncertified" in out
 
 
+def test_geometry_fold_points_only(capsys):
+    code, out, _ = run(["geometry", "--set", "points=0",
+                        "--set", "fold_points=3"], capsys)
+    assert code == 0
+    assert len(out.strip().split("\n")) == 3 + 3 + 1
+    assert out.endswith("# status=certified deviations=0\n")
+
+
 # --- counterexample -------------------------------------------------------
 
 def test_counterexample_scaling_pass(tmp_path, capsys):
@@ -195,6 +220,19 @@ def test_counterexample_stein_diagnostic(capsys):
     assert any(line.startswith("# growth_exponent=") for line in lines)
     assert "# verdict=pass" in lines
     assert "np.float64" not in out
+
+
+@pytest.mark.parametrize("levels", [
+    ["--set", "j_lo=20", "--set", "j_hi=10"],
+    ["--set", "j_hi=1"],
+    ["--set", "j_lo=29", "--set", "j_hi=30"],
+])
+def test_counterexample_short_stein_range_exits_2(levels, capsys):
+    code, out, err = run(["counterexample", "--set", "family=stein",
+                          *levels], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "at least 3 levels" in err
 
 
 def test_counterexample_tight_tolerance_fails(tmp_path, capsys):

@@ -468,8 +468,16 @@ def test_stein_growth_exponent_synthetic():
     expo = stein_growth_exponent(np.stack([j, vals], axis=1))
     # discrete increments bias the continuum exponent by a few percent
     assert abs(expo - 0.25) <= 0.05
-    with pytest.raises(DomainError):
-        stein_growth_exponent(np.array([[10.0, 1.0], [11.0, 1.0]]))
+    with pytest.raises(DomainError, match="increasing"):
+        stein_growth_exponent(np.array([[10.0, 1.0], [11.0, 1.0],
+                                        [12.0, 2.0]]))
+    for short in (np.empty((0, 2)), np.array([[10.0, 1.0], [11.0, 2.0]])):
+        with pytest.raises(DomainError, match="at least 3"):
+            stein_growth_exponent(short)
+    for j_lo, j_hi in ((20, 10), (29, 30), (1, 3)):
+        with pytest.raises(DomainError, match="at least 3"):
+            stein_probe_curve(0.9, j_hi, j_lo=j_lo)
+    assert stein_probe_curve(0.9, 4, j_lo=1).shape == (3, 2)
 
 
 # --- moment family --------------------------------------------------------

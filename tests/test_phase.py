@@ -5,29 +5,25 @@ import pytest
 
 from heislab.groups import (DomainError, quaternionic_htype,
                             standard_heisenberg)
-from heislab.phase import (ChartError, PhaseModel, c_lower_bound, c_value,
+from heislab.phase import (ChartError, c_lower_bound, c_value,
                            certify_point, curvature_block_form,
                            curvature_matrix, defining_functions,
                            det_identity_rhs, fold_cone_block_form,
                            fold_cone_curvature, fold_point,
-                           fold_transversality, geometry_csv, g_value,
+                           fold_transversality, geometry_csv,
                            matrix_rank_report, normal_vector, phi,
                            sample_chart_point, sigma_value, spatial_block,
                            xi, xi_y, y2n_on_fold)
 
 
-def h2_model():
-    return PhaseModel(structure=standard_heisenberg(2))
-
-
 # --- defining functions and phase ----------------------------------------
 
 def test_defining_functions_at_chart_center():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     x = np.zeros(5)
     x[3] = 0.7      # x_{2n} slot
     yp = np.zeros(3)
-    S2n, Sbar = defining_functions(pm, x, 1.0, yp)
+    S2n, Sbar = defining_functions(s, x, 1.0, yp)
     # w = 0, g = 1: S^{2n} = x_{2n} - t
     assert S2n == pytest.approx(0.7 - 1.0, abs=1e-14)
     assert Sbar.shape == (1,)
@@ -36,21 +32,21 @@ def test_defining_functions_at_chart_center():
 def test_defining_functions_graph_height():
     # S^{2n} is the height defect over the hemisphere graph: x_{2n} minus
     # t g((x'-y')/t), computed here from scratch.
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(77)
     for _ in range(50):
-        x, t, y = sample_chart_point(pm, rng)
+        x, t, y = sample_chart_point(s, rng)
         yp = y[:3]
         w = (x[:3] - yp) / t
         g = float(np.sqrt(1.0 - w @ w))
-        S2n, Sbar = defining_functions(pm, x, t, yp)
+        S2n, Sbar = defining_functions(s, x, t, yp)
         assert S2n == pytest.approx(x[3] - t * g, abs=1e-12)
         assert Sbar.shape == (1,)
-        dS = (defining_functions(pm, x, t + 1e-7, yp)[0]
-              - defining_functions(pm, x, t - 1e-7, yp)[0]) / 2e-7
+        dS = (defining_functions(s, x, t + 1e-7, yp)[0]
+              - defining_functions(s, x, t - 1e-7, yp)[0]) / 2e-7
         # d S^{2n} / d x_{2n} = 1 exactly; d/dt follows the chain rule
         xb = np.array(x); xb[3] += 0.3
-        assert defining_functions(pm, xb, t, yp)[0] == pytest.approx(
+        assert defining_functions(s, xb, t, yp)[0] == pytest.approx(
             S2n + 0.3, abs=1e-13)
         assert dS == pytest.approx(-g - (w @ w) / g, abs=1e-5)
 
@@ -58,138 +54,144 @@ def test_defining_functions_graph_height():
 def test_defining_functions_center_vanishing_twist():
     # With ubar x = 0 and Lambda = 0 the twist term drops and Sbar equals
     # the center coordinates of x.
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(78)
     for _ in range(20):
         x = np.zeros(5)
         x[4] = rng.uniform(-1, 1)
         yp = 0.05 * rng.standard_normal(3)
-        _, Sbar = defining_functions(pm, x, 1.5, yp)
+        _, Sbar = defining_functions(s, x, 1.5, yp)
         assert Sbar[0] == pytest.approx(x[4], abs=1e-14)
 
 
 def test_phase_linear_in_fiber():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(4)
-    x, t, y = sample_chart_point(pm, rng)
+    x, t, y = sample_chart_point(s, rng)
     y2 = np.array(y)
     y2[3:] *= 2.0   # double (y_{2n}, ybar), keep y'
-    assert phi(pm, x, t, y2) == pytest.approx(2.0 * phi(pm, x, t, y),
+    assert phi(s, x, t, y2) == pytest.approx(2.0 * phi(s, x, t, y),
                                               rel=1e-12)
 
 
 def test_chart_error_outside_hemisphere():
-    pm = h2_model()
-    x = np.zeros(5)
-    x[:3] = [2.0, 0.0, 0.0]
-    with pytest.raises(ChartError):
-        defining_functions(pm, x, 1.0, np.zeros(3))
+    # |x' - y'| >= t leaves the chart, on the boundary sphere included
+    s = standard_heisenberg(2)
+    y = np.array([0.0, 0.0, 0.0, 0.3, 1.0])
+    for xprime, t in (([2.0, 0.0, 0.0], 1.0), ([0.0, 1.5, 0.0], 1.5)):
+        x = np.zeros(5)
+        x[:3] = xprime
+        with pytest.raises(ChartError):
+            defining_functions(s, x, t, y[:3])
+        for quantity in (xi, xi_y, det_identity_rhs, certify_point):
+            with pytest.raises(ChartError):
+                quantity(s, x, t, y)
 
 
 # --- gradients against finite differences --------------------------------
 
 def test_xi_matches_finite_differences():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(19)
     h = 1e-6
     for _ in range(100):
-        x, t, y = sample_chart_point(pm, rng)
-        grad = xi(pm, x, t, y)
-        for j in range(pm.d):
+        x, t, y = sample_chart_point(s, rng)
+        grad = xi(s, x, t, y)
+        for j in range(s.d):
             xp = np.array(x); xp[j] += h
             xm = np.array(x); xm[j] -= h
-            fd = (phi(pm, xp, t, y) - phi(pm, xm, t, y)) / (2 * h)
+            fd = (phi(s, xp, t, y) - phi(s, xm, t, y)) / (2 * h)
             assert abs(grad[j] - fd) <= 1e-6
-        fd_t = (phi(pm, x, t + h, y) - phi(pm, x, t - h, y)) / (2 * h)
-        assert abs(grad[pm.d] - fd_t) <= 1e-6
+        fd_t = (phi(s, x, t + h, y) - phi(s, x, t - h, y)) / (2 * h)
+        assert abs(grad[s.d] - fd_t) <= 1e-6
 
 
 def test_xi_y_matches_jacobian_of_xi():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(21)
     h = 1e-6
     for _ in range(25):
-        x, t, y = sample_chart_point(pm, rng)
-        cols = xi_y(pm, x, t, y)
-        for j in range(pm.d):
+        x, t, y = sample_chart_point(s, rng)
+        cols = xi_y(s, x, t, y)
+        for j in range(s.d):
             yp = np.array(y); yp[j] += h
             ym = np.array(y); ym[j] -= h
-            fd = (xi(pm, x, t, yp) - xi(pm, x, t, ym)) / (2 * h)
+            fd = (xi(s, x, t, yp) - xi(s, x, t, ym)) / (2 * h)
             assert np.max(np.abs(cols[:, j] - fd)) <= 1e-5
 
 
 # --- sigma and the fold locus --------------------------------------------
 
 def test_sigma_reduces_to_y2n_at_special_point():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     x = np.zeros(5)
     x[3] = 1.0      # ubar x = e_{2n}; e^T J e = 0 by skew-symmetry
     y = np.array([0.0, 0.0, 0.0, 0.37, 1.2])
-    assert sigma_value(pm, x, 1.3, y) == pytest.approx(0.37, abs=1e-14)
+    assert sigma_value(s, x, 1.3, y) == pytest.approx(0.37, abs=1e-14)
 
 
 def test_sigma_linearity_in_fiber():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(6)
-    x, t, y = sample_chart_point(pm, rng)
+    x, t, y = sample_chart_point(s, rng)
     ya = np.array(y); yb = np.array(y)
     ya[3:] *= 2.0
     yb[3:] *= 3.0
-    sa, sb, s1 = (sigma_value(pm, x, t, z) for z in (ya, yb, y))
+    sa, sb, s1 = (sigma_value(s, x, t, z) for z in (ya, yb, y))
     assert sa == pytest.approx(2.0 * s1, rel=1e-12)
     assert sb == pytest.approx(3.0 * s1, rel=1e-12)
 
 
 def test_y2n_on_fold_solves_sigma():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(13)
     for _ in range(30):
-        x, t, y = sample_chart_point(pm, rng, on_fold=True)
-        assert abs(sigma_value(pm, x, t, y)) <= 1e-12
+        x, t, y = sample_chart_point(s, rng, on_fold=True)
+        assert abs(sigma_value(s, x, t, y)) <= 1e-12
 
 
 # --- rank certificates ---------------------------------------------------
 
 def test_full_rank_away_from_fold():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(29)
     count = 0
     while count < 100:
-        x, t, y = sample_chart_point(pm, rng)
-        if abs(sigma_value(pm, x, t, y)) <= 0.1:
+        x, t, y = sample_chart_point(s, rng)
+        if abs(sigma_value(s, x, t, y)) <= 0.1:
             continue
         count += 1
-        rep = certify_point(pm, x, t, y, with_curvature=False)
-        assert rep.rank_xi == pm.d
-        assert rep.rank_spatial == pm.d
+        rep = certify_point(s, x, t, y, with_curvature=False)
+        assert rep.rank_xi == s.d
+        assert rep.rank_spatial == s.d
 
 
 def test_rank_drop_on_fold():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(37)
     for _ in range(50):
-        x, t, y = sample_chart_point(pm, rng, on_fold=True,
+        x, t, y = sample_chart_point(s, rng, on_fold=True,
                                      match_xprime=True)
-        rep = certify_point(pm, x, t, y)
-        assert rep.rank_xi == pm.d
-        assert rep.rank_spatial == pm.d - 1
-        assert rep.rank_curv == pm.d - 1
+        rep = certify_point(s, x, t, y)
+        assert rep.rank_xi == s.d
+        assert rep.rank_spatial == s.d - 1
+        assert rep.rank_curv == s.d - 1
 
 
 def test_det_identity():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(43)
     for _ in range(50):
-        x, t, y = sample_chart_point(pm, rng)
-        lhs = float(np.linalg.det(spatial_block(xi_y(pm, x, t, y))))
-        rhs = det_identity_rhs(pm, x, t, y)
+        x, t, y = sample_chart_point(s, rng)
+        lhs = float(np.linalg.det(spatial_block(xi_y(s, x, t, y))))
+        rhs = det_identity_rhs(s, x, t, y)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         assert abs(lhs - rhs) / scale <= 1e-8
     for _ in range(50):
-        x, t, y = sample_chart_point(pm, rng, on_fold=True)
-        lhs = float(np.linalg.det(spatial_block(xi_y(pm, x, t, y))))
+        x, t, y = sample_chart_point(s, rng, on_fold=True)
+        lhs = float(np.linalg.det(spatial_block(xi_y(s, x, t, y))))
         assert abs(lhs) <= 1e-10
-        assert abs(det_identity_rhs(pm, x, t, y)) <= 1e-10
+        assert abs(det_identity_rhs(s, x, t, y)) <= 1e-10
 
 
 def test_matrix_rank_report_thresholds():
@@ -203,40 +205,40 @@ def test_matrix_rank_report_thresholds():
 # --- normal and curvature ------------------------------------------------
 
 def test_normal_is_orthogonal_unit():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(47)
     for _ in range(30):
-        x, t, y = sample_chart_point(pm, rng)
-        N = normal_vector(pm, x, t, y)
+        x, t, y = sample_chart_point(s, rng)
+        N = normal_vector(s, x, t, y)
         assert np.linalg.norm(N) == pytest.approx(1.0, abs=1e-12)
-        res = N @ xi_y(pm, x, t, y)
+        res = N @ xi_y(s, x, t, y)
         assert np.max(np.abs(res)) <= 1e-10
         assert N[3] >= 0.0
 
 
 def test_curvature_matches_block_form_at_matched_points():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(53)
     for _ in range(15):
-        x, t, y = sample_chart_point(pm, rng, on_fold=True,
+        x, t, y = sample_chart_point(s, rng, on_fold=True,
                                      match_xprime=True)
-        N = normal_vector(pm, x, t, y)
-        C_fd, rank, _ = curvature_matrix(pm, x, t, y, N)
-        C_an = curvature_block_form(pm, x, t, y, N)
+        N = normal_vector(s, x, t, y)
+        C_fd, rank, _ = curvature_matrix(s, x, t, y, N)
+        C_an = curvature_block_form(s, x, t, y, N)
         assert np.max(np.abs(C_fd - C_an)) <= 1e-5
-        assert rank == pm.d - 1
+        assert rank == s.d - 1
 
 
 def test_c_value_lower_bound_matched_frame():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(59)
     for on_fold in (False, True):
         for _ in range(40):
-            x, t, y = sample_chart_point(pm, rng, on_fold=on_fold,
+            x, t, y = sample_chart_point(s, rng, on_fold=on_fold,
                                          match_xprime=True)
-            N = normal_vector(pm, x, t, y)
-            c = c_value(pm, x, t, y, N)
-            bound = c_lower_bound(pm, t, y, N)
+            N = normal_vector(s, x, t, y)
+            c = c_value(s, x, t, y, N)
+            bound = c_lower_bound(s, t, y, N)
             assert bound >= 0.0
             assert abs(c) >= bound - 1e-8
 
@@ -244,12 +246,12 @@ def test_c_value_lower_bound_matched_frame():
 def test_c_bound_uses_margin():
     # for the h-type structure the margin is 1, so the floor is visibly
     # larger than the standard one at comparable normals
-    pm = PhaseModel(structure=quaternionic_htype(1, 3))
+    s = quaternionic_htype(1, 3)
     rng = np.random.default_rng(61)
-    x, t, y = sample_chart_point(pm, rng, match_xprime=True)
-    N = normal_vector(pm, x, t, y)
-    bound = c_lower_bound(pm, t, y, N)
-    two_n = 2 * pm.n
+    x, t, y = sample_chart_point(s, rng, match_xprime=True)
+    N = normal_vector(s, x, t, y)
+    bound = c_lower_bound(s, t, y, N)
+    two_n = 2 * s.n
     r = np.linalg.norm(y[two_n:])
     expected = np.linalg.norm(N[:two_n]) * r * 1.0 / t
     assert bound == pytest.approx(expected, rel=1e-10)
@@ -258,27 +260,27 @@ def test_c_bound_uses_margin():
 # --- fold cone -----------------------------------------------------------
 
 def test_fold_cone_rank_and_block_form():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(67)
     for _ in range(15):
-        x, t, y = sample_chart_point(pm, rng, on_fold=True,
+        x, t, y = sample_chart_point(s, rng, on_fold=True,
                                      match_xprime=True)
         yp, ybar = y[:3], y[4:]
-        rank, sv, nu = fold_cone_curvature(pm, x, t, yp, ybar)
-        assert rank == pm.d - 2
+        rank, sv, nu = fold_cone_curvature(s, x, t, yp, ybar)
+        assert rank == s.d - 2
         # radial flatness: the smallest singular value sits at noise level
         assert sv[-1] <= 1e-5 * sv[0]
-        C_an, gamma = fold_cone_block_form(pm, x, t, y, nu)
+        C_an, gamma = fold_cone_block_form(s, x, t, y, nu)
         assert abs(gamma) > 1e-6
 
 
 def test_fold_transversality_two_sided():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(71)
     for _ in range(50):
-        x, t, y = sample_chart_point(pm, rng, on_fold=True,
+        x, t, y = sample_chart_point(s, rng, on_fold=True,
                                      match_xprime=True)
-        left, right, b, a = fold_transversality(pm, x, t, y)
+        left, right, b, a = fold_transversality(s, x, t, y)
         assert abs(left) > 1e-6
         assert abs(right) > 1e-6
         assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12)
@@ -286,36 +288,36 @@ def test_fold_transversality_two_sided():
 
 
 def test_fold_transversality_rejects_generic_point():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(73)
-    x, t, y = sample_chart_point(pm, rng)
-    if abs(sigma_value(pm, x, t, y)) < 0.1:
+    x, t, y = sample_chart_point(s, rng)
+    if abs(sigma_value(s, x, t, y)) < 0.1:
         y[3] += 0.5
     with pytest.raises(DomainError):
-        fold_transversality(pm, x, t, y)
+        fold_transversality(s, x, t, y)
 
 
 def test_fold_point_assembly():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(79)
-    x, t, _ = sample_chart_point(pm, rng)
+    x, t, _ = sample_chart_point(s, rng)
     yp = np.array([0.01, -0.02, 0.03])
     ybar = np.array([0.8])
-    y = fold_point(pm, x, t, yp, ybar)
+    y = fold_point(s, x, t, yp, ybar)
     assert np.array_equal(y[:3], yp)
     assert np.array_equal(y[4:], ybar)
-    assert y[3] == y2n_on_fold(pm, x, t, ybar)
+    assert y[3] == y2n_on_fold(s, x, t, ybar)
 
 
 # --- serialization -------------------------------------------------------
 
 def test_geometry_csv_shape():
-    pm = h2_model()
+    s = standard_heisenberg(2)
     rng = np.random.default_rng(83)
     reps = []
     for _ in range(3):
-        x, t, y = sample_chart_point(pm, rng)
-        reps.append(certify_point(pm, x, t, y, with_curvature=False))
+        x, t, y = sample_chart_point(s, rng)
+        reps.append(certify_point(s, x, t, y, with_curvature=False))
     text = geometry_csv(reps, 0.5)
     lines = text.strip().split("\n")
     assert lines[0] == "# schema=1"

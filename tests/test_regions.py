@@ -1,8 +1,11 @@
 """Exact rational regions, hulls, membership, and serialization."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heislab.groups import DomainError
 from heislab.regions import (RatPoint, Region, averaging_region,
@@ -194,9 +197,21 @@ def test_bourgain_validation():
 
 # --- serialization -------------------------------------------------------
 
+def all_regions():
+    """maximal_region and averaging_region for n <= 4, m <= 3, where defined."""
+    regions = []
+    for n in range(1, 5):
+        for m in range(1, 4):
+            regions.append(maximal_region(n, m))
+            if m <= 2 * n - 1:
+                regions.append(averaging_region(n, m))
+    return regions
+
+
 def test_csv_round_trip():
-    for reg in (maximal_region(2, 1), maximal_region(1, 1),
-                averaging_region(1, 1), averaging_region(2, 2)):
+    regions = all_regions()
+    assert len(regions) == 22
+    for reg in regions:
         data = export_region(reg, "csv")
         back = parse_region_csv(data)
         assert back == reg
@@ -227,3 +242,42 @@ def test_svg_export_well_formed():
 def test_export_unknown_format():
     with pytest.raises(DomainError):
         export_region(maximal_region(2, 1), "png")
+
+
+# --- exact membership against a float polygon test ------------------------
+
+def _float_inside(pairs, x, y):
+    """Crossing-number point-in-polygon test in floating point."""
+    inside = False
+    k = len(pairs)
+    for i in range(k):
+        (ax, ay), (bx, by) = pairs[i], pairs[(i + 1) % k]
+        if (ay > y) != (by > y):
+            if x < ax + (y - ay) * (bx - ax) / (by - ay):
+                inside = not inside
+    return inside
+
+
+def _edge_distance(pairs, x, y):
+    dist = float("inf")
+    k = len(pairs)
+    for i in range(k):
+        (ax, ay), (bx, by) = pairs[i], pairs[(i + 1) % k]
+        ex, ey = bx - ax, by - ay
+        lam = min(1.0, max(0.0, ((x - ax) * ex + (y - ay) * ey)
+                           / (ex * ex + ey * ey)))
+        dist = min(dist, math.hypot(x - ax - lam * ex, y - ay - lam * ey))
+    return dist
+
+
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(all_regions()), UNIT, UNIT,
+       st.sampled_from(["strong", "rwt"]))
+def test_is_member_matches_float_polygon(reg, ip, iq, mode):
+    pairs = [(float(v.ip), float(v.iq)) for v in reg.vertices]
+    x, y = float(ip), float(iq)
+    assume(_edge_distance(pairs, x, y) >= 1e-9)
+    assert is_member(reg, RatPoint(ip, iq), mode) == _float_inside(pairs, x, y)
