@@ -5,9 +5,8 @@ is the mean of f over the t-dilated tilted sphere through x.  Quadrature
 rules carry normalized weights so the constant field averages to itself.
 """
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -16,60 +15,43 @@ from .groups import DimensionMismatch, DomainError, MetivierStructure
 
 @dataclass(frozen=True)
 class SphereRule:
-    """Quadrature nodes on S^{2n-1} with positive weights summing to 1.
+    """Product quadrature rule on S^{2n-1}, n = 1 or 2.
 
-    shape is the rule's product shape in node order: (angle,) for n=1 and
-    (latitude, a, b) for n=2, where node coordinates 0, 1 depend only on
-    (latitude, a) and coordinates 2, 3 only on (latitude, b), bit for bit.
-    It defaults to (count,) for n=1 and (count, 1, 1) for n=2, a product
-    that every node set is.
+    Node (l, i, j) has coordinates 0, 1 equal to a[:, l, i] and
+    coordinates 2 .. 2n-1 equal to b[:, l, j]: a has shape (2, L, A) and b
+    shape (2n - 2, L, B) over L latitudes, which is (0, 1, 1) on the
+    circle.  weights holds one positive weight per node in node order
+    (l, i, j), summing to 1.
     """
 
-    nodes: np.ndarray    # (count, 2n), unit rows
-    weights: np.ndarray  # (count,), positive, sum 1
-    shape: Tuple[int, ...] = ()
+    a: np.ndarray        # (2, L, A)
+    b: np.ndarray        # (2n - 2, L, B)
+    weights: np.ndarray  # (L * A * B,), positive, sum 1
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        a = np.asarray(self.a, dtype=float)
+        b = np.asarray(self.b, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 2 or weights.shape != (nodes.shape[0],):
-            raise DimensionMismatch("nodes/weights shape mismatch")
-        count, two_n = nodes.shape
-        if two_n not in (2, 4):
-            raise DimensionMismatch("rules exist on S^1 and S^3 only")
-        shape = tuple(int(c) for c in self.shape) or (
-            (count,) if two_n == 2 else (count, 1, 1))
-        if len(shape) != two_n - 1 or math.prod(shape) != count:
-            raise DimensionMismatch(f"shape {shape} does not fit {count} "
-                                    f"nodes on S^{two_n - 1}")
+        if a.ndim != 3 or b.ndim != 3 or len(a) != 2 or len(b) not in (0, 2):
+            raise DimensionMismatch("rules exist on S^1 and S^3 only: a needs "
+                                    "2 coordinate rows and b 0 or 2")
+        if a.shape[1] != b.shape[1]:
+            raise DimensionMismatch(f"factors have {a.shape[1]} and "
+                                    f"{b.shape[1]} latitudes")
+        if weights.shape != (a.shape[1] * a.shape[2] * b.shape[2],):
+            raise DimensionMismatch("one weight per node required")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise DomainError("weights must sum to 1")
         if np.any(weights <= 0):
             raise DomainError("weights must be positive")
-        norms = np.linalg.norm(nodes, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
+        # squared node norms over (latitude, a, b), without the nodes
+        sq = (np.sum(a * a, axis=0)[:, :, None]
+              + np.sum(b * b, axis=0)[:, None, :])
+        if np.max(np.abs(np.sqrt(sq) - 1.0)) > 1e-12:
             raise DomainError("nodes must lie on the unit sphere")
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "shape", shape)
-        if two_n == 4:
-            grid = nodes.reshape(shape + (4,))
-            if not (np.all(grid[..., :2] == grid[:, :, :1, :2])
-                    and np.all(grid[..., 2:] == grid[:, :1, :, 2:])):
-                raise DomainError("nodes are not a product of their "
-                                  "(latitude, a, b) factors")
-
-    def factors(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Coordinates 0, 1 per (latitude, a) and 2, 3 per (latitude, b).
-
-        Arrays of shape (2, latitudes, a count) and (2n - 2, latitudes,
-        b count); the n=1 rule is one latitude with no b coordinates.
-        """
-        if len(self.shape) == 1:
-            return self.nodes.T[:, None, :].copy(), np.empty((0, 1, 1))
-        grid = self.nodes.reshape(self.shape + (4,))
-        return (np.moveaxis(grid[:, :, 0, :2], 2, 0).copy(),
-                np.moveaxis(grid[:, 0, :, 2:], 2, 0).copy())
 
 
 def sphere_rule(n: int, resolution, latitude: str = "gauss") -> SphereRule:
@@ -94,9 +76,8 @@ def sphere_rule(n: int, resolution, latitude: str = "gauss") -> SphereRule:
         raise DomainError("resolution must be at least 4")
     if n == 1:
         ang = 2 * np.pi * np.arange(cu) / cu
-        nodes = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        weights = np.full(cu, 1.0 / cu)
-        return SphereRule(nodes, weights, (cu,))
+        return SphereRule(np.stack([np.cos(ang), np.sin(ang)])[:, None],
+                          np.empty((0, 1, 1)), np.full(cu, 1.0 / cu))
     # Write omega = (sqrt(1-u) cos a, sqrt(1-u) sin a, sqrt(u) cos b,
     # sqrt(u) sin b); the normalized measure is du da db / (2 pi)^2
     # with u in [0,1].
@@ -114,21 +95,11 @@ def sphere_rule(n: int, resolution, latitude: str = "gauss") -> SphereRule:
     ang_b = 2 * np.pi * (np.arange(cb) + 0.5) / cb
     r0 = np.sqrt(1.0 - u)
     r1 = np.sqrt(u)
-    blk = ca * cb
-    nodes = np.empty((cu * blk, 4))
-    weights = np.empty(cu * blk)
-    k = 0
-    for iu in range(cu):
-        n0 = np.empty((blk, 4))
-        n0[:, 0] = np.repeat(r0[iu] * np.cos(ang_a), cb)
-        n0[:, 1] = np.repeat(r0[iu] * np.sin(ang_a), cb)
-        n0[:, 2] = np.tile(r1[iu] * np.cos(ang_b), ca)
-        n0[:, 3] = np.tile(r1[iu] * np.sin(ang_b), ca)
-        nodes[k:k + blk] = n0
-        weights[k:k + blk] = wu[iu] / blk
-        k += blk
+    a = np.stack([r0[:, None] * np.cos(ang_a), r0[:, None] * np.sin(ang_a)])
+    b = np.stack([r1[:, None] * np.cos(ang_b), r1[:, None] * np.sin(ang_b)])
+    weights = np.repeat(wu / (ca * cb), ca * cb)
     weights /= weights.sum()
-    return SphereRule(nodes, weights, (cu, ca, cb))
+    return SphereRule(a, b, weights)
 
 
 @dataclass(frozen=True)
@@ -209,11 +180,10 @@ def spherical_average_batch(s: MetivierStructure, f: ScalarField,
     if pts.shape[1] != s.d:
         raise DimensionMismatch("point dimension does not match structure")
     two_n = 2 * s.n
-    if rule.nodes.shape[1] != two_n:
+    if len(rule.a) + len(rule.b) != two_n:
         raise DimensionMismatch("sphere rule does not match structure")
     lo, hi = f.support_lo, f.support_hi
-    a_nodes, b_nodes = rule.factors()
-    a_count, b_count = a_nodes.shape[2], b_nodes.shape[2]
+    a_count, b_count = rule.a.shape[2], rule.b.shape[2]
     count = len(rule.weights)
     rows_per_chunk = max(1, chunk // count)
     out = np.empty(len(pts))
@@ -224,9 +194,9 @@ def spherical_average_batch(s: MetivierStructure, f: ScalarField,
         C = (tc * tc)[:, None, None] * s.Lambda + tc[:, None, None] * np.sum(
             ubar[:, None, :, None] * s.J[None, :, :, :], axis=2)
         in_a, coords_a, terms_a = _factor_tables(
-            ubar[:, :2], tc, C[:, :, :2], a_nodes, lo[:2], hi[:2])
+            ubar[:, :2], tc, C[:, :, :2], rule.a, lo[:2], hi[:2])
         in_b, coords_b, terms_b = _factor_tables(
-            ubar[:, 2:], tc, C[:, :, 2:], b_nodes, lo[2:two_n], hi[2:two_n])
+            ubar[:, 2:], tc, C[:, :, 2:], rule.b, lo[2:two_n], hi[2:two_n])
         flat = np.flatnonzero(in_a[:, :, :, None] & in_b[:, :, None, :])
         # floor division by a scalar is fast in numpy, the remainder is not
         row_a = flat // b_count                   # row_a indexes (P, L, A)

@@ -35,11 +35,28 @@ def thin_bump(lo, hi):
     return ScalarField(ev, lo, hi, "bump on a box")
 
 
+def dense_nodes(rule):
+    """The rule's (count, 2n) node array, rows in node order (l, i, j)."""
+    (_, lat, a_count), b_count = rule.a.shape, rule.b.shape[2]
+    grid = (lat, a_count, b_count)
+    a = np.broadcast_to(rule.a[:, :, :, None], (2,) + grid)
+    b = np.broadcast_to(rule.b[:, :, None, :], (len(rule.b),) + grid)
+    return np.concatenate([a, b]).reshape(2 + len(rule.b), -1).T
+
+
+def factored_rule(nodes):
+    """Equal-weight rule with one latitude per node: factors (k, count, 1)."""
+    nodes = np.asarray(nodes, dtype=float)
+    count = len(nodes)
+    return SphereRule(nodes[:, :2].T[:, :, None], nodes[:, 2:].T[:, :, None],
+                      np.full(count, 1.0 / count))
+
+
 def dense_average(s, f, t, pts, rule):
     """Oracle: every sphere image assembled and f evaluated on all of them."""
     two_n = 2 * s.n
     ubar, bar = pts[:, :two_n], pts[:, two_n:]
-    om = rule.nodes
+    om = dense_nodes(rule)
     t = np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))[:, None]
     out_u = ubar[:, None, :] - t[:, :, None] * om[None, :, :]
     twist = np.einsum("pj,ijk,wk->pwi", ubar, s.J, om)
@@ -70,20 +87,23 @@ def test_rule_weights_and_nodes():
                  sphere_rule(2, 12, latitude="uniform")):
         assert abs(rule.weights.sum() - 1.0) <= 1e-12
         assert np.all(rule.weights > 0)
-        assert np.max(np.abs(np.linalg.norm(rule.nodes, axis=1) - 1.0)) <= 1e-12
+        nodes = dense_nodes(rule)
+        assert nodes.shape == (len(rule.weights), 2 + len(rule.b))
+        assert np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1.0)) <= 1e-12
 
 
 def test_circle_second_moment():
     rule = sphere_rule(1, 128)
-    m = float(np.sum(rule.nodes[:, 0] ** 2 * rule.weights))
+    m = float(np.sum(dense_nodes(rule)[:, 0] ** 2 * rule.weights))
     assert abs(m - 0.5) <= 1e-12
 
 
 def test_s3_second_moment():
     for latitude in ("gauss", "uniform"):
         rule = sphere_rule(2, 24, latitude=latitude)
+        nodes = dense_nodes(rule)
         for j in range(4):
-            m = float(np.sum(rule.nodes[:, j] ** 2 * rule.weights))
+            m = float(np.sum(nodes[:, j] ** 2 * rule.weights))
             assert abs(m - 0.25) <= 1e-10
 
 
@@ -94,11 +114,13 @@ def test_rule_validation():
         sphere_rule(2, (12, 3, 12))
     with pytest.raises(DomainError):
         sphere_rule(2, 12, latitude="chebyshev")
+    circle = np.array([[1.0, 0.0], [0.0, 1.0]]).T[:, None]
     with pytest.raises(DomainError):
-        SphereRule(np.array([[1.0, 0.0], [0.0, 1.0]]),
-                   np.array([0.7, 0.7]))
+        SphereRule(circle, np.empty((0, 1, 1)), np.array([0.7, 0.7]))
     with pytest.raises(DomainError):
-        SphereRule(np.array([[2.0, 0.0]]), np.array([1.0]))
+        SphereRule(circle, np.empty((0, 1, 1)), np.array([1.5, -0.5]))
+    with pytest.raises(DomainError):
+        factored_rule([[2.0, 0.0]])
 
 
 def test_rule_rejects_n_above_two():
@@ -108,34 +130,50 @@ def test_rule_rejects_n_above_two():
 
 
 def test_rule_product_shape():
-    assert sphere_rule(1, 64).shape == (64,)
-    assert sphere_rule(2, 12).shape == (12, 12, 12)
-    assert sphere_rule(2, (8, 12, 16), latitude="uniform").shape == (8, 12, 16)
+    rule = sphere_rule(1, 64)
+    assert (rule.a.shape, rule.b.shape) == ((2, 1, 64), (0, 1, 1))
+    rule = sphere_rule(2, 12)
+    assert (rule.a.shape, rule.b.shape) == ((2, 12, 12), (2, 12, 12))
+    rule = sphere_rule(2, (8, 12, 16), latitude="uniform")
+    assert (rule.a.shape, rule.b.shape) == ((2, 8, 12), (2, 8, 16))
+    # node (l, i, j) is the Hopf point at latitude u_l and angles a_i, b_j
+    u = (np.arange(8) + 0.5) / 8
+    ang_a = 2 * np.pi * (np.arange(12) + 0.5) / 12
+    ang_b = 2 * np.pi * (np.arange(16) + 0.5) / 16
+    l, i, j = (g.ravel() for g in np.meshgrid(np.arange(8), np.arange(12),
+                                               np.arange(16), indexing="ij"))
+    hopf = np.stack([np.sqrt(1 - u[l]) * np.cos(ang_a[i]),
+                     np.sqrt(1 - u[l]) * np.sin(ang_a[i]),
+                     np.sqrt(u[l]) * np.cos(ang_b[j]),
+                     np.sqrt(u[l]) * np.sin(ang_b[j])], axis=1)
+    assert np.max(np.abs(dense_nodes(rule) - hopf)) <= 1e-15
+    # Gauss latitudes carry their weights to every node of the latitude
     rule = sphere_rule(2, (8, 12, 16))
-    a_nodes, b_nodes = rule.factors()
-    grid = rule.nodes.reshape(8, 12, 16, 4)
-    assert np.all(grid[..., :2] == np.moveaxis(a_nodes, 0, 2)[:, :, None])
-    assert np.all(grid[..., 2:] == np.moveaxis(b_nodes, 0, 2)[:, None])
-    # any node set is a product with one latitude per node
-    rng = np.random.default_rng(4)
-    nodes = rng.standard_normal((10, 4))
-    nodes /= np.linalg.norm(nodes, axis=1)[:, None]
-    assert SphereRule(nodes, np.full(10, 0.1)).shape == (10, 1, 1)
-    assert SphereRule(nodes[:, :2] / np.linalg.norm(nodes[:, :2], axis=1)
-                      [:, None], np.full(10, 0.1)).shape == (10,)
+    _, gl_w = np.polynomial.legendre.leggauss(8)
+    np.testing.assert_allclose(rule.weights.reshape(8, -1),
+                               np.repeat(gl_w[:, None] / 384.0, 192, axis=1),
+                               rtol=1e-14, atol=0.0)
 
 
 def test_rule_rejects_wrong_shape():
     rule = sphere_rule(2, (4, 4, 6))
+    a, b, w = rule.a, rule.b, rule.weights
     with pytest.raises(DimensionMismatch):
-        SphereRule(rule.nodes, rule.weights, (4, 4, 5))
+        SphereRule(a, b, w[:-1])
     with pytest.raises(DimensionMismatch):
-        SphereRule(rule.nodes, rule.weights, (96,))
-    # swapping the angle factors breaks the product structure
+        SphereRule(a, b[:, :3], w[:72])
+    with pytest.raises(DimensionMismatch):
+        SphereRule(np.concatenate([a, b[:, :, :4]]), b[:, :, :0], w)
+    with pytest.raises(DimensionMismatch):
+        SphereRule(a[:1], b, w)
+    with pytest.raises(DimensionMismatch):
+        SphereRule(a, b[:1], w)
+    with pytest.raises(DimensionMismatch):
+        SphereRule(a[:, 0], b[:, 0], w[:24])
+    off = a.copy()
+    off[:, 2, 3] *= 1.0 + 1e-9
     with pytest.raises(DomainError):
-        SphereRule(rule.nodes, rule.weights, (4, 6, 4))
-    with pytest.raises(DimensionMismatch):
-        SphereRule(np.eye(3), np.full(3, 1.0 / 3.0))
+        SphereRule(off, b, w)
 
 
 # --- averages ------------------------------------------------------------
@@ -268,13 +306,15 @@ def test_culled_average_matches_dense(s, rule):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
-def test_culled_average_default_shape_rule():
-    # a rule without product structure culls node by node
+def test_culled_average_random_node_rule():
+    # random nodes, one latitude each: the (3000, 1, 1) product culls
+    # node by node
     s = normalized_heisenberg(2)
     rng = np.random.default_rng(32)
     nodes = rng.standard_normal((3000, 4))
     nodes /= np.linalg.norm(nodes, axis=1)[:, None]
-    rule = SphereRule(nodes, np.full(3000, 1.0 / 3000))
+    rule = factored_rule(nodes)
+    assert rule.a.shape == (2, 3000, 1)
     pts, t = near_sphere_points(s, 25, rng)
     f = thin_bump(-0.3 * np.ones(5), 0.3 * np.ones(5))
     want, _ = dense_average(s, f, t, pts, rule)
