@@ -41,13 +41,10 @@ class ParamRegion:
     counts: Tuple[int, ...]
     param: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
-    def lattice(self) -> np.ndarray:
+    def points_and_weights(self):
         axes = [(np.arange(c) + 0.5) / c for c in self.counts]
         mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-
-    def points_and_weights(self):
-        u = self.lattice()
+        u = np.stack([m.ravel() for m in mesh], axis=1)
         pts, jac = self.param(u)
         return pts, np.asarray(jac, dtype=float) / len(u)
 
@@ -283,14 +280,18 @@ def scaling_example(s: MetivierStructure, delta: float,
 
     # Field support in adapted shell coordinates: exact up to the smooth
     # radial Jacobian, so the denominator norm carries no delta-dependent
-    # lattice bias.
+    # lattice bias.  When shell > t the shell is a full ball of radius
+    # t + shell, so r starts at 0.
+    r_lo = max(t - shell, 0.0)
+    r_width = r_hi - r_lo
+
     def f_param(u):
-        r = (t - shell) + 2.0 * shell * u[:, 0]
+        r = r_lo + r_width * u[:, 0]
         dirs, ang = _sphere_dir(n, u[:, 1:1 + dd])
         ubar = r[:, None] * dirs
         b = shell * (2.0 * u[:, 1 + dd:1 + dd + m] - 1.0)
         bar = b + t * (ubar @ s.Lambda.T)
-        jac = 2.0 * shell * r ** (two_n - 1) * ang * (2.0 * shell) ** m
+        jac = r_width * r ** (two_n - 1) * ang * (2.0 * shell) ** m
         return np.concatenate([ubar, bar], axis=1), jac
 
     def r_param(u):
@@ -419,10 +420,12 @@ def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
 STEIN_PROBE = (1.5, 0.0, 0.0)
 # Three levels give two increments, the fewest a slope can be fitted to.
 STEIN_MIN_LEVELS = 3
+# Gauss-Legendre nodes per dyadic panel of the probe curve
+STEIN_PANEL_NODES = 32
 
 
-def stein_probe_curve(alpha: float, j_hi: int, j_lo: int = 2,
-                      panel_nodes: int = 32) -> np.ndarray:
+def stein_probe_curve(alpha: float, j_hi: int,
+                      j_lo: int = 2) -> np.ndarray:
     """Truncated spherical mean at a fixed probe versus the cutoff level.
 
     For the probe x = (3/2, 0, 0) with t = |ubar x| on the standard
@@ -440,7 +443,7 @@ def stein_probe_curve(alpha: float, j_hi: int, j_lo: int = 2,
         raise DomainError(f"j_lo={j_lo}, j_hi={j_hi}: the probe curve needs "
                           f"at least {STEIN_MIN_LEVELS} levels")
     t = STEIN_PROBE[0]
-    gl_x, gl_w = np.polynomial.legendre.leggauss(panel_nodes)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(STEIN_PANEL_NODES)
 
     def s_of_r(r):
         return 2.0 * math.asin(r / (2.0 * t))

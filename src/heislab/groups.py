@@ -8,7 +8,7 @@ averaging surface.  Group elements are stored in exponential coordinates
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -233,30 +233,27 @@ class SmallnessMargin:
 
     value: float
     degenerate: bool
-    worst_theta: np.ndarray = field(repr=False, default=None)
 
     def __float__(self):
         return float(self.value)
 
 
-def smallness_margin(s, grid_resolution=None):
+def smallness_margin(s):
     """min over a theta-grid of sigma_min(J^theta) - |Lambda^theta|.
 
     A positive value certifies the tilt-smallness condition on the grid.
     If some J^theta is (numerically) singular the margin at that point is
     -|Lambda^theta| and the result is flagged degenerate.
     """
-    thetas = theta_grid(s.m, grid_resolution)
+    thetas = theta_grid(s.m)
     Jt = np.tensordot(thetas, s.J, axes=(1, 0))          # (T, 2n, 2n)
     svals = np.linalg.svd(Jt, compute_uv=False)
     smin = svals[:, -1]
     lam_norm = np.linalg.norm(thetas @ s.Lambda, axis=1)
     degenerate_mask = smin <= 1e-12 * np.maximum(1.0, svals[:, 0])
     margins = np.where(degenerate_mask, -lam_norm, smin - lam_norm)
-    k = int(np.argmin(margins))
-    return SmallnessMargin(value=float(margins[k]),
-                           degenerate=bool(degenerate_mask.any()),
-                           worst_theta=thetas[k])
+    return SmallnessMargin(value=float(margins.min()),
+                           degenerate=bool(degenerate_mask.any()))
 
 
 def skew_inverse_norm(rho, B):

@@ -398,6 +398,14 @@ def test_scaling_time_window():
         scaling_example(s, 0.125, t=2.5)
 
 
+def test_scaling_field_region_when_shell_exceeds_time():
+    # C0 delta = 5/2 > t = 3/2: the shell is the disk of radius 4 times a
+    # center interval of length 5, and its volume is 80 pi
+    inst = scaling_example(normalized_heisenberg(1), 0.25)
+    got = inst.field_region.lq_norm(inst.field, 1)
+    assert got == pytest.approx(80.0 * math.pi, rel=1e-12)
+
+
 # --- knapp family ---------------------------------------------------------
 
 def test_knapp_frame_invariance():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heislab.groups import (DimensionMismatch, DomainError, GroupPoint,
                             MetivierStructure, dilate, group_inverse,
@@ -75,6 +77,91 @@ def test_dilation_automorphism_seeded():
         b = group_multiply(s, dilate(s, t, x), dilate(s, t, y))
         worst = max(worst, np.max(np.abs(a.as_array() - b.as_array())))
     assert worst <= 1e-12
+
+
+# --- group law properties ------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def draw_structure(data):
+    """Standard or normalized H^n (n <= 3) or a quaternionic structure
+    (blocks <= 2, m <= 3), half of them with a random tilt."""
+    kind = data.draw(st.sampled_from(["standard", "normalized",
+                                      "quaternionic"]))
+    if kind == "quaternionic":
+        s = quaternionic_htype(data.draw(st.integers(1, 2)),
+                               data.draw(st.integers(1, 3)))
+    else:
+        make = standard_heisenberg if kind == "standard" else \
+            normalized_heisenberg
+        s = make(data.draw(st.integers(1, 3)))
+    if data.draw(st.booleans()):
+        tilt = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=s.m * 2 * s.n,
+                                  max_size=s.m * 2 * s.n))
+        s = MetivierStructure(s.n, s.m, s.J,
+                              np.reshape(tilt, (s.m, 2 * s.n)))
+    return s
+
+
+def draw_point(data, s, coords):
+    def vec(size):
+        return np.array(data.draw(st.lists(coords, min_size=size,
+                                           max_size=size)), dtype=float)
+    return GroupPoint(vec(2 * s.n), vec(s.m))
+
+
+REALS = st.floats(-2.0, 2.0)
+# k/16 with |k| <= 64: every twist term and partial sum is a multiple of
+# 1/512 below 2^11 in magnitude, so the group arithmetic rounds nowhere
+DYADIC = st.integers(-64, 64).map(lambda k: k / 16.0)
+
+
+def _scale(*xs):
+    return math.prod(1.0 + np.linalg.norm(x.as_array()) for x in xs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_associativity_property(data):
+    # the two bracketings round the bilinear twist differently; measured
+    # worst case 0.6 eps * (1 + |x|)(1 + |y|)(1 + |z|), stated bound 8 eps
+    s = draw_structure(data)
+    x, y, z = (draw_point(data, s, REALS) for _ in range(3))
+    lhs = group_multiply(s, group_multiply(s, x, y), z).as_array()
+    rhs = group_multiply(s, x, group_multiply(s, y, z)).as_array()
+    assert np.max(np.abs(lhs - rhs)) <= 8 * EPS * _scale(x, y, z)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_identity_and_inverse_property(data):
+    s = draw_structure(data)
+    e = identity_point(s)
+    x = draw_point(data, s, REALS)
+    assert np.array_equal(group_multiply(s, x, e).as_array(), x.as_array())
+    assert np.array_equal(group_multiply(s, e, x).as_array(), x.as_array())
+    assert np.array_equal(group_inverse(s, group_inverse(s, x)).as_array(),
+                          x.as_array())
+    # x x^-1 = x^-1 x = e exactly where the twist's pairwise cancelling
+    # terms are summed without rounding
+    x = draw_point(data, s, DYADIC)
+    xi = group_inverse(s, x)
+    for prod in (group_multiply(s, x, xi), group_multiply(s, xi, x)):
+        assert np.array_equal(prod.as_array(), e.as_array())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_dilation_homomorphism_property(data):
+    # measured worst case 0.7 eps * (1 + t)^2 (1 + |x|)(1 + |y|), stated
+    # bound 8 eps
+    s = draw_structure(data)
+    x, y = (draw_point(data, s, REALS) for _ in range(2))
+    t = data.draw(st.floats(0.25, 4.0))
+    a = dilate(s, t, group_multiply(s, x, y)).as_array()
+    b = group_multiply(s, dilate(s, t, x), dilate(s, t, y)).as_array()
+    assert np.max(np.abs(a - b)) <= 8 * EPS * (1.0 + t) ** 2 * _scale(x, y)
 
 
 # --- constructors --------------------------------------------------------
