@@ -43,8 +43,10 @@ class ParamRegion:
 
     def points_and_weights(self):
         axes = [(np.arange(c) + 0.5) / c for c in self.counts]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        u = np.stack([m.ravel() for m in mesh], axis=1)
+        # no name keeps the mesh alive while param runs: a 24^5 lattice
+        # takes 64 MB per axis
+        u = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                     axis=1)
         pts, jac = self.param(u)
         return pts, np.asarray(jac, dtype=float) / len(u)
 
@@ -424,8 +426,7 @@ STEIN_MIN_LEVELS = 3
 STEIN_PANEL_NODES = 32
 
 
-def stein_probe_curve(alpha: float, j_hi: int,
-                      j_lo: int = 2) -> np.ndarray:
+def stein_probe_curve(alpha: float, j_hi: int, j_lo: int = 2) -> np.ndarray:
     """Truncated spherical mean at a fixed probe versus the cutoff level.
 
     For the probe x = (3/2, 0, 0) with t = |ubar x| on the standard
