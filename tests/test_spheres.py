@@ -158,17 +158,15 @@ def test_rule_product_shape():
 def test_rule_rejects_wrong_shape():
     rule = sphere_rule(2, (4, 4, 6))
     a, b, w = rule.a, rule.b, rule.weights
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch):   # one weight too few
         SphereRule(a, b, w[:-1])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch):   # 4 latitudes against 3
         SphereRule(a, b[:, :3], w[:72])
-    with pytest.raises(DimensionMismatch):
-        SphereRule(np.concatenate([a, b[:, :, :4]]), b[:, :, :0], w)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch):   # a without 2 rows
         SphereRule(a[:1], b, w)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch):   # b with 1 row
         SphereRule(a, b[:1], w)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch):   # factors without latitudes
         SphereRule(a[:, 0], b[:, 0], w[:24])
     off = a.copy()
     off[:, 2, 3] *= 1.0 + 1e-9
