@@ -87,15 +87,10 @@ EPS = np.finfo(float).eps
 def draw_structure(data):
     """Standard or normalized H^n (n <= 3) or a quaternionic structure
     (blocks <= 2, m <= 3), half of them with a random tilt."""
-    kind = data.draw(st.sampled_from(["standard", "normalized",
-                                      "quaternionic"]))
-    if kind == "quaternionic":
-        s = quaternionic_htype(data.draw(st.integers(1, 2)),
-                               data.draw(st.integers(1, 3)))
-    else:
-        make = standard_heisenberg if kind == "standard" else \
-            normalized_heisenberg
-        s = make(data.draw(st.integers(1, 3)))
+    s = data.draw(st.one_of(
+        st.builds(standard_heisenberg, st.integers(1, 3)),
+        st.builds(normalized_heisenberg, st.integers(1, 3)),
+        st.builds(quaternionic_htype, st.integers(1, 2), st.integers(1, 3))))
     if data.draw(st.booleans()):
         tilt = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=s.m * 2 * s.n,
                                   max_size=s.m * 2 * s.n))
