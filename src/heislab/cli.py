@@ -11,6 +11,7 @@ usage or configuration error.
 """
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -110,6 +111,22 @@ def _count(cfg, key, default, least=0):
     return value
 
 
+def _tolerance(cfg, default):
+    """Tolerance entry: finite and at least 0."""
+    value = float(cfg.get("tolerance", default))
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"tolerance={value!r}: must be finite and >= 0")
+    return value
+
+
+def _exponent(cfg, key):
+    """Lebesgue exponent entry: a rational of at least 1, or inf."""
+    value = parse_rational(cfg.get(key, "2"))
+    if not value >= 1:
+        raise ConfigError(f"{key}={value}: exponent must be >= 1 or inf")
+    return value
+
+
 def _emit(data, out_path):
     if isinstance(data, str):
         data = data.encode()
@@ -125,7 +142,7 @@ def _emit(data, out_path):
 def cmd_group_check(cfg, seed, out_path, fmt):
     s = build_structure(cfg)
     samples = _count(cfg, "samples", 1000, least=1)
-    tol = float(cfg.get("tolerance", 1e-12))
+    tol = _tolerance(cfg, 1e-12)
     rng = np.random.default_rng(seed)
     worst = {"associativity": 0.0, "identity": 0.0, "inverse": 0.0,
              "dilation": 0.0}
@@ -182,7 +199,7 @@ def cmd_group_check(cfg, seed, out_path, fmt):
 
 def cmd_lemma_check(cfg, seed, out_path, fmt):
     count = _count(cfg, "samples", 200, least=1)
-    tol = float(cfg.get("tolerance", 1e-10))
+    tol = _tolerance(cfg, 1e-10)
     rng = np.random.default_rng(seed)
     lines = ["# schema=1", "size,rho,formula,bruteforce,rel_error,status"]
     failed = False
@@ -243,7 +260,7 @@ def cmd_geometry(cfg, seed, out_path, fmt):
 
 def cmd_counterexample(cfg, seed, out_path, fmt):
     family = cfg.get("family", "ball")
-    tol = float(cfg.get("tolerance", 0.15))
+    tol = _tolerance(cfg, 0.15)
     if family == "stein":
         alpha = float(cfg.get("alpha", 0.9))
         j_lo = int(cfg.get("j_lo", 10))
@@ -261,9 +278,11 @@ def cmd_counterexample(cfg, seed, out_path, fmt):
         return 0 if verdict else 1
 
     s = build_structure(cfg)
-    p = parse_rational(cfg.get("p", "2"))
-    q = parse_rational(cfg.get("q", "2"))
+    p = _exponent(cfg, "p")
+    q = _exponent(cfg, "q")
     deltas = parse_deltas(cfg.get("deltas", "2^-3,2^-4,2^-5,2^-6,2^-7"))
+    # the fit's condition on the ladder, checked before the first rung
+    families.check_ladder(deltas)
     if family == "ball":
         make = lambda d: families.ball_example(s, d)
     elif family == "scaling":

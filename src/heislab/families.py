@@ -28,6 +28,11 @@ from .spheres import ScalarField, SphereRule, sphere_rule
 FAMILIES = ("ball", "scaling", "knapp", "moment")
 
 
+# Lattice points per block of ParamRegion.lq_norm.  A block's points,
+# weights and integrand take a few MB, however large the lattice.
+BLOCK_POINTS = 2 ** 14
+
+
 @dataclass(frozen=True)
 class ParamRegion:
     """Region given by a unit-cube parametrization with Jacobian weight.
@@ -41,23 +46,42 @@ class ParamRegion:
     counts: Tuple[int, ...]
     param: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
-    def points_and_weights(self):
+    def points_and_weights(self, head=()):
+        """Lattice points whose leading axis indices equal head, and weights.
+
+        The weights are the Jacobian over the size of the whole lattice, so
+        the blocks of all heads of one length add up to the integral.  With
+        no head this is the whole lattice, in row-major order.
+        """
         axes = [(np.arange(c) + 0.5) / c for c in self.counts]
-        # no name keeps the mesh alive while param runs: a 24^5 lattice
-        # takes 64 MB per axis
+        axes[:len(head)] = [ax[i:i + 1] for ax, i in zip(axes, head)]
         u = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
                      axis=1)
         pts, jac = self.param(u)
-        return pts, np.asarray(jac, dtype=float) / len(u)
+        return pts, np.asarray(jac, dtype=float) / math.prod(self.counts)
 
     def lq_norm(self, values_fn, q: float) -> float:
+        """|values_fn|_q over the region, one block of the lattice at a time.
+
+        A block fixes the fewest leading axes that leave at most
+        BLOCK_POINTS points.  math.fsum adds the block sums with one
+        rounding, so the order of the blocks does not matter.
+        """
         if not q >= 1:
             raise DomainError(f"exponent {q!r} must be >= 1 or inf")
-        pts, w = self.points_and_weights()
-        vals = np.abs(np.asarray(values_fn(pts), dtype=float))
+        lead = 0
+        while math.prod(self.counts[lead:]) > BLOCK_POINTS:
+            lead += 1
+        parts = []
+        for head in np.ndindex(*self.counts[:lead]):
+            pts, w = self.points_and_weights(head)
+            vals = np.abs(np.asarray(values_fn(pts), dtype=float))
+            parts.append(vals.max() if np.isinf(q)
+                         else np.sum(vals ** q * w))
         if np.isinf(q):
-            return float(vals.max())
-        return float((np.sum(vals ** q * w)) ** (1.0 / q))
+            # np.max, not max: a NaN in any block makes the norm NaN
+            return float(np.max(parts))
+        return float(math.fsum(parts) ** (1.0 / q))
 
 
 @dataclass(frozen=True)
@@ -114,10 +138,7 @@ def _box_region(f: ScalarField) -> ParamRegion:
     volume = float(np.prod(hi - lo))
 
     def param(u):
-        # in place: a 24^5 lattice takes 318 MB per copy
-        pts = (hi - lo) * u
-        pts += lo
-        return pts, np.full(len(u), volume)
+        return (hi - lo) * u + lo, np.full(len(u), volume)
 
     return ParamRegion((24,) * len(lo), param)
 
@@ -569,14 +590,23 @@ class ExponentFit:
     r_squared: float
 
 
+def check_ladder(deltas: Sequence[float]):
+    """Reject a delta ladder that a slope cannot be fitted to.
+
+    A fit needs at least 3 strictly decreasing deltas: two points always
+    lie on a line.
+    """
+    if len(deltas) < 3:
+        raise DomainError("need at least 3 ladder points")
+    if np.any(np.diff(np.asarray(deltas, dtype=float)) >= 0):
+        raise DomainError("deltas must be strictly decreasing")
+
+
 def fit_exponent(points: Sequence[Tuple[float, float]]) -> ExponentFit:
     """Least squares fit of log ratio against log delta."""
-    if len(points) < 3:
-        raise DomainError("need at least 3 ladder points")
     deltas = np.array([p[0] for p in points], dtype=float)
     ratios = np.array([p[1] for p in points], dtype=float)
-    if np.any(np.diff(deltas) >= 0):
-        raise DomainError("deltas must be strictly decreasing")
+    check_ladder(deltas)
     if np.any(ratios <= 0):
         raise DomainError("ratios must be positive")
     lx = np.log(deltas)

@@ -40,14 +40,21 @@ class SphereRule:
                                     f"{b.shape[1]} latitudes")
         if weights.shape != (a.shape[1] * a.shape[2] * b.shape[2],):
             raise DimensionMismatch("one weight per node required")
+        # every comparison with NaN is false, so the checks below pass it
+        if not (np.isfinite(a).all() and np.isfinite(b).all()
+                and np.isfinite(weights).all()):
+            raise DomainError("nodes and weights must be finite")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise DomainError("weights must sum to 1")
         if np.any(weights <= 0):
             raise DomainError("weights must be positive")
-        # squared node norms over (latitude, a, b), without the nodes
-        sq = (np.sum(a * a, axis=0)[:, :, None]
-              + np.sum(b * b, axis=0)[:, None, :])
-        if np.max(np.abs(np.sqrt(sq) - 1.0)) > 1e-12:
+        # The squared norm of node (l, i, j) is sa[l, i] + sb[l, j].  Float
+        # addition and sqrt are monotone, so per latitude the extreme norms
+        # come from the extreme factor norms: no (L, A, B) array is needed.
+        sa, sb = np.sum(a * a, axis=0), np.sum(b * b, axis=0)
+        extremes = np.concatenate([sa.max(axis=1) + sb.max(axis=1),
+                                   sa.min(axis=1) + sb.min(axis=1)])
+        if np.max(np.abs(np.sqrt(extremes) - 1.0)) > 1e-12:
             raise DomainError("nodes must lie on the unit sphere")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from heislab import families
 from heislab.cli import (ConfigError, apply_overrides, load_config, main,
                          parse_deltas, parse_rational)
 
@@ -253,6 +254,53 @@ def test_counterexample_exponent_below_one_exits_2(capsys):
     assert code == 2
     assert "verdict" not in out
     assert "error:" in err and ">= 1" in err
+
+
+@pytest.mark.parametrize("exponent", ["p=0", "q=0"])
+def test_counterexample_zero_exponent_exits_2(exponent, capsys):
+    # 1/0 in the predicted exponent: rejected before it is computed
+    code, out, err = run(["counterexample", "--set", exponent,
+                          "--set", "deltas=2^-3,2^-4,2^-5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert ">= 1" in err
+
+
+@pytest.mark.parametrize("deltas, message", [
+    ("2^-3,2^-4,2^-4", "strictly decreasing"),
+    ("2^-4,2^-3,2^-5", "strictly decreasing"),
+    ("2^-3,2^-4", "at least 3"),
+])
+def test_counterexample_bad_ladder_exits_before_first_rung(
+        deltas, message, capsys, monkeypatch):
+    def no_rung(*args, **kwargs):
+        raise AssertionError("a rung ran on a ladder that cannot be fitted")
+
+    monkeypatch.setattr(families, "operator_ratio", no_rung)
+    code, out, err = run(["counterexample", "--set", f"deltas={deltas}"],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+MOMENT = ["counterexample", "--set", "family=moment",
+          "--set", "deltas=2^-3,2^-4,2^-5"]
+
+
+@pytest.mark.parametrize("argv", [
+    MOMENT + ["--set", "tolerance=-1"],
+    MOMENT + ["--set", "tolerance=nan"],
+    MOMENT + ["--set", "tolerance=inf"],
+    ["group-check", "--set", "samples=5", "--set", "tolerance=nan"],
+    ["lemma-check", "--set", "samples=5", "--set", "tolerance=-1e-10"],
+])
+def test_bad_tolerance_exits_2(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "tolerance" in err
 
 
 @pytest.mark.parametrize("structure", [

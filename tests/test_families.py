@@ -1,6 +1,7 @@
 """Counterexample families: geometry invariants, exponents, fitting, CSV."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ import pytest
 from heislab.groups import (DomainError, MetivierStructure,
                             normalized_heisenberg, quaternionic_htype,
                             standard_heisenberg)
-from heislab.families import (ExampleInstance, ParamRegion, _box_region,
-                              ball_example, c_one, c_ring, c_zero,
+from heislab.families import (BLOCK_POINTS, ExampleInstance, ParamRegion,
+                              _box_region, ball_example, c_one, c_ring, c_zero,
                               experiment_csv, fit_exponent, fit_passes,
                               knapp_example,
                               knapp_frame, moment_example, moment_structure,
@@ -100,6 +101,60 @@ def test_lq_norm_rejects_exponent_below_one():
     for bad in (0.5, 0.0, -1.0, math.nan):
         with pytest.raises(DomainError):
             reg.lq_norm(f, bad)
+
+
+def warped_region(counts):
+    """A region whose points and Jacobian vary along every cube axis."""
+    def param(u):
+        pts = np.sin(3.0 * u) + u[:, ::-1] ** 2
+        return pts, 1.0 + np.prod(u, axis=1)
+
+    return ParamRegion(counts, param)
+
+
+def test_lq_norm_blocks_match_one_shot():
+    # 144,000 points: two leading axes are fixed per block, 240 blocks
+    reg = warped_region((6, 40, 30, 20))
+    assert math.prod(reg.counts) > BLOCK_POINTS
+    assert math.prod(reg.counts[1:]) > BLOCK_POINTS
+    pts, w = reg.points_and_weights()
+    blocks = [reg.points_and_weights(head) for head in np.ndindex(6, 40)]
+    assert np.array_equal(np.concatenate([b[0] for b in blocks]), pts)
+    assert np.array_equal(np.concatenate([b[1] for b in blocks]), w)
+
+    def f(x):
+        return np.cos(x[:, 0]) - x[:, 1] * x[:, 3]
+
+    vals = np.abs(f(pts))
+    for q in (1.0, 2.0):
+        want = math.fsum(vals ** q * w) ** (1.0 / q)
+        assert reg.lq_norm(f, q) == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert reg.lq_norm(f, np.inf) == vals.max()
+
+
+def test_lq_norm_nan_in_a_later_block():
+    reg = warped_region((6, 40, 30, 20))
+    last = reg.points_and_weights((5, 39))[0][-1]
+
+    def f(x):
+        out = np.ones(len(x))
+        out[np.all(x == last, axis=1)] = np.nan
+        return out
+
+    for q in (1.0, np.inf):
+        assert math.isnan(reg.lq_norm(f, q))
+
+
+def test_field_region_norm_memory_is_bounded():
+    # a 24^5 field region: 8.0e6 points, 318 MB as one array, 576 blocks
+    inst = ball_example(standard_heisenberg(2), 0.125)
+    tracemalloc.start()
+    try:
+        inst.field_region.lq_norm(inst.field, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_field_region_seed_denominators():

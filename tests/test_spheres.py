@@ -1,5 +1,7 @@
 """Sphere quadrature and batched spherical averages."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,27 @@ def test_rule_validation():
         SphereRule(circle, np.empty((0, 1, 1)), np.array([1.5, -0.5]))
     with pytest.raises(DomainError):
         factored_rule([[2.0, 0.0]])
+    # every comparison with NaN is false, so NaN needs its own check
+    with pytest.raises(DomainError):
+        SphereRule(circle, np.empty((0, 1, 1)), np.array([np.nan, 1.0]))
+    with pytest.raises(DomainError):
+        factored_rule([[np.nan, 0.0], [0.0, 1.0]])
+    rule = sphere_rule(2, (4, 4, 6))
+    b = rule.b.copy()
+    b[1, 2, 3] = np.nan
+    with pytest.raises(DomainError):
+        SphereRule(rule.a, b, rule.weights)
+
+
+def test_rule_check_memory_is_bounded():
+    # 256^3 nodes: 128 MiB of weights, and no (L, A, B) temporaries
+    tracemalloc.start()
+    try:
+        sphere_rule(2, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2 ** 20
 
 
 def test_rule_rejects_n_above_two():
