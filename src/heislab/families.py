@@ -41,6 +41,12 @@ class ParamRegion:
     points and the (count,) volume factors, so that integrals over the
     region equal integrals of F(points) * jacobian over the cube.  counts
     gives the midpoint lattice size along each of the k cube axes.
+
+    Batches are coordinate-major, as for ScalarField: u arrives as the
+    transpose of a (k, count) C array, and param should return its points
+    the same way (stack the coordinates on axis 0, then transpose), so the
+    integrand streams whole coordinates.  A row-major param gives the same
+    values, only more slowly.
     """
 
     counts: Tuple[int, ...]
@@ -51,13 +57,17 @@ class ParamRegion:
 
         The weights are the Jacobian over the size of the whole lattice, so
         the blocks of all heads of one length add up to the integral.  With
-        no head this is the whole lattice, in row-major order.
+        no head this is the whole lattice, its nodes in row-major index
+        order; the points come coordinate-major.
         """
         axes = [(np.arange(c) + 0.5) / c for c in self.counts]
         axes[:len(head)] = [ax[i:i + 1] for ax, i in zip(axes, head)]
-        u = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
-                     axis=1)
-        pts, jac = self.param(u)
+        k = len(axes)
+        # u[i] is axis i broadcast over the lattice in row-major order
+        u = np.empty((k,) + tuple(len(ax) for ax in axes))
+        for i, ax in enumerate(axes):
+            u[i] = ax.reshape((-1,) + (1,) * (k - 1 - i))
+        pts, jac = self.param(u.reshape(k, -1).T)
         return pts, np.asarray(jac, dtype=float) / math.prod(self.counts)
 
     def lq_norm(self, values_fn, q: float) -> float:
@@ -138,6 +148,7 @@ def _box_region(f: ScalarField) -> ParamRegion:
     volume = float(np.prod(hi - lo))
 
     def param(u):
+        # elementwise, so the points keep u's coordinate-major order
         return (hi - lo) * u + lo, np.full(len(u), volume)
 
     return ParamRegion((24,) * len(lo), param)
@@ -189,7 +200,7 @@ def _check_structure(s: MetivierStructure):
 
 def _circle_dir(u: np.ndarray):
     ang = 2.0 * np.pi * u
-    return np.stack([np.cos(ang), np.sin(ang)], axis=1), 2.0 * np.pi
+    return np.stack([np.cos(ang), np.sin(ang)]).T, 2.0 * np.pi
 
 
 def _hopf_dir(u: np.ndarray):
@@ -198,7 +209,7 @@ def _hopf_dir(u: np.ndarray):
     r0 = np.sqrt(1.0 - v)
     r1 = np.sqrt(v)
     dirs = np.stack([r0 * np.cos(a1), r0 * np.sin(a1),
-                     r1 * np.cos(a2), r1 * np.sin(a2)], axis=1)
+                     r1 * np.cos(a2), r1 * np.sin(a2)]).T
     return dirs, 0.5 * (2 * np.pi) ** 2
 
 
@@ -222,9 +233,18 @@ def _indicator(test) -> Callable[[np.ndarray], np.ndarray]:
     return ev
 
 
-def _sq_norm(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of each row."""
-    return np.einsum("ij,ij->i", x, x)
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product of each row of x with the matching row of y, or with y.
+
+    The sum runs one coordinate at a time, so unlike np.einsum and matmul
+    its order, and with it every bit of the result, does not depend on the
+    memory order of x.
+    """
+    y = np.broadcast_to(y, x.shape)
+    out = x[:, 0] * y[:, 0]
+    for k in range(1, x.shape[1]):
+        out += x[:, k] * y[:, k]
+    return out
 
 
 def ball_example(s: MetivierStructure, delta: float) -> ExampleInstance:
@@ -241,7 +261,7 @@ def ball_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     r_ball = 10.0 * delta
 
     def inside(pts):
-        return _sq_norm(pts) <= r_ball * r_ball
+        return _row_dot(pts, pts) <= r_ball * r_ball
 
     f = ScalarField(_indicator(inside), -r_ball * np.ones(d),
                     r_ball * np.ones(d), f"ball indicator delta={delta}")
@@ -256,7 +276,7 @@ def ball_example(s: MetivierStructure, delta: float) -> ExampleInstance:
         b = half_b * (2.0 * u[:, 1 + dd:1 + dd + m] - 1.0)
         bar = b + r[:, None] * (ubar @ s.Lambda.T)
         jac = (6.0 / 8.0) * r ** (two_n - 1) * ang * (2.0 * half_b) ** m
-        return np.concatenate([ubar, bar], axis=1), jac
+        return np.concatenate([ubar.T, bar.T]).T, jac
 
     counts = (8, 16, 8) if n == 1 else (3, 4, 6, 6, 4)
     return ExampleInstance(
@@ -287,10 +307,9 @@ def scaling_example(s: MetivierStructure, delta: float,
     def inside(pts):
         ubar = pts[:, :two_n]
         r = np.linalg.norm(ubar, axis=1)
-        bar = pts[:, two_n:]
-        dev = bar - t * (ubar @ s.Lambda.T)
-        return ((np.abs(r - t) <= shell)
-                & np.all(np.abs(dev) <= shell, axis=1))
+        # m = 1: one center coordinate
+        dev = pts[:, two_n] - t * _row_dot(ubar, s.Lambda[0])
+        return (np.abs(r - t) <= shell) & (np.abs(dev) <= shell)
 
     r_hi = t + shell
     bar_hw = shell + t * _specnorm(s.Lambda) * r_hi
@@ -315,7 +334,7 @@ def scaling_example(s: MetivierStructure, delta: float,
         b = shell * (2.0 * u[:, 1 + dd:1 + dd + m] - 1.0)
         bar = b + t * (ubar @ s.Lambda.T)
         jac = r_width * r ** (two_n - 1) * ang * (2.0 * shell) ** m
-        return np.concatenate([ubar, bar], axis=1), jac
+        return np.concatenate([ubar.T, bar.T]).T, jac
 
     def r_param(u):
         rho = delta * u[:, 0] ** (1.0 / two_n)
@@ -326,7 +345,7 @@ def scaling_example(s: MetivierStructure, delta: float,
         # equidistributed radial substitution: rho^{2n-1} drho = delta^{2n}/(2n) du
         jac = (delta ** two_n / two_n * ang * np.ones(len(u))
                * (2.0 * delta) ** m)
-        return np.concatenate([ubar, bar], axis=1), jac
+        return np.concatenate([ubar.T, bar.T]).T, jac
 
     counts = (8, 16, 8) if n == 1 else (4, 4, 8, 8, 4)
     return ExampleInstance(
@@ -391,10 +410,10 @@ def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     def inside(pts):
         ubar = pts[:, :two_n]
         yd = pts[:, two_n]
-        in_plane = ubar @ P.T
+        in_plane = (P @ ubar.T).T   # keeps ubar's coordinate-major order
         perp = ubar - in_plane
-        return ((_sq_norm(perp) <= C1 * C1 * delta)
-                & (_sq_norm(in_plane) <= hw_plane * hw_plane)
+        return ((_row_dot(perp, perp) <= C1 * C1 * delta)
+                & (_row_dot(in_plane, in_plane) <= hw_plane * hw_plane)
                 & (np.abs(yd) <= C1 * delta))
 
     plane_part = np.sqrt(u_dir ** 2 + v_dir ** 2)
@@ -413,20 +432,22 @@ def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
         phi = phi_lo + (phi_hi - phi_lo) * u[:, 1]
         rperp = sq * u[:, 2] ** 0.5
         psi = 2.0 * np.pi * u[:, 3]
-        ubar = (rho * np.cos(phi))[:, None] * u_dir + \
-               (rho * np.sin(phi))[:, None] * v_dir
-        ubar = ubar + rperp[:, None] * (np.cos(psi)[:, None] * comp[:, 0]
-                                        + np.sin(psi)[:, None] * comp[:, 1])
-        bar = delta * (2.0 * u[:, 4] - 1.0) + rho * (ubar @ lam)
+        # (2n, count) rows: coordinate k of the frame vectors times the
+        # per-point factors
+        ubar = (u_dir[:, None] * (rho * np.cos(phi))
+                + v_dir[:, None] * (rho * np.sin(phi)))
+        ubar = ubar + rperp * (comp[:, :1] * np.cos(psi)
+                               + comp[:, 1:2] * np.sin(psi))
+        bar = delta * (2.0 * u[:, 4] - 1.0) + rho * (lam @ ubar)
         # plane polar: rho drho dphi; complement polar via equidistributed
         # radius: rperp drperp dpsi = delta/2 du dpsi
         jac = ((6.0 / 8.0) * rho * (phi_hi - phi_lo)
                * (delta / 2.0) * (2.0 * np.pi)
                * (2.0 * delta) * np.ones(len(u)))
-        return np.concatenate([ubar, bar[:, None]], axis=1), jac
+        return np.concatenate([ubar, bar[None]]).T, jac
 
     def t_of(pts):
-        return np.linalg.norm(pts[:, :two_n] @ P.T, axis=1)
+        return np.linalg.norm(P @ pts[:, :two_n].T, axis=0)
 
     # caps are delta-thin in the Hopf latitude and sqrt(delta)-wide in the
     # angles; match the rule to that anisotropy
@@ -540,14 +561,14 @@ def moment_example(delta: float) -> ExampleInstance:
         y1 = hw1 * (2 * u[:, 0] - 1)
         y2 = hw2 * (2 * u[:, 1] - 1)
         z = hw3 * (2 * u[:, 2] - 1)
-        return (np.stack([y1, y2, z - y2], axis=1),
+        return (np.stack([y1, y2, z - y2]).T,
                 8.0 * hw1 * hw2 * hw3 * np.ones(len(u)))
 
     def v_param(u):
         x1 = 1.0 + delta ** 2 * (2 * u[:, 0] - 1)
         x2 = delta * (2 * u[:, 1] - 1)
         x3 = delta ** 3 * (2 * u[:, 2] - 1)
-        return (np.stack([x1, x2, x3], axis=1),
+        return (np.stack([x1, x2, x3]).T,
                 8.0 * delta ** 6 * np.ones(len(u)))
 
     counts = (6, 6, 6)
@@ -560,8 +581,11 @@ def moment_example(delta: float) -> ExampleInstance:
 # --- exponents and fitting ----------------------------------------------
 
 def _inv(x) -> Fraction:
+    """1/x for a Lebesgue exponent x >= 1 or inf."""
     if x == math.inf:
         return Fraction(0)
+    if not x >= 1:
+        raise DomainError(f"exponent {x!r} must be >= 1 or inf")
     return Fraction(1) / Fraction(x)
 
 

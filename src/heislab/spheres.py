@@ -118,6 +118,13 @@ class ScalarField:
     support_hi].  spherical_average_batch relies on this: it skips every
     sphere node whose image has a horizontal coordinate outside the box,
     counting f as 0 there without evaluating it.
+
+    Batches come coordinate-major: each coordinate pts[:, k] is one
+    contiguous run of count floats (the transpose of a (d, count) C
+    array).  An evaluator should keep that order in what it computes, so
+    each operation streams whole coordinates instead of rows of d floats,
+    and give the same values for a row-major batch, which is only slower;
+    the fields of heislab.families give the same bits for either order.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -210,11 +217,11 @@ def spherical_average_batch(s: MetivierStructure, f: ScalarField,
         row_b = row_a // a_count * b_count + (flat - row_a * b_count)
         p = flat // count
         node = flat - p * count
-        center = bar[p].T - terms_a[:, row_a] - terms_b[:, row_b]   # (m, K)
+        center = bar.T[:, p] - terms_a[:, row_a] - terms_b[:, row_b]  # (m, K)
+        # (d, K) rows, handed on as a coordinate-major (K, d) batch
         images = np.stack([x[row_a] for x in coords_a]
-                          + [x[row_b] for x in coords_b]
-                          + list(center), axis=1)
-        vals = f(images) * rule.weights[node]
+                          + [x[row_b] for x in coords_b] + list(center))
+        vals = f(images.T) * rule.weights[node]
         # bincount adds each point's values one by one in node order
         out[sl] = np.bincount(p, weights=vals, minlength=len(tc))
     return out

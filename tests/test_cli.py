@@ -223,6 +223,15 @@ def test_counterexample_stein_diagnostic(capsys):
     assert "np.float64" not in out
 
 
+def test_counterexample_stein_honours_tolerance(capsys):
+    # the default alpha misses 1 - alpha by about 0.026: inside the default
+    # tolerance 0.2, outside 1e-9
+    code, out, _ = run(["counterexample", "--set", "family=stein",
+                        "--set", "tolerance=1e-9"], capsys)
+    assert code == 1
+    assert "# verdict=FAIL" in out.splitlines()
+
+
 @pytest.mark.parametrize("levels", [
     ["--set", "j_lo=20", "--set", "j_hi=10"],
     ["--set", "j_hi=1"],

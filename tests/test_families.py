@@ -12,10 +12,10 @@ from heislab.groups import (DomainError, MetivierStructure,
                             normalized_heisenberg, quaternionic_htype,
                             standard_heisenberg)
 from heislab.families import (BLOCK_POINTS, ExampleInstance, ParamRegion,
-                              _box_region, ball_example, c_one, c_ring, c_zero,
-                              experiment_csv, fit_exponent, fit_passes,
-                              knapp_example,
-                              knapp_frame, moment_example, moment_structure,
+                              _box_region, _row_dot, ball_example, c_one,
+                              c_ring, c_zero, experiment_csv, fit_exponent,
+                              fit_passes, knapp_example, knapp_frame,
+                              moment_example, moment_structure,
                               operator_ratio, predicted_exponent, run_ladder,
                               scaling_example, stein_growth_exponent,
                               stein_probe_curve)
@@ -171,6 +171,75 @@ def test_field_region_seed_denominators():
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def recording(f):
+    """f, plus a list of (shape, f_contiguous) of the batches it sees."""
+    seen = []
+
+    def ev(pts):
+        seen.append((pts.shape, pts.flags.f_contiguous))
+        return f(pts)
+
+    return ScalarField(ev, f.support_lo, f.support_hi, f.description), seen
+
+
+def test_batches_are_coordinate_major():
+    inst = ball_example(standard_heisenberg(2), 0.125)
+    f, seen = recording(inst.field)
+    # 24^5 points in 576 blocks
+    inst.field_region.lq_norm(f, 2.0)
+    assert len(seen) == 576
+    inst.test_region.lq_norm(f, 2.0)
+    assert len(seen) == 577
+    pts, _ = inst.test_region.points_and_weights()
+    t = np.clip(inst.time(pts), 1.0, 2.0)
+    # a small chunk splits the sphere images into several batches
+    assert spherical_average_batch(inst.structure, f, t, pts, inst.rule,
+                                   chunk=20000).max() > 0
+    assert len(seen) > 578
+    assert all(shape[1] == 5 and f_order for shape, f_order in seen)
+
+
+def row_major(region):
+    """region with its points handed on as a row-major copy."""
+    def param(u):
+        pts, jac = region.param(u)
+        return np.ascontiguousarray(pts), jac
+
+    return ParamRegion(region.counts, param)
+
+
+@pytest.mark.parametrize("inst", [
+    ball_example(standard_heisenberg(1), 0.125),
+    knapp_example(normalized_heisenberg(2), 0.125),
+], ids=["ball-n1", "knapp-n2"])
+def test_row_major_batches_give_the_same_bits(inst):
+    s = inst.structure
+    # halved test lattices keep the n = 2 averages cheap; 12^d field
+    # lattice points still cover several blocks
+    test_region = replace(inst.test_region, counts=tuple(
+        max(2, c // 2) for c in inst.test_region.counts))
+    field_region = replace(inst.field_region, counts=(12,) * s.d)
+    pts, _ = test_region.points_and_weights()
+    rows = np.ascontiguousarray(pts)
+    assert pts.flags.f_contiguous and not rows.flags.f_contiguous
+    assert np.array_equal(_row_dot(rows, rows), _row_dot(pts, pts))
+    # the smooth weight exposes every bit of the image coordinates
+    weighted = ScalarField(lambda x: inst.field(x) * np.exp(x.sum(axis=1)),
+                           inst.field.support_lo, inst.field.support_hi)
+    for f in (inst.field, weighted):
+        def maximal(x):
+            t = np.clip(inst.time(x), 1.0, 2.0)
+            return spherical_average_batch(s, f, t, x, inst.rule)
+
+        assert np.array_equal(maximal(rows), maximal(pts))
+        assert maximal(pts).max() > 0
+        for region, values_fn in [(field_region, f), (test_region, maximal)]:
+            for q in (2.0, np.inf):
+                want = region.lq_norm(values_fn, q)
+                assert want > 0
+                assert row_major(region).lq_norm(values_fn, q) == want
+
+
 def test_instance_rejects_unknown_family():
     s = standard_heisenberg(1)
     inst = ball_example(s, 0.125)
@@ -268,6 +337,11 @@ def test_predicted_exponent_errors():
         predicted_exponent("moment", 2, 1, 2, 2)
     with pytest.raises(DomainError):
         predicted_exponent("wave", 1, 1, 2, 2)
+    # an exponent below 1 is a domain error, not a division by zero
+    with pytest.raises(DomainError):
+        predicted_exponent("ball", 2, 1, 0, 2)
+    with pytest.raises(DomainError):
+        predicted_exponent("ball", 2, 1, 2, 0)
 
 
 def test_exponent_vanishes_on_matching_edges():
