@@ -5,7 +5,7 @@ Run with: python3 demos/group_structures.py
 
 import numpy as np
 
-from heislab import (GroupPoint, dilate, group_inverse, group_multiply,
+from heislab import (dilate, group_inverse, group_multiply,
                      quaternionic_htype, radon_hurwitz, skew_inverse_norm,
                      smallness_margin, standard_heisenberg)
 
@@ -13,16 +13,16 @@ from heislab import (GroupPoint, dilate, group_inverse, group_multiply,
 def main():
     s = standard_heisenberg(2)
     print(f"standard H^2: n={s.n}, m={s.m}, dimension d={s.d}")
-    x = GroupPoint(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.5]))
-    y = GroupPoint(np.array([0.0, 0.0, 1.0, 0.0]), np.array([0.0]))
+    # a point is its coordinate array (ubar, bar)
+    x = np.array([1.0, 0.0, 0.0, 0.0, 0.5])
+    y = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
     xy = group_multiply(s, x, y)
     yx = group_multiply(s, y, x)
-    print("x.y =", xy.as_array())
-    print("y.x =", yx.as_array())
-    print("the twist makes the product noncommutative:",
-          xy.bar[0] != yx.bar[0])
-    print("x . x^-1 =", group_multiply(s, x, group_inverse(s, x)).as_array())
-    print("dilate(2, x) =", dilate(s, 2.0, x).as_array())
+    print("x.y =", xy)
+    print("y.x =", yx)
+    print("the twist makes the product noncommutative:", xy[-1] != yx[-1])
+    print("x . x^-1 =", group_multiply(s, x, group_inverse(s, x)))
+    print("dilate(2, x) =", dilate(s, 2.0, x))
 
     print()
     for name, g in (("standard H^1", standard_heisenberg(1)),

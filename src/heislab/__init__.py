@@ -1,9 +1,8 @@
 """Numerical laboratory for spherical averaging and maximal operators
 on Heisenberg and Metivier groups."""
 
-from .groups import (DimensionMismatch, DomainError, GroupPoint,
-                     MetivierStructure, SmallnessMargin, dilate,
-                     group_inverse, group_multiply, identity_point,
+from .groups import (DimensionMismatch, DomainError, MetivierStructure,
+                     SmallnessMargin, dilate, group_inverse, group_multiply,
                      normalized_heisenberg, quaternionic_htype,
                      radon_hurwitz, skew_inverse_norm, smallness_margin,
                      standard_heisenberg, theta_grid)

@@ -3,8 +3,11 @@
 A structure is the data (n, m, J_1..J_m, Lambda): the horizontal layer is
 R^{2n}, the center is R^m, the J_i are skew 2n x 2n matrices defining the
 commutator bilinear form, and Lambda is an m x 2n tilt matrix for the
-averaging surface.  Group elements are stored in exponential coordinates
-(ubar, bar) in R^{2n} x R^m.
+averaging surface.  A point is a float array whose last axis holds the
+d = 2n + m exponential coordinates (ubar, bar) in R^{2n} x R^m: one point
+of shape (d,) or a batch of shape (k, d), the same convention as the phase
+and sphere modules.  The group operations broadcast a point against a batch;
+the identity is np.zeros(d).
 """
 
 import math
@@ -51,6 +54,8 @@ class MetivierStructure:
         if Lam.shape != (self.m, 2 * self.n):
             raise DimensionMismatch(
                 f"Lambda has shape {Lam.shape}, expected {(self.m, 2*self.n)}")
+        if not (np.isfinite(J).all() and np.isfinite(Lam).all()):
+            raise DomainError("J and Lambda must have finite entries")
         for i in range(self.m):
             if not np.array_equal(J[i].T, -J[i]):
                 raise DimensionMismatch(f"J[{i}] is not exactly skew-symmetric")
@@ -63,9 +68,9 @@ class MetivierStructure:
         return 2 * self.n + self.m
 
     def J_theta(self, theta):
-        """Sum theta_i J_i for a coefficient vector theta in R^m."""
+        """Sum theta_i J_i for theta in R^m, broadcast over leading axes."""
         theta = np.asarray(theta, dtype=float)
-        return np.tensordot(theta, self.J, axes=(0, 0))
+        return np.tensordot(theta, self.J, axes=(-1, 0))
 
     def Lambda_theta(self, theta):
         """Sum theta_i Lambda_i, a row vector in R^{2n}."""
@@ -73,56 +78,44 @@ class MetivierStructure:
         return theta @ self.Lambda
 
     def commutator_form(self, u, v):
-        """(u^T J_i v)_{i=1..m} as a vector in R^m."""
-        return np.einsum("ijk,j,k->i", self.J, u, v)
-
-
-@dataclass(frozen=True)
-class GroupPoint:
-    """Element (ubar, bar) in exponential coordinates."""
-
-    ubar: np.ndarray
-    bar: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "ubar", _freeze(self.ubar))
-        object.__setattr__(self, "bar", _freeze(self.bar))
-
-    def as_array(self):
-        return np.concatenate([self.ubar, self.bar])
+        """(u^T J_i v)_{i=1..m} in R^m, broadcast over leading axes."""
+        return np.einsum("ijk,...j,...k->...i", self.J, u, v)
 
 
 def _check_point(s, x):
-    if x.ubar.shape != (2 * s.n,) or x.bar.shape != (s.m,):
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != s.d:
         raise DimensionMismatch(
-            f"point dims {x.ubar.shape}/{x.bar.shape} do not match structure "
-            f"(2n={2*s.n}, m={s.m})")
-
-
-def identity_point(s):
-    return GroupPoint(np.zeros(2 * s.n), np.zeros(s.m))
+            f"point shape {x.shape} does not end in the structure's "
+            f"dimension d={s.d}")
+    return x
 
 
 def group_multiply(s, x, y):
     """Product x . y = (ubar x + ubar y, bar x + bar y + (ubar x^T J_i ubar y)_i)."""
-    _check_point(s, x)
-    _check_point(s, y)
-    twist = s.commutator_form(x.ubar, y.ubar)
-    return GroupPoint(x.ubar + y.ubar, x.bar + y.bar + twist)
+    x = _check_point(s, x)
+    y = _check_point(s, y)
+    k = 2 * s.n
+    u, v = x[..., :k], y[..., :k]
+    bar = x[..., k:] + y[..., k:] + s.commutator_form(u, v)
+    return np.concatenate([u + v, bar], axis=-1)
 
 
 def group_inverse(s, x):
     """Inverse (-ubar, -bar); valid since ubar^T J_i ubar = 0 by skew-symmetry."""
-    _check_point(s, x)
-    return GroupPoint(-x.ubar, -x.bar)
+    return -_check_point(s, x)
 
 
 def dilate(s, t, x):
-    """Automorphic dilation (t ubar, t^2 bar)."""
-    if t <= 0:
+    """Automorphic dilation (t ubar, t^2 bar).
+
+    t is a scalar or a (k, 1) column with one factor per point of a batch.
+    """
+    if not np.all(np.greater(t, 0)):
         raise DomainError("dilation parameter must be positive")
-    _check_point(s, x)
-    return GroupPoint(t * x.ubar, t * t * x.bar)
+    x = _check_point(s, x)
+    k = 2 * s.n
+    return np.concatenate([t * x[..., :k], t * t * x[..., k:]], axis=-1)
 
 
 def standard_heisenberg(n):
@@ -203,20 +196,19 @@ def radon_hurwitz(k):
     return 8 * p + 2 ** q
 
 
-def theta_grid(m, resolution=None):
+def theta_grid(m):
     """Quasi-uniform finite subset of the unit sphere S^{m-1}.
 
-    Defaults: {+1, -1} for m=1, 360 angles for m=2, a Fibonacci grid of
-    about 10^4 points for m=3.  Returns an array of shape (count, m).
+    {+1, -1} for m=1, 360 angles for m=2, a Fibonacci grid of 10^4 points
+    for m=3.  Returns an array of shape (count, m).
     """
     if m == 1:
         return np.array([[1.0], [-1.0]])
     if m == 2:
-        count = 360 if resolution is None else int(resolution)
-        ang = 2 * np.pi * np.arange(count) / count
+        ang = 2 * np.pi * np.arange(360) / 360
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
     if m == 3:
-        count = 10000 if resolution is None else int(resolution)
+        count = 10000
         # Fibonacci sphere
         i = np.arange(count) + 0.5
         z = 1 - 2 * i / count

@@ -104,8 +104,8 @@ class Region:
 def contains(region: Region, pt: RatPoint, mode: str = "strong") -> str:
     """Exact membership classification.
 
-    Returns one of "interior", "outside", "boundary-closed",
-    "boundary-open", "vertex-<label>", "vertex-<label>-excluded".
+    Returns one of "interior", "outside", "boundary-closed" (an edge
+    interior, in either mode), "vertex-<label>", "vertex-<label>-excluded".
     """
     if mode not in ("strong", "rwt"):
         raise DomainError(f"unknown closure mode {mode!r}")

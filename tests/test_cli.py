@@ -265,15 +265,21 @@ def test_counterexample_exponent_below_one_exits_2(capsys):
     assert "error:" in err and ">= 1" in err
 
 
-@pytest.mark.parametrize("exponent", ["p=0", "q=0"])
-def test_counterexample_zero_exponent_exits_2(exponent, capsys):
+@pytest.mark.parametrize("exponent, message", [
     # 1/0 in the predicted exponent: rejected before it is computed
+    pytest.param("p=0", ">= 1", id="p=0"),
+    pytest.param("q=0", ">= 1", id="q=0"),
+    # float(p) in the ladder would overflow
+    pytest.param("p=1e400", "too large for a float", id="p=1e400"),
+    pytest.param("q=1e400", "too large for a float", id="q=1e400"),
+])
+def test_counterexample_zero_exponent_exits_2(exponent, message, capsys):
     code, out, err = run(["counterexample", "--set", exponent,
                           "--set", "deltas=2^-3,2^-4,2^-5"], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
-    assert ">= 1" in err
+    assert message in err
 
 
 @pytest.mark.parametrize("deltas, message", [
@@ -317,6 +323,7 @@ def test_bad_tolerance_exits_2(argv, capsys):
     ["--set", "family=knapp", "--set", "kind=normalized", "--set", "n=3"],
     ["--set", "family=ball", "--set", "kind=quaternionic", "--set", "m=2"],
     ["--set", "family=scaling", "--set", "kind=quaternionic", "--set", "m=2"],
+    ["--set", "n=1", "--set", "tilt=nan,0"],
 ])
 def test_counterexample_unsupported_structure_exits_2(structure, capsys):
     code, out, err = run(["counterexample", *structure,

@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislab.groups import (DimensionMismatch, DomainError, GroupPoint,
+from heislab.groups import (DimensionMismatch, DomainError,
                             MetivierStructure, dilate, group_inverse,
-                            group_multiply, identity_point,
-                            normalized_heisenberg, quaternionic_htype,
-                            radon_hurwitz, skew_inverse_norm,
-                            smallness_margin, standard_heisenberg,
-                            theta_grid)
+                            group_multiply, normalized_heisenberg,
+                            quaternionic_htype, radon_hurwitz,
+                            skew_inverse_norm, smallness_margin,
+                            standard_heisenberg, theta_grid)
 
 
 def random_point(rng, s, scale=2.0):
-    return GroupPoint(rng.uniform(-scale, scale, 2 * s.n),
-                      rng.uniform(-scale, scale, s.m))
+    return rng.uniform(-scale, scale, s.d)
 
 
 # --- group laws ----------------------------------------------------------
@@ -26,17 +24,15 @@ def random_point(rng, s, scale=2.0):
 def test_identity_and_inverse_exact():
     s = standard_heisenberg(2)
     rng = np.random.default_rng(3)
-    e = identity_point(s)
+    e = np.zeros(s.d)
     for _ in range(50):
         x = random_point(rng, s)
-        xe = group_multiply(s, x, e)
-        assert np.array_equal(xe.as_array(), x.as_array())
-        ex = group_multiply(s, e, x)
-        assert np.array_equal(ex.as_array(), x.as_array())
+        assert np.array_equal(group_multiply(s, x, e), x)
+        assert np.array_equal(group_multiply(s, e, x), x)
         # ubar^T J ubar cancels pairwise by skew-symmetry; only summation
         # order noise remains
         xi = group_multiply(s, x, group_inverse(s, x))
-        assert np.max(np.abs(xi.as_array())) <= 1e-14
+        assert np.max(np.abs(xi)) <= 1e-14
 
 
 def test_associativity_seeded():
@@ -48,7 +44,7 @@ def test_associativity_seeded():
             x, y, z = (random_point(rng, s) for _ in range(3))
             lhs = group_multiply(s, group_multiply(s, x, y), z)
             rhs = group_multiply(s, x, group_multiply(s, y, z))
-            worst = max(worst, np.max(np.abs(lhs.as_array() - rhs.as_array())))
+            worst = max(worst, np.max(np.abs(lhs - rhs)))
         assert worst <= 1e-12
 
 
@@ -56,14 +52,13 @@ def test_dilation_cases():
     s = standard_heisenberg(1)
     rng = np.random.default_rng(5)
     x = random_point(rng, s)
-    same = dilate(s, 1.0, x)
-    assert np.array_equal(same.as_array(), x.as_array())
-    e1 = GroupPoint(np.array([1.0, 0.0]), np.array([1.0]))
-    d2 = dilate(s, 2.0, e1)
-    assert np.array_equal(d2.ubar, [2.0, 0.0])
-    assert np.array_equal(d2.bar, [4.0])
-    with pytest.raises(DomainError):
-        dilate(s, 0.0, x)
+    assert np.array_equal(dilate(s, 1.0, x), x)
+    assert np.array_equal(dilate(s, 2.0, np.array([1.0, 0.0, 1.0])),
+                          [2.0, 0.0, 4.0])
+    batch = np.stack([x, x])
+    for t in (0.0, -1.0, math.nan, np.array([[2.0], [0.0]])):
+        with pytest.raises(DomainError):
+            dilate(s, t, batch)
 
 
 def test_dilation_automorphism_seeded():
@@ -75,7 +70,7 @@ def test_dilation_automorphism_seeded():
         t = float(rng.uniform(0.5, 2.0))
         a = dilate(s, t, group_multiply(s, x, y))
         b = group_multiply(s, dilate(s, t, x), dilate(s, t, y))
-        worst = max(worst, np.max(np.abs(a.as_array() - b.as_array())))
+        worst = max(worst, np.max(np.abs(a - b)))
     assert worst <= 1e-12
 
 
@@ -100,10 +95,8 @@ def draw_structure(data):
 
 
 def draw_point(data, s, coords):
-    def vec(size):
-        return np.array(data.draw(st.lists(coords, min_size=size,
-                                           max_size=size)), dtype=float)
-    return GroupPoint(vec(2 * s.n), vec(s.m))
+    return np.array(data.draw(st.lists(coords, min_size=s.d, max_size=s.d)),
+                    dtype=float)
 
 
 REALS = st.floats(-2.0, 2.0)
@@ -113,7 +106,7 @@ DYADIC = st.integers(-64, 64).map(lambda k: k / 16.0)
 
 
 def _scale(*xs):
-    return math.prod(1.0 + np.linalg.norm(x.as_array()) for x in xs)
+    return math.prod(1.0 + np.linalg.norm(x) for x in xs)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -123,8 +116,8 @@ def test_associativity_property(data):
     # worst case 0.6 eps * (1 + |x|)(1 + |y|)(1 + |z|), stated bound 8 eps
     s = draw_structure(data)
     x, y, z = (draw_point(data, s, REALS) for _ in range(3))
-    lhs = group_multiply(s, group_multiply(s, x, y), z).as_array()
-    rhs = group_multiply(s, x, group_multiply(s, y, z)).as_array()
+    lhs = group_multiply(s, group_multiply(s, x, y), z)
+    rhs = group_multiply(s, x, group_multiply(s, y, z))
     assert np.max(np.abs(lhs - rhs)) <= 8 * EPS * _scale(x, y, z)
 
 
@@ -132,18 +125,17 @@ def test_associativity_property(data):
 @given(st.data())
 def test_identity_and_inverse_property(data):
     s = draw_structure(data)
-    e = identity_point(s)
+    e = np.zeros(s.d)
     x = draw_point(data, s, REALS)
-    assert np.array_equal(group_multiply(s, x, e).as_array(), x.as_array())
-    assert np.array_equal(group_multiply(s, e, x).as_array(), x.as_array())
-    assert np.array_equal(group_inverse(s, group_inverse(s, x)).as_array(),
-                          x.as_array())
+    assert np.array_equal(group_multiply(s, x, e), x)
+    assert np.array_equal(group_multiply(s, e, x), x)
+    assert np.array_equal(group_inverse(s, group_inverse(s, x)), x)
     # x x^-1 = x^-1 x = e exactly where the twist's pairwise cancelling
     # terms are summed without rounding
     x = draw_point(data, s, DYADIC)
     xi = group_inverse(s, x)
     for prod in (group_multiply(s, x, xi), group_multiply(s, xi, x)):
-        assert np.array_equal(prod.as_array(), e.as_array())
+        assert np.array_equal(prod, e)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -154,9 +146,32 @@ def test_dilation_homomorphism_property(data):
     s = draw_structure(data)
     x, y = (draw_point(data, s, REALS) for _ in range(2))
     t = data.draw(st.floats(0.25, 4.0))
-    a = dilate(s, t, group_multiply(s, x, y)).as_array()
-    b = group_multiply(s, dilate(s, t, x), dilate(s, t, y)).as_array()
+    a = dilate(s, t, group_multiply(s, x, y))
+    b = group_multiply(s, dilate(s, t, x), dilate(s, t, y))
     assert np.max(np.abs(a - b)) <= 8 * EPS * (1.0 + t) ** 2 * _scale(x, y)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_batch_law_matches_rows(data):
+    # a (k, d) batch, and a batch against one point, give bitwise the rows
+    # of k single-point calls
+    s = draw_structure(data)
+    k = data.draw(st.integers(1, 5))
+    xs, ys = (np.stack([draw_point(data, s, REALS) for _ in range(k)])
+              for _ in range(2))
+    ts = np.array([[data.draw(st.floats(0.25, 4.0))] for _ in range(k)])
+    product = group_multiply(s, xs, ys)
+    inverse = group_inverse(s, xs)
+    dilated = dilate(s, ts, xs)
+    against_point = group_multiply(s, xs, ys[0])
+    assert product.shape == inverse.shape == dilated.shape == xs.shape
+    for i in range(k):
+        assert np.array_equal(product[i], group_multiply(s, xs[i], ys[i]))
+        assert np.array_equal(inverse[i], group_inverse(s, xs[i]))
+        assert np.array_equal(dilated[i], dilate(s, ts[i, 0], xs[i]))
+        assert np.array_equal(against_point[i],
+                              group_multiply(s, xs[i], ys[0]))
 
 
 # --- constructors --------------------------------------------------------
@@ -205,13 +220,28 @@ def test_structure_validation():
         quaternionic_htype(1, 4)
     with pytest.raises(DomainError):
         standard_heisenberg(0)
+    J = standard_heisenberg(1).J
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            MetivierStructure(n=1, m=1, J=J, Lambda=[[bad, 0.0]])
+        with pytest.raises(DomainError, match="finite"):
+            MetivierStructure(n=1, m=1, J=np.where(J != 0, J, bad),
+                              Lambda=np.zeros((1, 2)))
 
 
 def test_point_dimension_check():
     s = standard_heisenberg(2)
-    bad = GroupPoint(np.zeros(2), np.zeros(1))
-    with pytest.raises(DimensionMismatch):
-        group_multiply(s, bad, bad)
+    good = np.zeros(s.d)
+    for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((s.d, 4)),
+                np.float64(0.0)):
+        with pytest.raises(DimensionMismatch):
+            group_multiply(s, bad, good)
+        with pytest.raises(DimensionMismatch):
+            group_multiply(s, good, bad)
+        with pytest.raises(DimensionMismatch):
+            group_inverse(s, bad)
+        with pytest.raises(DimensionMismatch):
+            dilate(s, 2.0, bad)
 
 
 # --- Radon-Hurwitz -------------------------------------------------------
@@ -261,11 +291,11 @@ def test_margin_degenerate_flag():
 
 def test_theta_grid_shapes():
     assert theta_grid(1).shape == (2, 1)
-    g2 = theta_grid(2, 90)
-    assert g2.shape == (90, 2)
+    g2 = theta_grid(2)
+    assert g2.shape == (360, 2)
     assert np.allclose(np.linalg.norm(g2, axis=1), 1.0, atol=1e-12)
-    g3 = theta_grid(3, 500)
-    assert g3.shape == (500, 3)
+    g3 = theta_grid(3)
+    assert g3.shape == (10000, 3)
     assert np.allclose(np.linalg.norm(g3, axis=1), 1.0, atol=1e-12)
     with pytest.raises(DomainError):
         theta_grid(4)
