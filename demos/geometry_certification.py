@@ -12,7 +12,7 @@ from heislab import (certify_point, sample_chart_point, smallness_margin,
 def main():
     s = standard_heisenberg(2)
     print(f"structure: H^2, d = {s.d}, "
-          f"smallness margin = {float(smallness_margin(s)):.3f}")
+          f"smallness margin = {smallness_margin(s):.3f}")
 
     rng = np.random.default_rng(7)
     print("\ngeneric chart points (expect full rank d):")

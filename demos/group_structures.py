@@ -28,7 +28,7 @@ def main():
     for name, g in (("standard H^1", standard_heisenberg(1)),
                     ("standard H^2", standard_heisenberg(2)),
                     ("quaternionic (1,3)", quaternionic_htype(1, 3))):
-        print(f"{name}: smallness margin = {float(smallness_margin(g)):.3f}")
+        print(f"{name}: smallness margin = {smallness_margin(g):.3f}")
 
     print()
     print("Radon-Hurwitz numbers bound the center dimension m < RH(2n):")

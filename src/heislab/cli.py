@@ -75,6 +75,9 @@ def parse_deltas(text):
                 out.append(float(item))
         except ValueError as exc:
             raise ConfigError(f"cannot parse delta {item!r}") from exc
+        except OverflowError as exc:
+            raise ConfigError(f"delta {item!r} is too large for a "
+                              "float") from exc
     if not out:
         raise ConfigError("empty delta ladder")
     return out
@@ -132,6 +135,24 @@ def _exponent(cfg, key):
     return value
 
 
+def _cell(value):
+    """A table cell: floats by repr, None empty, anything else by str."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _table(columns, rows, head=(), tail=()):
+    """CSV text: the schema line, '# ' head comments, the column row, one
+    line per row, then '# ' tail comments."""
+    lines = ["# schema=1"] + [f"# {c}" for c in head] + [",".join(columns)]
+    lines += [",".join(_cell(v) for v in row) for row in rows]
+    lines += [f"# {c}" for c in tail]
+    return "\n".join(lines) + "\n"
+
+
 def _emit(data, out_path):
     if isinstance(data, str):
         data = data.encode()
@@ -165,26 +186,24 @@ def cmd_group_check(cfg, seed, out_path, fmt):
                      - mul(groups.dilate(s, t, x), groups.dilate(s, t, y))),
     }
 
-    margin = groups.smallness_margin(s)
-    lines = ["# schema=1", "check,worst_error,tolerance,status"]
-    failed = False
+    rows = []
     for name, residual in residuals.items():
-        err = float(np.max(np.abs(residual)))
-        ok = err <= tol
-        failed = failed or not ok
-        lines.append(f"{name},{err!r},{tol!r},{'pass' if ok else 'FAIL'}")
-    lines.append(f"margin,{float(margin)!r},,"
-                 + ("ok" if float(margin) > 0 else "warning-nonpositive"))
+        err = np.max(np.abs(residual))
+        rows.append((name, err, tol, "pass" if err <= tol else "FAIL"))
+    failed = any(row[-1] == "FAIL" for row in rows)
+    margin = groups.smallness_margin(s)
+    rows.append(("margin", margin, None,
+                 "ok" if margin > 0 else "warning-nonpositive"))
     if s.m == 3 and not failed:
         th = rng.standard_normal((100, 3))
         Jt = s.J_theta(th)
         # |theta|^2 as a (100, 1, 1) stack of dot products, rounded as th @ th
         dev = Jt @ Jt + (th[:, None, :] @ th[:, :, None]) * np.eye(2 * s.n)
-        worst_h = float(np.max(np.abs(dev)))
-        ok = worst_h <= tol
-        failed = failed or not ok
-        lines.append(f"htype,{worst_h!r},{tol!r},{'pass' if ok else 'FAIL'}")
-    _emit("\n".join(lines) + "\n", out_path)
+        worst_h = np.max(np.abs(dev))
+        failed = not worst_h <= tol
+        rows.append(("htype", worst_h, tol, "FAIL" if failed else "pass"))
+    _emit(_table(["check", "worst_error", "tolerance", "status"], rows),
+          out_path)
     return 1 if failed else 0
 
 
@@ -192,7 +211,7 @@ def cmd_lemma_check(cfg, seed, out_path, fmt):
     count = _count(cfg, "samples", 200, least=1)
     tol = _tolerance(cfg, 1e-10)
     rng = np.random.default_rng(seed)
-    lines = ["# schema=1", "size,rho,formula,bruteforce,rel_error,status"]
+    rows = []
     failed = False
     for _ in range(count):
         size = int(rng.integers(2, 9))
@@ -209,9 +228,9 @@ def cmd_lemma_check(cfg, seed, out_path, fmt):
         if size % 2 == 1:
             ok = ok and abs(got - 1.0 / abs(rho)) <= tol / abs(rho)
         failed = failed or not ok
-        lines.append(f"{size},{rho!r},{got!r},{brute!r},{rel!r},"
-                     + ("pass" if ok else "FAIL"))
-    _emit("\n".join(lines) + "\n", out_path)
+        rows.append((size, rho, got, brute, rel, "pass" if ok else "FAIL"))
+    _emit(_table(["size", "rho", "formula", "bruteforce", "rel_error",
+                  "status"], rows), out_path)
     return 1 if failed else 0
 
 
@@ -222,7 +241,7 @@ def cmd_geometry(cfg, seed, out_path, fmt):
     if points + fold_points == 0:
         raise ConfigError("points=0 and fold_points=0: nothing to certify")
     margin = groups.smallness_margin(s)
-    certified = float(margin) > 0
+    certified = margin > 0
     rng = np.random.default_rng(seed)
     reports = []
     deviations = 0
@@ -240,10 +259,18 @@ def cmd_geometry(cfg, seed, out_path, fmt):
         if (rep.rank_xi != s.d or rep.rank_spatial != s.d - 1
                 or rep.rank_curv != s.d - 1):
             deviations += 1
-    text = phase.geometry_csv(reports, float(margin))
+    columns = ([f"x{i}" for i in range(s.d)] + ["t"]
+               + [f"y{i}" for i in range(s.d)]
+               + ["sigma", "rank_xi", "rank_spatial", "rank_curv",
+                  "c_value", "c_bound"])
+    # rank_curv is -1 at the generic points, which skip the curvature
+    rows = ((*r.x, r.t, *r.y, r.sigma, r.rank_xi, r.rank_spatial,
+             -1 if r.rank_curv is None else r.rank_curv, r.c_value, r.c_bound)
+            for r in reports)
     status = "certified" if certified else "uncertified"
-    text += f"# status={status} deviations={deviations}\n"
-    _emit(text, out_path)
+    _emit(_table(columns, rows, head=[f"smallness_margin={margin!r}"],
+                 tail=[f"status={status} deviations={deviations}"]),
+          out_path)
     if deviations and certified:
         return 1
     return 0
@@ -260,13 +287,13 @@ def cmd_counterexample(cfg, seed, out_path, fmt):
         curve = families.stein_probe_curve(alpha, j_hi, j_lo=j_lo)
         expo = families.stein_growth_exponent(curve)
         mono = bool(np.all(np.diff(curve[:, 1]) > 0))
-        lines = ["# schema=1", f"# alpha={alpha!r}", "j,value"]
-        for j, v in curve:
-            lines.append(f"{int(j)},{float(v)!r}")
-        lines.append(f"# growth_exponent={expo!r} expected={1.0 - alpha!r}")
         verdict = mono and abs(expo - (1.0 - alpha)) <= tol
-        lines.append(f"# verdict={'pass' if verdict else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", out_path)
+        rows = [(int(j), v) for j, v in curve]
+        _emit(_table(["j", "value"], rows, head=[f"alpha={alpha!r}"],
+                     tail=[f"growth_exponent={expo!r} "
+                           f"expected={1.0 - alpha!r}",
+                           f"verdict={'pass' if verdict else 'FAIL'}"]),
+              out_path)
         return 0 if verdict else 1
 
     s = build_structure(cfg)
@@ -290,14 +317,18 @@ def cmd_counterexample(cfg, seed, out_path, fmt):
     predicted = families.predicted_exponent(family, s.n, s.m, p, q)
     rows = families.run_ladder(make, deltas, p, q)
     fit = families.fit_exponent(rows)
-    text = families.experiment_csv(family, s.n, s.m, p, q, rows, predicted)
     verdict = families.fit_passes(fit, predicted, tol)
-    text += (f"# slope={fit.slope!r} intercept={fit.intercept!r} "
-             f"r_squared={fit.r_squared!r}\n")
-    text += (f"# predicted={predicted} tolerance={tol!r} "
-             f"min_r_squared={families.R2_MIN!r}\n")
-    text += f"# verdict={'pass' if verdict else 'FAIL'}\n"
-    _emit(text, out_path)
+    _emit(_table(["family", "n", "m", "p", "q", "delta", "ratio",
+                  "predicted_exponent"],
+                 [(family, s.n, s.m, p, q, delta, ratio, predicted)
+                  for delta, ratio in rows],
+                 tail=[f"slope={fit.slope!r} intercept={fit.intercept!r} "
+                       f"r_squared={fit.r_squared!r}",
+                       f"predicted={predicted} tolerance={tol!r} "
+                       f"max_residual={fit.max_residual!r} "
+                       f"residual_bound={families.MAX_LOG_RESIDUAL!r}",
+                       f"verdict={'pass' if verdict else 'FAIL'}"]),
+          out_path)
     return 0 if verdict else 1
 
 

@@ -219,33 +219,20 @@ def theta_grid(m):
     raise DomainError("theta grids implemented for m <= 3")
 
 
-@dataclass(frozen=True)
-class SmallnessMargin:
-    """Result of the grid certification of the tilt-size condition."""
-
-    value: float
-    degenerate: bool
-
-    def __float__(self):
-        return float(self.value)
-
-
 def smallness_margin(s):
     """min over a theta-grid of sigma_min(J^theta) - |Lambda^theta|.
 
     A positive value certifies the tilt-smallness condition on the grid.
-    If some J^theta is (numerically) singular the margin at that point is
-    -|Lambda^theta| and the result is flagged degenerate.
+    Where J^theta is (numerically) singular the margin is -|Lambda^theta|,
+    so a singular J^theta never certifies.
     """
     thetas = theta_grid(s.m)
     Jt = np.tensordot(thetas, s.J, axes=(1, 0))          # (T, 2n, 2n)
     svals = np.linalg.svd(Jt, compute_uv=False)
     smin = svals[:, -1]
     lam_norm = np.linalg.norm(thetas @ s.Lambda, axis=1)
-    degenerate_mask = smin <= 1e-12 * np.maximum(1.0, svals[:, 0])
-    margins = np.where(degenerate_mask, -lam_norm, smin - lam_norm)
-    return SmallnessMargin(value=float(margins.min()),
-                           degenerate=bool(degenerate_mask.any()))
+    singular = smin <= 1e-12 * np.maximum(1.0, svals[:, 0])
+    return float(np.where(singular, -lam_norm, smin - lam_norm).min())
 
 
 def skew_inverse_norm(rho, B):

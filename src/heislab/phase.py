@@ -211,17 +211,6 @@ class CurvatureReport:
     c_bound: Optional[float] = None
     rank_curv: Optional[int] = None
 
-    def csv_row(self) -> str:
-        fields = [repr(float(v)) for v in self.x]
-        fields += [repr(float(self.t))]
-        fields += [repr(float(v)) for v in self.y]
-        fields += [repr(float(self.sigma)),
-                   str(self.rank_xi), str(self.rank_spatial),
-                   str(self.rank_curv if self.rank_curv is not None else -1),
-                   repr(float(self.c_value)) if self.c_value is not None else "",
-                   repr(float(self.c_bound)) if self.c_bound is not None else ""]
-        return ",".join(fields)
-
 
 def _normal(s: MetivierStructure, cols: np.ndarray) -> np.ndarray:
     """Unit left null vector of full-rank Xi_y columns, N_{2n} >= 0."""
@@ -493,18 +482,3 @@ def certify_point(s: MetivierStructure, x: np.ndarray, t: float,
     return CurvatureReport(x=np.array(x), t=float(t), y=np.array(y),
                            sigma=sigma_value(s, x, t, y), rank_xi=rank_xi,
                            rank_spatial=rank_spatial, **curvature)
-
-
-def geometry_csv(reports, margin: float) -> str:
-    """CSV serialization of a batch of certification reports."""
-    lines = ["# schema=1", f"# smallness_margin={margin!r}"]
-    if reports:
-        d = len(reports[0].x)
-        cols = ([f"x{i}" for i in range(d)] + ["t"]
-                + [f"y{i}" for i in range(d)]
-                + ["sigma", "rank_xi", "rank_spatial", "rank_curv",
-                   "c_value", "c_bound"])
-        lines.append(",".join(cols))
-    for r in reports:
-        lines.append(r.csv_row())
-    return "\n".join(lines) + "\n"

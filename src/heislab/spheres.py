@@ -12,6 +12,9 @@ import numpy as np
 
 from .groups import DimensionMismatch, DomainError, MetivierStructure
 
+# Most nodes a sphere rule may have: 256^3, the rule of the ball family on
+# H^2 at delta = 2^-7.  Its weights alone take 128 MiB.
+MAX_RULE_NODES = 256 ** 3
 
 @dataclass(frozen=True)
 class SphereRule:
@@ -71,7 +74,8 @@ def sphere_rule(n: int, resolution, latitude: str = "gauss") -> SphereRule:
     latitude parameter carries a uniform measure, so latitude="gauss"
     (best for smooth integrands) and latitude="uniform" (even spacing,
     best for thin indicator caps) are both consistent.  Spheres of higher
-    dimension have no rule.
+    dimension have no rule, and a rule of more than MAX_RULE_NODES nodes is
+    refused before anything is allocated.
     """
     if n not in (1, 2):
         raise DomainError(f"sphere rules exist for n = 1, 2, not n={n}")
@@ -81,6 +85,9 @@ def sphere_rule(n: int, resolution, latitude: str = "gauss") -> SphereRule:
         cu = ca = cb = int(resolution)
     if min(cu, ca, cb) < 4:
         raise DomainError("resolution must be at least 4")
+    if (cu if n == 1 else cu * ca * cb) > MAX_RULE_NODES:
+        raise DomainError(f"a sphere rule of more than {MAX_RULE_NODES} "
+                          "nodes is refused; use a coarser delta")
     if n == 1:
         ang = 2 * np.pi * np.arange(cu) / cu
         return SphereRule(np.stack([np.cos(ang), np.sin(ang)])[:, None],
@@ -114,7 +121,8 @@ class ScalarField:
     """Pointwise-evaluable function with a declared bounding box.
 
     evaluator takes a batch array of shape (count, d) and returns (count,)
-    values; it must vanish outside the support box [support_lo,
+    values, which the call casts to float (an indicator may return its
+    booleans); it must vanish outside the support box [support_lo,
     support_hi].  spherical_average_batch relies on this: it skips every
     sphere node whose image has a horizontal coordinate outside the box,
     counting f as 0 there without evaluating it.

@@ -1,5 +1,7 @@
 """Command line driver: exit codes, config handling, output determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,51 @@ def test_parse_deltas():
     assert parse_deltas("2^-3, 0.25") == [0.125, 0.25]
     with pytest.raises(ConfigError):
         parse_deltas("")
+    with pytest.raises(ConfigError, match="too large"):
+        parse_deltas("2^2000,2^-4,2^-5")
+
+
+# --- table layout ---------------------------------------------------------
+
+GEOMETRY_COLUMNS = ("x0,x1,x2,x3,x4,t,y0,y1,y2,y3,y4,sigma,rank_xi,"
+                    "rank_spatial,rank_curv,c_value,c_bound")
+
+
+@pytest.mark.parametrize("argv, head, columns, tail", [
+    (["group-check", "--set", "samples=5"], [],
+     "check,worst_error,tolerance,status", []),
+    (["lemma-check", "--set", "samples=5"], [],
+     "size,rho,formula,bruteforce,rel_error,status", []),
+    (["geometry", "--set", "points=2", "--set", "fold_points=1"],
+     ["# smallness_margin="], GEOMETRY_COLUMNS,
+     ["# status= deviations="]),
+    (["counterexample", "--set", "family=moment",
+      "--set", "deltas=2^-3,2^-4,2^-5"], [],
+     "family,n,m,p,q,delta,ratio,predicted_exponent",
+     ["# slope= intercept= r_squared=",
+      "# predicted= tolerance= max_residual= residual_bound=",
+      "# verdict="]),
+    (["counterexample", "--set", "family=stein", "--set", "j_hi=12"],
+     ["# alpha="], "j,value", ["# growth_exponent= expected=", "# verdict="]),
+    (["region", "--set", "region=maximal"], [],
+     "label,ip,iq,excluded_strong,excluded_rwt", []),
+], ids=["group-check", "lemma-check", "geometry", "counterexample", "stein",
+        "region"])
+def test_table_layout(argv, head, columns, tail, capsys):
+    # every table: the schema line, '# key=value' head comments, the column
+    # row, rows of as many cells, '# key=value' tail comments
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    lines = out.splitlines()
+    keys = [re.sub(r"=[^ ]*", "=", line) for line in lines]
+    assert lines[0] == "# schema=1"
+    assert keys[1:1 + len(head)] == head
+    assert lines[1 + len(head)] == columns
+    assert keys[len(lines) - len(tail):] == tail
+    rows = lines[2 + len(head):len(lines) - len(tail)]
+    assert rows
+    assert all(len(row.split(",")) == columns.count(",") + 1 for row in rows)
+    assert "np.float64" not in out
 
 
 # --- exit codes -----------------------------------------------------------
@@ -298,6 +345,22 @@ def test_counterexample_bad_ladder_exits_before_first_rung(
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("structure, deltas, message", [
+    # 2^2000 overflows a float as it is parsed
+    ([], "2^2000,2^-4,2^-5", "too large for a float"),
+    # the 2^-1000 rung would need a circle rule of 64 * 2^1000 nodes
+    (["--set", "n=1"], "2^-3,2^-4,2^-1000", "sphere rule of more than"),
+])
+def test_counterexample_extreme_deltas_exit_2(structure, deltas, message,
+                                              capsys):
+    code, out, err = run(["counterexample", *structure,
+                          "--set", f"deltas={deltas}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
 
 
 MOMENT = ["counterexample", "--set", "family=moment",

@@ -1,4 +1,4 @@
-"""Counterexample families: geometry invariants, exponents, fitting, CSV."""
+"""Counterexample families: geometry invariants, exponents, fitting."""
 
 import math
 import tracemalloc
@@ -13,8 +13,8 @@ from heislab.groups import (DomainError, MetivierStructure,
                             standard_heisenberg)
 from heislab.families import (BLOCK_POINTS, ExampleInstance, ParamRegion,
                               _box_region, _row_dot, ball_example, c_one,
-                              c_ring, c_zero, experiment_csv, fit_exponent,
-                              fit_passes, knapp_example, knapp_frame,
+                              c_ring, c_zero, fit_exponent, fit_passes,
+                              knapp_example, knapp_frame,
                               moment_example, moment_structure,
                               operator_ratio, predicted_exponent, run_ladder,
                               scaling_example, stein_growth_exponent,
@@ -405,6 +405,7 @@ def test_fit_passes_needs_a_straight_line():
                         for d, e in zip(deltas, zigzag)])
     assert fit.slope == pytest.approx(0.5, abs=1e-12)
     assert fit.r_squared < 0.9
+    assert fit.max_residual == pytest.approx(0.24, abs=1e-12)
     assert not fit_passes(fit, F(1, 2), 0.15)
     straight = fit_exponent([(d, d ** 0.5) for d in deltas])
     assert fit_passes(straight, F(1, 2), 0.15)
@@ -415,6 +416,18 @@ def test_fit_constant_ratios():
     deltas = [2.0 ** -k for k in range(3, 7)]
     fit = fit_exponent([(d, 0.7) for d in deltas])
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fit_passes_flat_ladder():
+    # scaling on H^1 with p = 2, q = 3 predicts exponent 0: the ratios agree
+    # to rounding, so r^2 is noise (1/3 here) while the line is exact
+    s = standard_heisenberg(1)
+    rows = run_ladder(lambda d: scaling_example(s, d),
+                      [2.0 ** -k for k in range(3, 6)], 2, 3)
+    fit = fit_exponent(rows)
+    assert predicted_exponent("scaling", 1, 1, 2, 3) == 0
+    assert fit.max_residual < 1e-12
+    assert fit_passes(fit, 0, 0.15)
 
 
 def test_fit_validation():
@@ -653,14 +666,3 @@ def test_run_ladder_rows():
     assert rows[0][0] == 0.25
     assert rows[0][1] > rows[1][1] > 0
 
-
-def test_experiment_csv_format():
-    rows = [(0.125, 0.25), (0.0625, 0.125)]
-    text = experiment_csv("scaling", 1, 1, F(2), F(2), rows, F(1, 2))
-    lines = text.strip().split("\n")
-    assert lines[0] == "# schema=1"
-    assert lines[1] == "family,n,m,p,q,delta,ratio,predicted_exponent"
-    assert lines[2] == "scaling,1,1,2,2,0.125,0.25,1/2"
-    assert len(lines) == 4
-    bare = experiment_csv("stein", 1, 1, F(2), F(2), rows, None)
-    assert bare.strip().split("\n")[2].endswith(",")

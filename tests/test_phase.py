@@ -10,10 +10,10 @@ from heislab.phase import (ChartError, c_lower_bound, c_value,
                            curvature_matrix, defining_functions,
                            det_identity_rhs, fold_cone_block_form,
                            fold_cone_curvature, fold_point,
-                           fold_transversality, geometry_csv,
-                           matrix_rank_report, normal_vector, phi,
-                           sample_chart_point, sigma_value, spatial_block,
-                           xi, xi_y, y2n_on_fold)
+                           fold_transversality, matrix_rank_report,
+                           normal_vector, phi, sample_chart_point,
+                           sigma_value, spatial_block, xi, xi_y,
+                           y2n_on_fold)
 
 
 # --- defining functions and phase ----------------------------------------
@@ -308,20 +308,3 @@ def test_fold_point_assembly():
     assert np.array_equal(y[4:], ybar)
     assert y[3] == y2n_on_fold(s, x, t, ybar)
 
-
-# --- serialization -------------------------------------------------------
-
-def test_geometry_csv_shape():
-    s = standard_heisenberg(2)
-    rng = np.random.default_rng(83)
-    reps = []
-    for _ in range(3):
-        x, t, y = sample_chart_point(s, rng)
-        reps.append(certify_point(s, x, t, y, with_curvature=False))
-    text = geometry_csv(reps, 0.5)
-    lines = text.strip().split("\n")
-    assert lines[0] == "# schema=1"
-    assert lines[1].startswith("# smallness_margin=")
-    assert lines[2].split(",")[:2] == ["x0", "x1"]
-    assert len(lines) == 3 + 3
-    assert len(lines[3].split(",")) == len(lines[2].split(","))

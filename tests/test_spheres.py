@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from heislab.groups import (DimensionMismatch, DomainError, MetivierStructure,
                             normalized_heisenberg, quaternionic_htype,
                             standard_heisenberg)
-from heislab.spheres import (ScalarField, SphereRule, spherical_average_batch,
-                             sphere_rule)
+from heislab.spheres import (MAX_RULE_NODES, ScalarField, SphereRule,
+                             spherical_average_batch, sphere_rule)
 
 
 def box_indicator(lo, hi):
@@ -144,6 +144,21 @@ def test_rule_check_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 200 * 2 ** 20
+
+
+def test_rule_size_limit():
+    # one node past MAX_RULE_NODES, and the 2^-1000 rung of the ball family
+    # on H^2: each is refused before its arrays are allocated
+    tracemalloc.start()
+    try:
+        for n, resolution in [(2, 257), (2, (256, 256, 257)),
+                              (1, MAX_RULE_NODES + 1), (2, 2 ** 1001)]:
+            with pytest.raises(DomainError, match="more than 16777216"):
+                sphere_rule(n, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_rule_rejects_n_above_two():
