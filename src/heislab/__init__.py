@@ -9,10 +9,7 @@ from .groups import (DimensionMismatch, DomainError, MetivierStructure,
 from .spheres import (ScalarField, SphereRule, spherical_average_batch,
                       sphere_rule)
 from .phase import (ChartError, CurvatureReport, certify_point,
-                    curvature_block_form, curvature_matrix,
-                    det_identity_rhs, fold_cone_block_form,
-                    fold_cone_curvature, fold_point, fold_transversality,
-                    normal_vector, sample_chart_point, sigma_value, xi,
+                    curvature_matrix, sample_chart_point, sigma_value, xi,
                     xi_y)
 from .families import (ExampleInstance, ExponentFit, ParamRegion,
                        ball_example, fit_exponent, knapp_example,
@@ -20,7 +17,6 @@ from .families import (ExampleInstance, ExponentFit, ParamRegion,
                        predicted_exponent, run_ladder, scaling_example,
                        stein_growth_exponent, stein_probe_curve)
 from .regions import (RatPoint, Region, averaging_region, bourgain_vertex,
-                      contains, convex_hull, export_region, is_member,
-                      maximal_region, parse_region_csv)
+                      contains, convex_hull, export_region, maximal_region)
 
 __version__ = "0.1.0"

@@ -114,12 +114,14 @@ class ExampleInstance:
 
 def operator_ratio(s: MetivierStructure, instance: ExampleInstance,
                    p: float, q: float) -> float:
-    """Certified lower bound of |Mf|_q / |f|_p for a counterexample instance.
+    """Quadrature estimate of a lower bound of |Mf|_q / |f|_p for an instance.
 
     The numerator integrates |A_t(x) f(x)|, with the instance's time map
-    clamped to [1, 2], over the test region: a lower bound of the maximal
-    function sup_{1<=t<=2} |A_t f|.  The denominator integrates the input
-    field over its field region.
+    clamped to [1, 2], over the test region: |A_t(x) f(x)| is a lower
+    bound of the maximal function sup_{1<=t<=2} |A_t f| at x, but both the
+    sphere average and the region integral are quadratures, so the ratio
+    estimates that bound and is not certified.  The denominator integrates
+    the input field over its field region.
     """
     f = instance.field
 
@@ -218,11 +220,21 @@ def _sphere_dir(n: int, u: np.ndarray):
     return _circle_dir(u[:, 0]) if n == 1 else _hopf_dir(u[:, :3])
 
 
+def _factor_count(nodes: float) -> float:
+    """nodes, once it passes the node limit that sphere_rule applies.
+
+    The float count is checked before int() or round() converts it: for
+    a subnormal delta it is inf, which converts to no int.
+    """
+    spheres.check_rule_nodes(nodes)
+    return nodes
+
+
 def _cap_resolution(n: int, delta: float) -> int:
     """Per-factor node count keeping the nodes-per-cap count stable in delta."""
     if n == 1:
-        return max(256, int(math.ceil(64.0 / delta)))
-    return max(16, int(round(2.0 / delta)))
+        return max(256, int(math.ceil(_factor_count(64.0 / delta))))
+    return max(16, int(round(_factor_count(2.0 / delta))))
 
 
 # --- ball family ---------------------------------------------------------
@@ -257,8 +269,7 @@ def ball_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     def inside(pts):
         return _row_dot(pts, pts) <= r_ball * r_ball
 
-    f = ScalarField(inside, -r_ball * np.ones(d), r_ball * np.ones(d),
-                    f"ball indicator delta={delta}")
+    f = ScalarField(inside, -r_ball * np.ones(d), r_ball * np.ones(d))
 
     dd = two_n - 1
     half_b = delta / C
@@ -309,7 +320,7 @@ def scaling_example(s: MetivierStructure, delta: float,
     bar_hw = shell + t * _specnorm(s.Lambda) * r_hi
     lo = np.concatenate([-r_hi * np.ones(two_n), -bar_hw * np.ones(m)])
     hi = -lo
-    f = ScalarField(inside, lo, hi, f"shell indicator delta={delta} t={t}")
+    f = ScalarField(inside, lo, hi)
 
     dd = two_n - 1
 
@@ -413,7 +424,7 @@ def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     perp_part = np.sqrt(np.maximum(0.0, 1.0 - plane_part ** 2))
     hw = hw_plane * plane_part + hw_perp * perp_part
     lo = np.concatenate([-hw, [-C1 * delta]])
-    f = ScalarField(inside, lo, -lo, f"knapp slab delta={delta}")
+    f = ScalarField(inside, lo, -lo)
 
     # Test region coordinates: polar radius/angle in the plane, polar
     # coordinates in the sqrt(delta)-thin complement, sheared center.
@@ -443,8 +454,8 @@ def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
 
     # caps are delta-thin in the Hopf latitude and sqrt(delta)-wide in the
     # angles; match the rule to that anisotropy
-    c_lat = max(24, int(math.ceil(3.0 / delta)))
-    c_ang = max(24, int(math.ceil(10.0 / sq)))
+    c_lat = max(24, int(math.ceil(_factor_count(3.0 / delta))))
+    c_ang = max(24, int(math.ceil(_factor_count(10.0 / sq))))
     return ExampleInstance(
         "knapp", delta, s, f, ParamRegion((3, 4, 4, 5, 4), param),
         _box_region(f), t_of,
@@ -546,7 +557,7 @@ def moment_example(delta: float) -> ExampleInstance:
 
     hw1, hw2, hw3 = (2 * delta) ** 2, 2 * delta, (2 * delta) ** 3
     lo = np.array([-hw1, -hw2, -(hw3 + hw2)])
-    f = ScalarField(inside, lo, -lo, f"moment box delta={delta}")
+    f = ScalarField(inside, lo, -lo)
 
     def f_param(u):
         y1 = hw1 * (2 * u[:, 0] - 1)
@@ -581,7 +592,7 @@ def _inv(x) -> Fraction:
 
 
 def predicted_exponent(family: str, n: int, m: int, p, q) -> Fraction:
-    """Exact delta-exponent of the certified lower bound on the ratio."""
+    """Exact delta-exponent of the lower bound on the ratio."""
     ip, iq = _inv(p), _inv(q)
     if family == "ball":
         return (2 * n - 1) + m * iq - (2 * n + m) * ip

@@ -136,11 +136,6 @@ def contains(region: Region, pt: RatPoint, mode: str = "strong") -> str:
     return "interior"
 
 
-def is_member(region: Region, pt: RatPoint, mode: str = "strong") -> bool:
-    c = contains(region, pt, mode)
-    return c != "outside" and not c.endswith("-excluded")
-
-
 def maximal_region(n: int, m: int) -> Region:
     """Sharp local maximal-operator region: the quadrilateral Q1 Q4 Q3 Q2.
 
@@ -272,31 +267,3 @@ def export_region(region: Region, fmt: str = "csv") -> bytes:
         return "\n".join(parts).encode()
     raise DomainError(f"unknown export format {fmt!r}")
 
-
-def parse_region_csv(data: bytes) -> Region:
-    """Inverse of export_region(..., "csv")."""
-    flags = []
-    verts, labels = [], []
-    exc_s, exc_r = set(), set()
-    saw_header = False
-    for line in data.decode().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith("# flag="):
-                flags.append(line[len("# flag="):])
-            continue
-        if not saw_header:
-            saw_header = True
-            continue
-        lab, ip, iq, es, er = line.split(",")
-        verts.append(RatPoint(Fraction(ip), Fraction(iq)))
-        labels.append(lab)
-        if es == "1":
-            exc_s.add(lab)
-        if er == "1":
-            exc_r.add(lab)
-    return Region(tuple(verts), tuple(labels),
-                  {"strong": frozenset(exc_s), "rwt": frozenset(exc_r)},
-                  tuple(flags))

@@ -16,6 +16,18 @@ from .groups import DimensionMismatch, DomainError, MetivierStructure
 # H^2 at delta = 2^-7.  Its weights alone take 128 MiB.
 MAX_RULE_NODES = 256 ** 3
 
+
+def check_rule_nodes(nodes: float):
+    """Refuse a rule of more than MAX_RULE_NODES nodes.
+
+    nodes may be a float count not yet converted to int, such as the inf
+    that a node count per delta gives for a subnormal delta.
+    """
+    if nodes > MAX_RULE_NODES:
+        raise DomainError(f"a sphere rule of more than {MAX_RULE_NODES} "
+                          "nodes is refused; use a coarser delta")
+
+
 @dataclass(frozen=True)
 class SphereRule:
     """Product quadrature rule on S^{2n-1}, n = 1 or 2.
@@ -85,9 +97,7 @@ def sphere_rule(n: int, resolution, latitude: str = "gauss") -> SphereRule:
         cu = ca = cb = int(resolution)
     if min(cu, ca, cb) < 4:
         raise DomainError("resolution must be at least 4")
-    if (cu if n == 1 else cu * ca * cb) > MAX_RULE_NODES:
-        raise DomainError(f"a sphere rule of more than {MAX_RULE_NODES} "
-                          "nodes is refused; use a coarser delta")
+    check_rule_nodes(cu if n == 1 else cu * ca * cb)
     if n == 1:
         ang = 2 * np.pi * np.arange(cu) / cu
         return SphereRule(np.stack([np.cos(ang), np.sin(ang)])[:, None],
@@ -138,7 +148,6 @@ class ScalarField:
     evaluator: Callable[[np.ndarray], np.ndarray]
     support_lo: np.ndarray
     support_hi: np.ndarray
-    description: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "support_lo",

@@ -1,0 +1,240 @@
+"""Closed forms and finite-difference oracles that the tests compare against.
+
+Nothing in heislab, the demos or the bench calls these; they check the
+package's own evaluations:
+
+  * phi and its defining functions, whose differences test the analytic
+    gradient xi;
+  * det_identity_rhs, the closed form of det Pi Xi_y;
+  * normal_vector and curvature_block_form, the x' = y' closed form of
+    the curvature matrix that the CLI computes by finite differences;
+  * the fold cone: its finite-difference curvature rank (d - 2), its
+    x' = y' block form, and the two transversal derivatives of det along
+    kernel and cokernel (two-sided fold);
+  * is_member and parse_region_csv for the exact rational regions.
+
+Coordinates follow heislab.phase.
+"""
+
+from fractions import Fraction
+from typing import Tuple
+
+import numpy as np
+
+from heislab.groups import DomainError, MetivierStructure
+from heislab.phase import (CURVATURE_TOL, _chart, _fd_hessian, _g_hess,
+                           _normal, _split_x, c_value, matrix_rank_report,
+                           sigma_value, spatial_block, xi, xi_y,
+                           y2n_on_fold)
+from heislab.regions import RatPoint, Region, contains
+
+TRANSVERSAL_STEP = 1e-5     # central differences of fold_transversality
+
+
+# --- phase ---------------------------------------------------------------
+
+def defining_functions(s: MetivierStructure, x: np.ndarray, t: float,
+                       yp: np.ndarray) -> Tuple[float, np.ndarray]:
+    """(S^{2n}, Sbar) at a chart point.
+
+    S^{2n} = x_{2n} - t g((x'-y')/t) and
+    Sbar_i = x_{2n+i} + (ubar x^T J_i - t Lambda_i)(P^T y' - t g e_{2n}).
+    """
+    two_n = 2 * s.n
+    _, g, _ = _chart(s, x, t, yp)
+    ubar_x = x[:two_n]
+    vec = np.concatenate([yp, [-t * g]])          # P^T y' - t g e_{2n}
+    S2n = x[two_n - 1] - t * g
+    rows = np.einsum("j,ijk->ik", ubar_x, s.J)    # (m, 2n): ubar x^T J_i
+    Sbar = x[two_n: two_n + s.m] + (rows - t * s.Lambda) @ vec
+    return float(S2n), Sbar
+
+
+def phi(s: MetivierStructure, x: np.ndarray, t: float, y: np.ndarray) -> float:
+    """Phase y_{2n} S^{2n} + sum ybar_i Sbar_i."""
+    yp, y2n, ybar = _split_x(s, y)
+    S2n, Sbar = defining_functions(s, x, t, yp)
+    return float(y2n * S2n + ybar @ Sbar)
+
+
+def det_identity_rhs(s: MetivierStructure, x: np.ndarray, t: float,
+                     y: np.ndarray) -> float:
+    """det of t^{-1} sigma g'' + P J^{ybar} P^T + B - B^T.
+
+    Equal to det Pi Xi_y; at sigma = 0 the matrix is odd skew-symmetric,
+    so both sides vanish.
+    """
+    two_n = 2 * s.n
+    yp, _, ybar = _split_x(s, y)
+    w, g, gg = _chart(s, x, t, yp)
+    Jy = s.J_theta(ybar)
+    sig = sigma_value(s, x, t, y)
+    B = np.outer(Jy[: two_n - 1, -1], gg)
+    M = sig / t * _g_hess(w, g) + Jy[: two_n - 1, : two_n - 1] + B - B.T
+    return float(np.linalg.det(M))
+
+
+def normal_vector(s: MetivierStructure, x: np.ndarray, t: float,
+                  y: np.ndarray) -> np.ndarray:
+    """Unit vector in R^{d+1} orthogonal to all columns of Xi_y.
+
+    Sign is fixed by a nonnegative 2n-th entry.  Raises when the columns
+    are rank deficient, since then the null direction is not unique.
+    """
+    cols = xi_y(s, x, t, y)
+    if matrix_rank_report(cols)[0] < s.d:
+        raise DomainError("mixed Hessian is rank deficient, normal undefined")
+    return _normal(s, cols)
+
+
+def curvature_block_form(s: MetivierStructure, x: np.ndarray, t: float,
+                         y: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """Analytic curvature matrix at x'=y': [[c I, PA], [A^T P^T, 0]].
+
+    Rows of A^T: first -t^{-1} ubar a^T, then for each i
+    ubar a^T J_i - t^{-1}((ubar x^T J_i - t L_i) e_{2n}) ubar a^T
+    - a_{d+1} L_i.
+    """
+    two_n = 2 * s.n
+    d = s.d
+    ubar_x = x[:two_n]
+    ubar_a = N[:two_n]
+    a_last = N[d]
+    At = np.zeros((s.m + 1, two_n))
+    At[0] = -ubar_a / t
+    for i in range(s.m):
+        Ji = s.J[i]
+        ci = float(ubar_x @ Ji[:, -1] - t * s.Lambda[i, -1])
+        At[i + 1] = ubar_a @ Ji - (ci / t) * ubar_a - a_last * s.Lambda[i]
+    c = c_value(s, x, t, y, N)
+    C = np.zeros((d, d))
+    C[: two_n - 1, : two_n - 1] = c * np.eye(two_n - 1)
+    PA = At[:, : two_n - 1].T
+    C[: two_n - 1, two_n - 1:] = PA
+    C[two_n - 1:, : two_n - 1] = PA.T
+    return C
+
+
+# --- fold cone -----------------------------------------------------------
+
+def fold_point(s: MetivierStructure, x: np.ndarray, t: float, yp: np.ndarray,
+               ybar: np.ndarray) -> np.ndarray:
+    """Assemble y on the fold locus sigma = 0."""
+    return np.concatenate([yp, [y2n_on_fold(s, x, t, ybar)], ybar])
+
+
+def fold_cone_curvature(s: MetivierStructure, x: np.ndarray, t: float,
+                        yp: np.ndarray, ybar: np.ndarray):
+    """Curvature rank of the fold cone (y', ybar) -> Pi Xi(x, t, y) at a
+    point with sigma = 0, where y_{2n} = y2n_on_fold.
+
+    Returns (rank, singular values, normal nu).  The expected rank is
+    d - 2: the cone's radial direction is flat and every other principal
+    curvature is nonzero.
+    """
+    two_n = 2 * s.n
+    # The d-1 tangent vectors: by the chain rule through y_{2n}, the ybar_i
+    # tangent picks up the Xi_{y_2n} column times d(y2n_on_fold)/d ybar_i.
+    cols = spatial_block(xi_y(s, x, t, fold_point(s, x, t, yp, ybar)))
+    dy2n = [float(t * s.Lambda[i, -1] - x[:two_n] @ s.J[i][:, -1])
+            for i in range(s.m)]
+    tang = np.concatenate([cols[:, : two_n - 1], cols[:, two_n:]
+                           + np.outer(cols[:, two_n - 1], dy2n)], axis=1)
+    rank_t, _ = matrix_rank_report(tang)
+    if rank_t < s.d - 1:
+        raise DomainError("degenerate tangent frame on the fold cone")
+    u, _, _ = np.linalg.svd(tang)
+    nu = u[:, -1]
+
+    def f(z):
+        y = fold_point(s, x, t, z[: two_n - 1], z[two_n - 1:])
+        return float(nu @ xi(s, x, t, y)[:-1])
+
+    C = _fd_hessian(f, np.concatenate([yp, ybar]))
+    rank, sv = matrix_rank_report(C, CURVATURE_TOL)
+    return rank, sv, nu
+
+
+def fold_cone_block_form(s: MetivierStructure, x: np.ndarray, t: float,
+                         y: np.ndarray, nu: np.ndarray):
+    """Analytic fold-cone curvature at x'=y': [[-t^{-1} g I, PM], [M^T P^T, 0]].
+
+    gamma = ubar a^T J^{ybar} e_{2n} with nu = (ubar a, abar); the columns
+    of M are -J_i ubar a.
+    """
+    two_n = 2 * s.n
+    _, _, ybar = _split_x(s, y)
+    Jy = s.J_theta(ybar)
+    ubar_a = nu[:two_n]
+    gamma = float(ubar_a @ Jy[:, -1])
+    k = s.d - 1
+    C = np.zeros((k, k))
+    C[: two_n - 1, : two_n - 1] = -(gamma / t) * np.eye(two_n - 1)
+    M = np.stack([-s.J[i] @ ubar_a for i in range(s.m)], axis=1)
+    PM = M[: two_n - 1, :]
+    C[: two_n - 1, two_n - 1:] = PM
+    C[two_n - 1:, : two_n - 1] = PM.T
+    return C, gamma
+
+
+def fold_transversality(s: MetivierStructure, x: np.ndarray, t: float,
+                        y: np.ndarray):
+    """Directional derivatives of det Pi Xi_y along kernel and cokernel.
+
+    At a fold point (sigma = 0, x' = y') the spatial block has a one
+    dimensional kernel b = (b', b_{2n}, 0) and cokernel a with a_{2n} = 0;
+    the determinant must change sign transversally along both, which is
+    what makes the singularity a two-sided fold.  Returns (left, right)
+    derivatives together with the kernel and cokernel vectors.
+    """
+    cols = spatial_block(xi_y(s, x, t, y))
+    rank, _ = matrix_rank_report(cols)
+    if rank != s.d - 1:
+        raise DomainError("not a fold point: spatial rank is not d-1")
+    u, _, vt = np.linalg.svd(cols)
+    b = vt[-1]          # right null vector: kernel direction in y
+    a = u[:, -1]        # left null vector: cokernel direction in x
+
+    def det_at(xx, yy):
+        return float(np.linalg.det(spatial_block(xi_y(s, xx, t, yy))))
+
+    h = TRANSVERSAL_STEP
+    left = (det_at(x, y + h * b) - det_at(x, y - h * b)) / (2 * h)
+    right = (det_at(x + h * a, y) - det_at(x - h * a, y)) / (2 * h)
+    return left, right, b, a
+
+
+# --- regions -------------------------------------------------------------
+
+def is_member(region: Region, pt: RatPoint, mode: str = "strong") -> bool:
+    c = contains(region, pt, mode)
+    return c != "outside" and not c.endswith("-excluded")
+
+
+def parse_region_csv(data: bytes) -> Region:
+    """Inverse of regions.export_region(..., "csv")."""
+    flags = []
+    verts, labels = [], []
+    exc_s, exc_r = set(), set()
+    saw_header = False
+    for line in data.decode().splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if line.startswith("# flag="):
+                flags.append(line[len("# flag="):])
+            continue
+        if not saw_header:
+            saw_header = True
+            continue
+        lab, ip, iq, es, er = line.split(",")
+        verts.append(RatPoint(Fraction(ip), Fraction(iq)))
+        labels.append(lab)
+        if es == "1":
+            exc_s.add(lab)
+        if er == "1":
+            exc_r.add(lab)
+    return Region(tuple(verts), tuple(labels),
+                  {"strong": frozenset(exc_s), "rwt": frozenset(exc_r)},
+                  tuple(flags))

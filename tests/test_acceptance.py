@@ -18,12 +18,11 @@ from heislab.families import (ball_example, fit_exponent, fit_passes,
                               stein_growth_exponent, stein_probe_curve)
 from heislab.groups import normalized_heisenberg, standard_heisenberg
 from heislab.phase import (c_lower_bound, c_value, certify_point,
-                           det_identity_rhs, fold_cone_curvature,
-                           normal_vector, sample_chart_point,
-                           spatial_block, xi_y)
+                           sample_chart_point, spatial_block, xi_y)
 from heislab.regions import (averaging_region, bourgain_vertex,
                              maximal_region)
 from heislab.spheres import spherical_average_batch
+from oracles import det_identity_rhs, fold_cone_curvature, normal_vector
 
 F = Fraction
 

@@ -352,6 +352,13 @@ def test_counterexample_bad_ladder_exits_before_first_rung(
     ([], "2^2000,2^-4,2^-5", "too large for a float"),
     # the 2^-1000 rung would need a circle rule of 64 * 2^1000 nodes
     (["--set", "n=1"], "2^-3,2^-4,2^-1000", "sphere rule of more than"),
+    # a node count such as 2/delta is inf for a subnormal delta: the rule's
+    # node limit must refuse it before int() would raise OverflowError
+    ([], "2^-1070,2^-1071,2^-1072", "sphere rule of more than"),
+    (["--set", "family=knapp", "--set", "kind=normalized"],
+     "2^-1070,2^-1071,2^-1072", "sphere rule of more than"),
+    (["--set", "family=moment"], "2^-1070,2^-1071,2^-1072",
+     "sphere rule of more than"),
 ])
 def test_counterexample_extreme_deltas_exit_2(structure, deltas, message,
                                               capsys):

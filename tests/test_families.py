@@ -52,7 +52,7 @@ def box_indicator(lo, hi, box_lo, box_hi):
     def ev(pts):
         return np.all((pts >= lo) & (pts <= hi), axis=1).astype(float)
 
-    return ScalarField(ev, box_lo, box_hi, "box indicator")
+    return ScalarField(ev, box_lo, box_hi)
 
 
 def box_region(f, count):
@@ -179,7 +179,7 @@ def recording(f):
         seen.append((pts.shape, pts.flags.f_contiguous))
         return f(pts)
 
-    return ScalarField(ev, f.support_lo, f.support_hi, f.description), seen
+    return ScalarField(ev, f.support_lo, f.support_hi), seen
 
 
 def test_batches_are_coordinate_major():
@@ -259,7 +259,7 @@ def test_operator_ratio_field_homogeneity():
     def doubled(pts):
         return 2.0 * f(pts)
 
-    f2 = ScalarField(doubled, f.support_lo, f.support_hi, "doubled")
+    f2 = ScalarField(doubled, f.support_lo, f.support_hi)
     inst2 = ExampleInstance(inst.family, inst.delta, inst.structure, f2,
                             inst.test_region, inst.field_region,
                             inst.time, inst.rule)

@@ -6,14 +6,14 @@ import pytest
 from heislab.groups import (DomainError, quaternionic_htype,
                             standard_heisenberg)
 from heislab.phase import (ChartError, c_lower_bound, c_value,
-                           certify_point, curvature_block_form,
-                           curvature_matrix, defining_functions,
-                           det_identity_rhs, fold_cone_block_form,
-                           fold_cone_curvature, fold_point,
-                           fold_transversality, matrix_rank_report,
-                           normal_vector, phi, sample_chart_point,
+                           certify_point, curvature_matrix,
+                           matrix_rank_report, sample_chart_point,
                            sigma_value, spatial_block, xi, xi_y,
                            y2n_on_fold)
+from oracles import (curvature_block_form, defining_functions,
+                     det_identity_rhs, fold_cone_block_form,
+                     fold_cone_curvature, fold_point, fold_transversality,
+                     normal_vector, phi)
 
 
 # --- defining functions and phase ----------------------------------------

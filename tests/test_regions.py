@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from heislab.groups import DomainError
 from heislab.regions import (RatPoint, Region, averaging_region,
                              bourgain_vertex, contains, convex_hull,
-                             export_region, is_member, maximal_region,
-                             parse_region_csv)
+                             export_region, maximal_region)
+from oracles import is_member, parse_region_csv
 
 F = Fraction
 

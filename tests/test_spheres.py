@@ -21,7 +21,7 @@ def box_indicator(lo, hi):
     def ev(pts):
         return np.all((pts >= lo) & (pts <= hi), axis=1).astype(float)
 
-    return ScalarField(ev, lo, hi, "box indicator")
+    return ScalarField(ev, lo, hi)
 
 
 def thin_bump(lo, hi):
@@ -34,7 +34,7 @@ def thin_bump(lo, hi):
         inside = np.all((pts >= lo) & (pts <= hi), axis=1)
         return inside * (2.0 + np.cos(pts @ freq))
 
-    return ScalarField(ev, lo, hi, "bump on a box")
+    return ScalarField(ev, lo, hi)
 
 
 def dense_nodes(rule):
@@ -223,7 +223,7 @@ def average_at(s, f, t, ubar, bar, rule):
 def test_constant_field_averages_to_one():
     s = standard_heisenberg(1)
     big = 100.0 * np.ones(3)
-    f = ScalarField(lambda pts: np.ones(len(pts)), -big, big, "one")
+    f = ScalarField(lambda pts: np.ones(len(pts)), -big, big)
     rule = sphere_rule(1, 64)
     got = average_at(s, f, 1.5, [0.3, -0.2], [0.1], rule)
     assert got == pytest.approx(1.0, abs=1e-12)
@@ -241,7 +241,7 @@ def test_circle_average_matches_closed_form():
     # the origin is the circle mean of f(-t cos a), computable directly.
     s = standard_heisenberg(1)
     big = 10.0 * np.ones(3)
-    f = ScalarField(lambda pts: pts[:, 0] ** 2, -big, big, "x1 squared")
+    f = ScalarField(lambda pts: pts[:, 0] ** 2, -big, big)
     rule = sphere_rule(1, 512)
     t = 1.7
     got = average_at(s, f, t, np.zeros(2), np.zeros(1), rule)
@@ -262,14 +262,14 @@ def test_average_rotation_covariance():
         return np.exp(-np.sum(pts ** 2, axis=1))
 
     big = 50.0 * np.ones(3)
-    f = ScalarField(ev, -big, big, "gaussian")
+    f = ScalarField(ev, -big, big)
 
     def ev_rot(pts):
         rot = pts.copy()
         rot[:, :2] = pts[:, :2] @ R  # apply R^T to the horizontal block
         return ev(rot)
 
-    f_rot = ScalarField(ev_rot, -big, big, "rotated gaussian")
+    f_rot = ScalarField(ev_rot, -big, big)
     for _ in range(10):
         ub = rng.uniform(-1, 1, 2)
         bar = rng.uniform(-1, 1, 1)
@@ -286,7 +286,7 @@ def test_average_batch_chunk_invariance():
     t = rng.uniform(1.0, 2.0, 37)
     rule = sphere_rule(2, 8)
     big = 50.0 * np.ones(5)
-    f = ScalarField(lambda p: np.cos(p @ np.arange(1.0, 6.0)), -big, big, "")
+    f = ScalarField(lambda p: np.cos(p @ np.arange(1.0, 6.0)), -big, big)
     a = spherical_average_batch(s, f, t, pts, rule, chunk=200000)
     b = spherical_average_batch(s, f, t, pts, rule, chunk=7)
     assert np.array_equal(a, b)
@@ -405,7 +405,7 @@ def test_dimension_mismatch_raises():
     s = standard_heisenberg(2)
     rule = sphere_rule(2, 8)
     big = np.ones(5)
-    f = ScalarField(lambda p: np.zeros(len(p)), -big, big, "")
+    f = ScalarField(lambda p: np.zeros(len(p)), -big, big)
     with pytest.raises(Exception):
         spherical_average_batch(s, f, np.array([1.0]), np.zeros((1, 4)), rule)
 
@@ -417,7 +417,7 @@ def test_maximal_constant_is_one():
     # point picks in [1, 2]
     s = standard_heisenberg(1)
     big = 100.0 * np.ones(3)
-    f = ScalarField(lambda pts: np.ones(len(pts)), -big, big, "one")
+    f = ScalarField(lambda pts: np.ones(len(pts)), -big, big)
     rule = sphere_rule(1, 64)
     t = np.linspace(1.0, 2.0, 9)
     vals = spherical_average_batch(s, f, t, np.zeros((9, 3)), rule)
