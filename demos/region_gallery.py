@@ -35,7 +35,7 @@ def main():
         path = os.path.join(here, name)
         with open(path, "wb") as fh:
             fh.write(export_region(region, "svg"))
-        print(f"wrote {path}")
+        print(f"wrote {name}")
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ curvature certification), counterexample (delta ladders, slope fits, and
 the divergence diagnostic), region (exact rational regions as CSV/SVG).
 
 Configuration is a flat key=value text file; --set key=value overrides
-individual entries.  Exit codes: 0 success, 1 assertion failure, 2
-usage or configuration error.
+individual entries, and a key the command does not read is an error.
+Exit codes: 0 success, 1 assertion failure, 2 usage or configuration error.
 """
 
 import argparse
@@ -346,12 +346,18 @@ def cmd_region(cfg, seed, out_path, fmt):
     return 0
 
 
+# Each command with the config keys it reads; the structure keys, read by
+# build_structure, are shared.  Any other key is an error.
+STRUCTURE_KEYS = ("kind", "n", "blocks", "m", "tilt")
 COMMANDS = {
-    "group-check": cmd_group_check,
-    "lemma-check": cmd_lemma_check,
-    "geometry": cmd_geometry,
-    "counterexample": cmd_counterexample,
-    "region": cmd_region,
+    "group-check": (cmd_group_check,
+                    STRUCTURE_KEYS + ("samples", "tolerance")),
+    "lemma-check": (cmd_lemma_check, ("samples", "tolerance")),
+    "geometry": (cmd_geometry, STRUCTURE_KEYS + ("points", "fold_points")),
+    "counterexample": (cmd_counterexample, STRUCTURE_KEYS + (
+        "family", "p", "q", "deltas", "tolerance", "t", "alpha", "j_lo",
+        "j_hi")),
+    "region": (cmd_region, ("region", "n", "m")),
 }
 
 
@@ -370,7 +376,14 @@ def main(argv=None):
     try:
         cfg = load_config(args.config) if args.config else {}
         cfg = apply_overrides(cfg, args.overrides)
-        return COMMANDS[args.command](cfg, args.seed, args.out, args.format)
+        command, keys = COMMANDS[args.command]
+        unknown = sorted(set(cfg) - set(keys))
+        if unknown:
+            raise ConfigError(
+                f"unknown key{'s' * (len(unknown) > 1)} "
+                f"{', '.join(map(repr, unknown))} for {args.command}; "
+                f"its keys are {', '.join(keys)}")
+        return command(cfg, args.seed, args.out, args.format)
     except (ConfigError, DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,9 @@
 """Counterexample families for the averaging and maximal operators.
 
-Each family packages an input field with the region its norm is taken
-over, a thin test region with its own measure-correct lattice, a time map
-x -> t(x) that picks one average per test point, and a predicted power of
-delta for the ratio |Mf|_q / |f|_p.
+Each family packages the indicator of a set with the set's measure, a thin
+test region with its own measure-correct lattice, a time map x -> t(x)
+that picks one average per test point, and a predicted power of delta for
+the ratio |Mf|_q / |f|_p, whose denominator is measure^(1/p).
 Running a family down a delta ladder and fitting the log-log slope
 reproduces the necessary-condition exponents.
 
@@ -11,7 +11,9 @@ Test regions are parametrized over the unit cube with explicit Jacobians,
 so thin slabs are integrated in coordinates aligned with their thin
 directions.  All per-axis lattice counts are fixed along the ladder while
 the coordinate ranges scale linearly with delta; relative quadrature bias
-is then delta-independent and cancels in the fitted slope.
+is then delta-independent and cancels in the fitted slope.  The scaling
+and moment sets have closed-form measures; the ball and knapp sets are
+counted on a 24^d lattice of a support box that scales as they do.
 """
 
 import math
@@ -28,8 +30,8 @@ from .spheres import ScalarField, SphereRule, sphere_rule
 FAMILIES = ("ball", "scaling", "knapp", "moment")
 
 
-# Lattice points per block of ParamRegion.lq_norm.  A block's points,
-# weights and integrand take a few MB, however large the lattice.
+# Lattice points per block of _box_measure.  A block's points, weights
+# and field values take a few MB, however large the lattice.
 BLOCK_POINTS = 2 ** 14
 
 
@@ -70,29 +72,6 @@ class ParamRegion:
         pts, jac = self.param(u.reshape(k, -1).T)
         return pts, np.asarray(jac, dtype=float) / math.prod(self.counts)
 
-    def lq_norm(self, values_fn, q: float) -> float:
-        """|values_fn|_q over the region, one block of the lattice at a time.
-
-        A block fixes the fewest leading axes that leave at most
-        BLOCK_POINTS points.  math.fsum adds the block sums with one
-        rounding, so the order of the blocks does not matter.
-        """
-        if not q >= 1:
-            raise DomainError(f"exponent {q!r} must be >= 1 or inf")
-        lead = 0
-        while math.prod(self.counts[lead:]) > BLOCK_POINTS:
-            lead += 1
-        parts = []
-        for head in np.ndindex(*self.counts[:lead]):
-            pts, w = self.points_and_weights(head)
-            vals = np.abs(np.asarray(values_fn(pts), dtype=float))
-            parts.append(vals.max() if np.isinf(q)
-                         else np.sum(vals ** q * w))
-        if np.isinf(q):
-            # np.max, not max: a NaN in any block makes the norm NaN
-            return float(np.max(parts))
-        return float(math.fsum(parts) ** (1.0 / q))
-
 
 @dataclass(frozen=True)
 class ExampleInstance:
@@ -101,51 +80,54 @@ class ExampleInstance:
     family: str
     delta: float
     structure: MetivierStructure
-    field: ScalarField
+    field: ScalarField      # the indicator of a set
     test_region: ParamRegion
-    field_region: ParamRegion
+    measure: float          # the set's volume, so |field|_p = measure^(1/p)
     time: Callable[[np.ndarray], np.ndarray]  # (P, d) points -> (P,) times
     rule: SphereRule
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
+        if not 0.0 < self.measure < math.inf:    # NaN fails too
+            raise DomainError(f"{self.family} delta={self.delta!r}: field "
+                              f"measure {self.measure!r} is not positive "
+                              "and finite")
 
 
 def operator_ratio(s: MetivierStructure, instance: ExampleInstance,
                    p: float, q: float) -> float:
     """Quadrature estimate of a lower bound of |Mf|_q / |f|_p for an instance.
 
-    The numerator integrates |A_t(x) f(x)|, with the instance's time map
-    clamped to [1, 2], over the test region: |A_t(x) f(x)| is a lower
-    bound of the maximal function sup_{1<=t<=2} |A_t f| at x, but both the
-    sphere average and the region integral are quadratures, so the ratio
-    estimates that bound and is not certified.  The denominator integrates
-    the input field over its field region.
+    The numerator is (sum w |A_t(x) f(x)|^q)^(1/q) over the test region's
+    lattice, or the max for q = inf, with the time map clamped to [1, 2]:
+    |A_t(x) f(x)| is a lower bound of sup_{1<=t<=2} |A_t f| at x, but the
+    average and the sum are quadratures, so the ratio estimates that bound
+    and is not certified.  The denominator is measure^(1/p).
     """
-    f = instance.field
-
-    def maximal(pts):
-        t = np.clip(instance.time(pts), 1.0, 2.0)
-        # called through the module, so a wrapper installed on
-        # heislab.spheres (as bench/tracer.py does) sees every average
-        return np.abs(spheres.spherical_average_batch(s, f, t, pts,
-                                                      instance.rule))
-
-    # the denominator first: a bad p fails before any sphere average
-    denom = instance.field_region.lq_norm(f, p)
-    numer = instance.test_region.lq_norm(maximal, q)
-    rung = f"{instance.family} delta={instance.delta!r}"
-    if denom == 0.0:
-        raise DomainError(f"{rung}: input field has zero norm at this "
-                          "resolution")
+    ip, iq = float(_inv(p)), float(_inv(q))     # 1/p, 1/q
+    pts, w = instance.test_region.points_and_weights()
+    t = np.clip(instance.time(pts), 1.0, 2.0)
+    # called through the module, so a wrapper installed on heislab.spheres
+    # (as bench/tracer.py does) sees every average
+    vals = np.abs(spheres.spherical_average_batch(s, instance.field, t, pts,
+                                                  instance.rule))
+    numer = (float(vals.max()) if np.isinf(q)
+             else float(np.sum(vals ** q * w)) ** iq)
     if numer == 0.0:
-        raise DomainError(f"{rung}: no sphere node hits the field's support")
-    return numer / denom
+        raise DomainError(f"{instance.family} delta={instance.delta!r}: no "
+                          "sphere node hits the field's support")
+    return numer / instance.measure ** ip
 
 
-def _box_region(f: ScalarField) -> ParamRegion:
-    """Midpoint lattice of the field's support box, 24 nodes per axis."""
+def _box_measure(f: ScalarField) -> float:
+    """Integral of f on the 24^d midpoint lattice of its support box.
+
+    The families build their sphere rule first, so a refused rule fails
+    before this sum.  A block of the lattice fixes the fewest leading axes
+    that leave at most BLOCK_POINTS points; math.fsum adds the block sums
+    with one rounding, so the order of the blocks does not matter.
+    """
     lo, hi = f.support_lo, f.support_hi
     volume = float(np.prod(hi - lo))
 
@@ -153,7 +135,12 @@ def _box_region(f: ScalarField) -> ParamRegion:
         # elementwise, so the points keep u's coordinate-major order
         return (hi - lo) * u + lo, np.full(len(u), volume)
 
-    return ParamRegion((24,) * len(lo), param)
+    box = ParamRegion((24,) * len(lo), param)
+    lead = next(k for k in range(len(lo) + 1)
+                if math.prod(box.counts[k:]) <= BLOCK_POINTS)
+    blocks = (box.points_and_weights(head)
+              for head in np.ndindex(*box.counts[:lead]))
+    return math.fsum(np.sum(f(pts) * w) for pts, w in blocks)
 
 
 # --- family constants ----------------------------------------------------
@@ -284,10 +271,10 @@ def ball_example(s: MetivierStructure, delta: float) -> ExampleInstance:
         return np.concatenate([ubar.T, bar.T]).T, jac
 
     counts = (8, 16, 8) if n == 1 else (3, 4, 6, 6, 4)
+    rule = sphere_rule(n, _cap_resolution(n, delta))
     return ExampleInstance(
-        "ball", delta, s, f, ParamRegion(counts, param), _box_region(f),
-        lambda pts: np.linalg.norm(pts[:, :two_n], axis=1),
-        sphere_rule(n, _cap_resolution(n, delta)))
+        "ball", delta, s, f, ParamRegion(counts, param), _box_measure(f),
+        lambda pts: np.linalg.norm(pts[:, :two_n], axis=1), rule)
 
 
 # --- scaling family ------------------------------------------------------
@@ -324,21 +311,11 @@ def scaling_example(s: MetivierStructure, delta: float,
 
     dd = two_n - 1
 
-    # Field support in adapted shell coordinates: exact up to the smooth
-    # radial Jacobian, so the denominator norm carries no delta-dependent
-    # lattice bias.  When shell > t the shell is a full ball of radius
-    # t + shell, so r starts at 0.
+    # the center shear keeps volume: a 2n-dimensional annulus (a ball when
+    # shell > t) times a center interval of length 2 shell
     r_lo = max(t - shell, 0.0)
-    r_width = r_hi - r_lo
-
-    def f_param(u):
-        r = r_lo + r_width * u[:, 0]
-        dirs, ang = _sphere_dir(n, u[:, 1:1 + dd])
-        ubar = r[:, None] * dirs
-        b = shell * (2.0 * u[:, 1 + dd:1 + dd + m] - 1.0)
-        bar = b + t * (ubar @ s.Lambda.T)
-        jac = r_width * r ** (two_n - 1) * ang * (2.0 * shell) ** m
-        return np.concatenate([ubar.T, bar.T]).T, jac
+    measure = (math.pi ** n / math.factorial(n)
+               * (r_hi ** two_n - r_lo ** two_n) * (2.0 * shell) ** m)
 
     def r_param(u):
         rho = delta * u[:, 0] ** (1.0 / two_n)
@@ -353,8 +330,8 @@ def scaling_example(s: MetivierStructure, delta: float,
 
     counts = (8, 16, 8) if n == 1 else (4, 4, 8, 8, 4)
     return ExampleInstance(
-        "scaling", delta, s, f, ParamRegion(counts, r_param),
-        ParamRegion(counts, f_param), lambda pts: np.full(len(pts), t),
+        "scaling", delta, s, f, ParamRegion(counts, r_param), measure,
+        lambda pts: np.full(len(pts), t),
         sphere_rule(n, 256 if n == 1 else 16))
 
 
@@ -456,10 +433,10 @@ def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     # angles; match the rule to that anisotropy
     c_lat = max(24, int(math.ceil(_factor_count(3.0 / delta))))
     c_ang = max(24, int(math.ceil(_factor_count(10.0 / sq))))
+    rule = sphere_rule(n, (c_lat, c_ang, c_ang), latitude="uniform")
     return ExampleInstance(
         "knapp", delta, s, f, ParamRegion((3, 4, 4, 5, 4), param),
-        _box_region(f), t_of,
-        sphere_rule(n, (c_lat, c_ang, c_ang), latitude="uniform"))
+        _box_measure(f), t_of, rule)
 
 
 # --- stein divergence diagnostic -----------------------------------------
@@ -559,13 +536,6 @@ def moment_example(delta: float) -> ExampleInstance:
     lo = np.array([-hw1, -hw2, -(hw3 + hw2)])
     f = ScalarField(inside, lo, -lo)
 
-    def f_param(u):
-        y1 = hw1 * (2 * u[:, 0] - 1)
-        y2 = hw2 * (2 * u[:, 1] - 1)
-        z = hw3 * (2 * u[:, 2] - 1)
-        return (np.stack([y1, y2, z - y2]).T,
-                8.0 * hw1 * hw2 * hw3 * np.ones(len(u)))
-
     def v_param(u):
         x1 = 1.0 + delta ** 2 * (2 * u[:, 0] - 1)
         x2 = delta * (2 * u[:, 1] - 1)
@@ -576,7 +546,7 @@ def moment_example(delta: float) -> ExampleInstance:
     counts = (6, 6, 6)
     return ExampleInstance(
         "moment", delta, s, f, ParamRegion(counts, v_param),
-        ParamRegion(counts, f_param), lambda pts: np.ones(len(pts)),
+        8.0 * hw1 * hw2 * hw3, lambda pts: np.ones(len(pts)),
         sphere_rule(1, _cap_resolution(1, delta)))
 
 

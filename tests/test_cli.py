@@ -150,6 +150,33 @@ def test_missing_config_file_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["group-check", "--set", "sampels=20"], "sampels"),
+    (["lemma-check", "--set", "sampels=3"], "sampels"),
+    (["geometry", "--set", "points=2", "--set", "tolerance=0"], "tolerance"),
+    (["counterexample", "--set", "family=stein", "--set", "j_high=12"],
+     "j_high"),
+    (["region", "--set", "regoin=averaging", "--set", "n=1"], "regoin"),
+], ids=["group-check", "lemma-check", "geometry", "counterexample", "region"])
+def test_unknown_key_exits_2(argv, key, capsys):
+    # a misspelled key would otherwise leave its default in force
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown key ") and err.count("\n") == 1
+    assert repr(key) in err and argv[0] in err
+
+
+def test_unknown_key_in_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "region.cfg"
+    path.write_text("region=averaging\nn=1\nformat=svg\n")
+    code, out, err = run(["region", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: unknown key 'format' for region; its keys are "
+                   "region, n, m\n")
+
+
 def test_bad_structure_kind_exits_2(capsys):
     code, _, err = run(["group-check", "--set", "kind=free"], capsys)
     assert code == 2

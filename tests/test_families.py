@@ -12,7 +12,7 @@ from heislab.groups import (DomainError, MetivierStructure,
                             normalized_heisenberg, quaternionic_htype,
                             standard_heisenberg)
 from heislab.families import (BLOCK_POINTS, ExampleInstance, ParamRegion,
-                              _box_region, _row_dot, ball_example, c_one,
+                              _box_measure, _row_dot, ball_example, c_one,
                               c_ring, c_zero, fit_exponent, fit_passes,
                               knapp_example, knapp_frame,
                               moment_example, moment_structure,
@@ -35,13 +35,11 @@ def test_param_region_measure():
                 0.25 * np.pi * np.ones(len(u)))
 
     reg = ParamRegion((40, 40), param)
-    one = reg.lq_norm(lambda pts: np.ones(len(pts)), 1.0)
-    assert one == pytest.approx(np.pi / 4.0, rel=1e-12)
     pts, w = reg.points_and_weights()
+    assert math.fsum(w) == pytest.approx(np.pi / 4.0, rel=1e-12)
     mean = np.sum((pts[:, 0] ** 2 + pts[:, 1] ** 2) * w) / np.sum(w)
     assert mean == pytest.approx(0.5, rel=1e-3)
-    sup = reg.lq_norm(lambda pts: pts[:, 0], np.inf)
-    assert sup <= 1.0
+    assert np.max(np.hypot(pts[:, 0], pts[:, 1])) <= 1.0
 
 
 def box_indicator(lo, hi, box_lo, box_hi):
@@ -55,102 +53,95 @@ def box_indicator(lo, hi, box_lo, box_hi):
     return ScalarField(ev, box_lo, box_hi)
 
 
-def box_region(f, count):
-    """The field's support-box region at count nodes per axis."""
-    return replace(_box_region(f), counts=(count,) * len(f.support_lo))
+def support_lattice(f, count):
+    """The midpoint lattice of f's support box, count nodes per axis."""
+    lo, hi = f.support_lo, f.support_hi
+    volume = float(np.prod(hi - lo))
+    return ParamRegion((count,) * len(lo),
+                       lambda u: ((hi - lo) * u + lo, np.full(len(u), volume)))
+
+
+def recording(f):
+    """f, plus a list of (shape, f_contiguous) of the batches it sees."""
+    seen = []
+
+    def ev(pts):
+        seen.append((pts.shape, pts.flags.f_contiguous))
+        return f(pts)
+
+    return ScalarField(ev, f.support_lo, f.support_hi), seen
 
 
 def test_box_region_indicator_norms():
-    f = box_indicator([0.0, 0.0], [0.5, 0.8], [-1.0, -1.0], [1.0, 1.0])
-    reg = box_region(f, 48)
-    vol = 0.4
+    # on [-1, 1]^2 the 24-node lattice has spacing 1/12, so the box
+    # [0, 1/2] x [0, 3/4] holds 6 x 9 nodes and its measure is exact
+    f = box_indicator([0.0, 0.0], [0.5, 0.75], [-1.0, -1.0], [1.0, 1.0])
+    measure = _box_measure(f)
     for p in (1.0, 2.0, 3.0):
-        got = reg.lq_norm(f, p)
-        assert abs(got - vol ** (1.0 / p)) / vol ** (1.0 / p) <= 0.02
-    assert reg.lq_norm(f, np.inf) == 1.0
+        assert measure ** (1.0 / p) == pytest.approx(0.375 ** (1.0 / p),
+                                                     rel=1e-12)
 
 
-def test_lq_norm_homogeneity_exact():
-    f = box_indicator([0.0, 0.0], [0.5, 0.8], [-1.0, -1.0], [1.0, 1.0])
-    reg = box_region(f, 32)
-
-    def doubled(pts):
-        return 2.0 * f(pts)
-
-    assert reg.lq_norm(doubled, 2.0) == 2.0 * reg.lq_norm(f, 2.0)
-
-
-def test_lq_norm_scaling_jacobian_law():
+def test_box_measure_scaling_law():
     f = box_indicator([-1.0, -1.0], [1.0, 1.0], [-2.0, -2.0], [2.0, 2.0])
-    reg = box_region(f, 64)
-    c = 2.0
-
-    def squeezed(pts):
-        return f(c * pts)
-
-    # |f(c .)|_p = c^{-dim/p} |f|_p, dim = 2
-    for p in (1.0, 2.0):
-        a = reg.lq_norm(f, p)
-        b = reg.lq_norm(squeezed, p)
-        assert b == pytest.approx(c ** (-2.0 / p) * a, rel=0.02)
+    squeezed = ScalarField(lambda pts: f(2.0 * pts), f.support_lo,
+                           f.support_hi)
+    # |{x : 2x in E}| = 2^-dim |E|, dim = 2; both boxes lie on the lattice
+    assert _box_measure(f) == pytest.approx(4.0, rel=1e-12)
+    assert _box_measure(squeezed) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_lq_norm_rejects_exponent_below_one():
-    f = box_indicator([0.0], [1.0], [0.0], [1.0])
-    reg = _box_region(f)
-    for bad in (0.5, 0.0, -1.0, math.nan):
-        with pytest.raises(DomainError):
-            reg.lq_norm(f, bad)
+def warped_field():
+    """A smooth field on a 4-dimensional box: 24^4 = 331,776 lattice
+    points, so the box measure fixes one leading axis per block."""
+    return ScalarField(lambda x: np.cos(x[:, 0]) - x[:, 1] * x[:, 3],
+                       [-1.0, -2.0, 0.0, 0.5], [1.0, 1.0, 3.0, 2.0])
 
 
-def warped_region(counts):
-    """A region whose points and Jacobian vary along every cube axis."""
-    def param(u):
-        pts = np.sin(3.0 * u) + u[:, ::-1] ** 2
-        return pts, 1.0 + np.prod(u, axis=1)
-
-    return ParamRegion(counts, param)
-
-
-def test_lq_norm_blocks_match_one_shot():
-    # 144,000 points: two leading axes are fixed per block, 240 blocks
-    reg = warped_region((6, 40, 30, 20))
-    assert math.prod(reg.counts) > BLOCK_POINTS
-    assert math.prod(reg.counts[1:]) > BLOCK_POINTS
+def test_box_measure_blocks_match_one_shot():
+    assert 24 ** 4 > BLOCK_POINTS >= 24 ** 3
+    f, seen = recording(warped_field())
+    reg = support_lattice(f, 24)
     pts, w = reg.points_and_weights()
-    blocks = [reg.points_and_weights(head) for head in np.ndindex(6, 40)]
+    blocks = [reg.points_and_weights((i,)) for i in range(24)]
     assert np.array_equal(np.concatenate([b[0] for b in blocks]), pts)
     assert np.array_equal(np.concatenate([b[1] for b in blocks]), w)
-
-    def f(x):
-        return np.cos(x[:, 0]) - x[:, 1] * x[:, 3]
-
-    vals = np.abs(f(pts))
-    for q in (1.0, 2.0):
-        want = math.fsum(vals ** q * w) ** (1.0 / q)
-        assert reg.lq_norm(f, q) == pytest.approx(want, rel=1e-15, abs=0.0)
-    assert reg.lq_norm(f, np.inf) == vals.max()
+    want = math.fsum(f(pts) * w)
+    del seen[:]
+    assert _box_measure(f) == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert [shape for shape, _ in seen] == [(24 ** 3, 4)] * 24
 
 
-def test_lq_norm_nan_in_a_later_block():
-    reg = warped_region((6, 40, 30, 20))
-    last = reg.points_and_weights((5, 39))[0][-1]
+def test_box_measure_nan_in_a_later_block():
+    field = warped_field()
+    last = support_lattice(field, 24).points_and_weights((23,))[0][-1]
 
-    def f(x):
-        out = np.ones(len(x))
+    def ev(x):
+        out = field(x)
         out[np.all(x == last, axis=1)] = np.nan
         return out
 
-    for q in (1.0, np.inf):
-        assert math.isnan(reg.lq_norm(f, q))
+    measure = _box_measure(ScalarField(ev, field.support_lo,
+                                       field.support_hi))
+    assert math.isnan(measure)
+    inst = moment_example(0.125)
+    with pytest.raises(DomainError, match="not positive and finite"):
+        replace(inst, measure=measure)
+
+
+def test_instance_rejects_a_bad_measure():
+    inst = moment_example(0.125)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"moment delta=0\.125"):
+            replace(inst, measure=bad)
 
 
 def test_field_region_norm_memory_is_bounded():
-    # a 24^5 field region: 8.0e6 points, 318 MB as one array, 576 blocks
-    inst = ball_example(standard_heisenberg(2), 0.125)
+    # the 24^5 box measure: 8.0e6 points, 318 MB as one array, 576 blocks
+    f = ball_example(standard_heisenberg(2), 0.125).field
     tracemalloc.start()
     try:
-        inst.field_region.lq_norm(inst.field, 2.0)
+        _box_measure(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -166,31 +157,18 @@ def test_field_region_seed_denominators():
          21.739549781247955),
     ]
     for inst, p, want in cases:
-        assert inst.field_region.counts == (24,) * inst.structure.d
-        got = inst.field_region.lq_norm(inst.field, p)
-        assert got == pytest.approx(want, rel=1e-12)
-
-
-def recording(f):
-    """f, plus a list of (shape, f_contiguous) of the batches it sees."""
-    seen = []
-
-    def ev(pts):
-        seen.append((pts.shape, pts.flags.f_contiguous))
-        return f(pts)
-
-    return ScalarField(ev, f.support_lo, f.support_hi), seen
+        assert inst.measure ** (1.0 / p) == pytest.approx(want, rel=1e-12)
 
 
 def test_batches_are_coordinate_major():
     inst = ball_example(standard_heisenberg(2), 0.125)
     f, seen = recording(inst.field)
     # 24^5 points in 576 blocks
-    inst.field_region.lq_norm(f, 2.0)
+    _box_measure(f)
     assert len(seen) == 576
-    inst.test_region.lq_norm(f, 2.0)
-    assert len(seen) == 577
     pts, _ = inst.test_region.points_and_weights()
+    f(pts)
+    assert len(seen) == 577
     t = np.clip(inst.time(pts), 1.0, 2.0)
     # a small chunk splits the sphere images into several batches
     assert spherical_average_batch(inst.structure, f, t, pts, inst.rule,
@@ -208,36 +186,44 @@ def row_major(region):
     return ParamRegion(region.counts, param)
 
 
+TILTED_H2 = MetivierStructure(2, 1, normalized_heisenberg(2).J,
+                              np.array([[0.03, 0.0, 0.02, 0.0]]))
+
+
 @pytest.mark.parametrize("inst", [
     ball_example(standard_heisenberg(1), 0.125),
     knapp_example(normalized_heisenberg(2), 0.125),
-], ids=["ball-n1", "knapp-n2"])
+    scaling_example(standard_heisenberg(1), 0.125),
+    scaling_example(TILTED_H2, 0.125),
+    moment_example(0.125),
+], ids=["ball-n1", "knapp-n2", "scaling-n1", "scaling-tilted-n2", "moment"])
 def test_row_major_batches_give_the_same_bits(inst):
     s = inst.structure
-    # halved test lattices keep the n = 2 averages cheap; 12^d field
-    # lattice points still cover several blocks
+    # halved test lattices keep the n = 2 averages cheap
     test_region = replace(inst.test_region, counts=tuple(
         max(2, c // 2) for c in inst.test_region.counts))
-    field_region = replace(inst.field_region, counts=(12,) * s.d)
     pts, _ = test_region.points_and_weights()
-    rows = np.ascontiguousarray(pts)
-    assert pts.flags.f_contiguous and not rows.flags.f_contiguous
-    assert np.array_equal(_row_dot(rows, rows), _row_dot(pts, pts))
+    box_pts, _ = support_lattice(inst.field, 12).points_and_weights()
+    for x in (pts, box_pts):
+        rows = np.ascontiguousarray(x)
+        assert x.flags.f_contiguous and not rows.flags.f_contiguous
+        assert np.array_equal(_row_dot(rows, rows), _row_dot(x, x))
     # the smooth weight exposes every bit of the image coordinates
     weighted = ScalarField(lambda x: inst.field(x) * np.exp(x.sum(axis=1)),
                            inst.field.support_lo, inst.field.support_hi)
     for f in (inst.field, weighted):
-        def maximal(x):
-            t = np.clip(inst.time(x), 1.0, 2.0)
-            return spherical_average_batch(s, f, t, x, inst.rule)
-
-        assert np.array_equal(maximal(rows), maximal(pts))
-        assert maximal(pts).max() > 0
-        for region, values_fn in [(field_region, f), (test_region, maximal)]:
-            for q in (2.0, np.inf):
-                want = region.lq_norm(values_fn, q)
-                assert want > 0
-                assert row_major(region).lq_norm(values_fn, q) == want
+        assert np.array_equal(f(np.ascontiguousarray(box_pts)), f(box_pts))
+        t = np.clip(inst.time(pts), 1.0, 2.0)
+        avg = spherical_average_batch(s, f, t, pts, inst.rule)
+        assert avg.max() > 0
+        assert np.array_equal(spherical_average_batch(
+            s, f, t, np.ascontiguousarray(pts), inst.rule), avg)
+        for q in (2.0, np.inf):
+            want = operator_ratio(s, replace(inst, field=f,
+                                             test_region=test_region), 2.0, q)
+            assert want > 0
+            assert operator_ratio(s, replace(inst, field=f, test_region=(
+                row_major(test_region))), 2.0, q) == want
 
 
 def test_instance_rejects_unknown_family():
@@ -245,33 +231,29 @@ def test_instance_rejects_unknown_family():
     inst = ball_example(s, 0.125)
     with pytest.raises(DomainError):
         ExampleInstance("cone", 0.125, s, inst.field, inst.test_region,
-                        inst.field_region, inst.time, inst.rule)
+                        inst.measure, inst.time, inst.rule)
 
 
 # --- operator ratio -------------------------------------------------------
 
 def test_operator_ratio_field_homogeneity():
+    # the ratio is homogeneous of degree -1/p in the field's measure
     s = standard_heisenberg(1)
     inst = ball_example(s, 0.125)
-    base = operator_ratio(s, inst, 1.0, np.inf)
-    f = inst.field
-
-    def doubled(pts):
-        return 2.0 * f(pts)
-
-    f2 = ScalarField(doubled, f.support_lo, f.support_hi)
-    inst2 = ExampleInstance(inst.family, inst.delta, inst.structure, f2,
-                            inst.test_region, inst.field_region,
-                            inst.time, inst.rule)
-    assert operator_ratio(s, inst2, 1.0, np.inf) == pytest.approx(base,
-                                                                  rel=1e-12)
+    for p, q in ((1.0, np.inf), (2.0, 2.0), (3.0, 4.0)):
+        base = operator_ratio(s, inst, p, q)
+        for c in (0.5, 8.0):
+            got = operator_ratio(s, replace(inst, measure=c * inst.measure),
+                                 p, q)
+            assert got == pytest.approx(base * c ** (-1.0 / p), rel=1e-12)
 
 
 def test_operator_ratio_rejects_exponent_below_one():
     inst = moment_example(0.125)
-    for p, q in ((0.5, 2.0), (2.0, 0.5)):
-        with pytest.raises(DomainError, match=">= 1"):
-            operator_ratio(inst.structure, inst, p, q)
+    for bad in (0.5, 0.0, -1.0, math.nan):
+        for p, q in ((bad, 2.0), (2.0, bad)):
+            with pytest.raises(DomainError, match=">= 1"):
+                operator_ratio(inst.structure, inst, p, q)
 
 
 def test_operator_ratio_zero_numerator_raises():
@@ -544,8 +526,24 @@ def test_scaling_field_region_when_shell_exceeds_time():
     # C0 delta = 5/2 > t = 3/2: the shell is the disk of radius 4 times a
     # center interval of length 5, and its volume is 80 pi
     inst = scaling_example(normalized_heisenberg(1), 0.25)
-    got = inst.field_region.lq_norm(inst.field, 1)
-    assert got == pytest.approx(80.0 * math.pi, rel=1e-12)
+    assert inst.measure == 80.0 * math.pi
+
+
+def test_scaling_measure_matches_radial_quadrature():
+    # standard H^2 at delta = 2^-3: the set is 7/8 <= |ubar| <= 17/8 in
+    # R^4 (|S^3| = 2 pi^2) times a center interval of length 2 C0 delta
+    s = standard_heisenberg(2)
+    inst = scaling_example(s, 0.125)
+    shell = c_zero(s) * 0.125
+    lo, hi = 1.5 - shell, 1.5 + shell
+    count = 100000
+    r = lo + (hi - lo) * (np.arange(count) + 0.5) / count
+    ray = np.zeros((count, 5))
+    ray[:, 0] = r
+    assert np.all(inst.field(ray) == 1.0)
+    want = (math.fsum(r ** 3) * (hi - lo) / count
+            * 2.0 * math.pi ** 2 * 2.0 * shell)
+    assert inst.measure == pytest.approx(want, rel=1e-9)
 
 
 # --- knapp family ---------------------------------------------------------
