@@ -248,12 +248,22 @@ def test_operator_ratio_field_homogeneity():
             assert got == pytest.approx(base * c ** (-1.0 / p), rel=1e-12)
 
 
+def test_lq_norm_rejects_exponent_below_one():
+    # the denominator |f|_p = measure^(1/p) takes no p below 1, whether the
+    # measure is a closed form (moment) or a support-box sum (ball)
+    for inst in (moment_example(0.125),
+                 ball_example(standard_heisenberg(1), 0.125)):
+        for bad in (0.5, 0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match=">= 1"):
+                operator_ratio(inst.structure, inst, bad, 2.0)
+
+
 def test_operator_ratio_rejects_exponent_below_one():
+    # the numerator's q is checked as the denominator's p is
     inst = moment_example(0.125)
     for bad in (0.5, 0.0, -1.0, math.nan):
-        for p, q in ((bad, 2.0), (2.0, bad)):
-            with pytest.raises(DomainError, match=">= 1"):
-                operator_ratio(inst.structure, inst, p, q)
+        with pytest.raises(DomainError, match=">= 1"):
+            operator_ratio(inst.structure, inst, 2.0, bad)
 
 
 def test_operator_ratio_zero_numerator_raises():
