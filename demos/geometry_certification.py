@@ -18,16 +18,15 @@ def main():
     print("\ngeneric chart points (expect full rank d):")
     for _ in range(5):
         x, t, y = sample_chart_point(s, rng)
-        rep = certify_point(s, x, t, y, with_curvature=False)
+        rep = certify_point(s, x, t, y)
         print(f"  sigma={rep.sigma:+.3f}  rank_xi={rep.rank_xi}  "
               f"rank_spatial={rep.rank_spatial}")
 
     print("\nfold points sigma=0 in the matched frame x'=y'")
     print("(expect ranks d, d-1, curvature d-1, and |c| above its floor):")
     for _ in range(5):
-        x, t, y = sample_chart_point(s, rng, on_fold=True,
-                                     match_xprime=True)
-        rep = certify_point(s, x, t, y)
+        x, t, y = sample_chart_point(s, rng, on_fold=True)
+        rep = certify_point(s, x, t, y, on_fold=True)
         print(f"  sigma={rep.sigma:+.1e}  rank_xi={rep.rank_xi}  "
               f"rank_spatial={rep.rank_spatial}  rank_curv={rep.rank_curv}  "
               f"|c|={abs(rep.c_value):.4f} >= {rep.c_bound:.4f}")

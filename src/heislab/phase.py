@@ -9,16 +9,15 @@ analytically.  At the chart points sample_chart_point draws, the
 geometry command certifies with certify_point:
 
   * rank Xi_y = d at every point,
-  * the spatial block has rank d-1 at points of the fold locus sigma = 0,
-  * there the cone y -> Xi(x,t,y) has curvature rank d-1 (a
-    finite-difference Hessian, see curvature_matrix),
-  * and it reports the diagonal curvature scalar c with its certified
-    floor.
+  * at points of the fold locus sigma = 0, drawn at x' = y': the spatial
+    block and the curvature of the cone y -> Xi(x,t,y) (a finite-difference
+    Hessian, see curvature_matrix) have rank d-1, and the diagonal
+    curvature scalar c has |c| >= c_bound - C_SLACK, its certified floor.
 
-The rest of the fold geometry is checked against closed forms and
-finite-difference oracles in tests/oracles.py: the phase itself, the
-determinant identity, the x' = y' block forms of both curvature
-matrices, the fold cone's curvature rank d-2 and the two-sided fold.
+A point that breaks one of these deviates.  Only the tests check the
+determinant identity, the fold cone's curvature rank d-2 and the two-sided
+fold, with the closed forms and finite-difference oracles of
+tests/oracles.py.
 
 Coordinates: x = (x', x_{2n}, xbar) in R^{2n-1} x R x R^m, same split for
 y; the time t is appended as the last gradient slot, so Xi lives in
@@ -44,6 +43,8 @@ YPRIME_RADIUS = X_PERTURBATION = 0.1
 # any certified curvature.
 FD_STEP = 1e-4
 CURVATURE_TOL = 1e-5
+# Slack of the fold-point check |c| >= c_bound - C_SLACK.
+C_SLACK = 1e-8
 
 
 # --- graph chart ---------------------------------------------------------
@@ -148,17 +149,10 @@ def xi_y(s: MetivierStructure, x: np.ndarray, t: float,
     return cols
 
 
-def spatial_block(xi_cols: np.ndarray) -> np.ndarray:
-    """Pi Xi_y: drop the time row, keeping the d x d spatial block."""
-    return xi_cols[:-1, :]
-
-
-def matrix_rank_report(mat: np.ndarray, tol: float = 1e-7):
-    """(rank, singular values) with rank = count of s_i > tol * s_max."""
-    sv = np.linalg.svd(mat, compute_uv=False)
-    smax = sv[0] if len(sv) else 0.0
-    rank = int(np.sum(sv > tol * smax)) if smax > 0 else 0
-    return rank, sv
+def _rank(sv: np.ndarray, tol: float = 1e-7) -> int:
+    """Count of the descending singular values sv above tol * sv[0]; the
+    default cutoff is the one for the analytic Xi_y."""
+    return int(np.sum(sv > tol * sv[0])) if len(sv) and sv[0] > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -169,20 +163,21 @@ class CurvatureReport:
     t: float
     y: np.ndarray
     sigma: float
+    on_fold: bool
     rank_xi: int
     rank_spatial: int
     c_value: Optional[float] = None
     c_bound: Optional[float] = None
     rank_curv: Optional[int] = None
 
-
-def _normal(s: MetivierStructure, cols: np.ndarray) -> np.ndarray:
-    """Unit left null vector of full-rank Xi_y columns, N_{2n} >= 0."""
-    u, _, _ = np.linalg.svd(cols)
-    N = u[:, -1]
-    if N[2 * s.n - 1] < 0:
-        N = -N
-    return N
+    @property
+    def deviates(self) -> bool:
+        """Whether rank Xi_y is not d or, at a fold point, the spatial or
+        curvature rank is not d-1 or |c| < c_bound - C_SLACK."""
+        d = len(self.x)
+        return self.rank_xi != d or self.on_fold and (
+            self.rank_spatial != d - 1 or self.rank_curv != d - 1
+            or abs(self.c_value) < self.c_bound - C_SLACK)
 
 
 def c_value(s: MetivierStructure, x: np.ndarray, t: float, y: np.ndarray,
@@ -206,17 +201,14 @@ def c_value(s: MetivierStructure, x: np.ndarray, t: float, y: np.ndarray,
 def c_lower_bound(s: MetivierStructure, t: float, y: np.ndarray,
                   N: np.ndarray) -> float:
     """Certified floor t^{-1} |ybar| |ubar a| (s_min(J^v) - |L^v|), v = ybar/|ybar|."""
-    two_n = 2 * s.n
     _, _, ybar = _split_x(s, y)
     r = float(np.linalg.norm(ybar))
     if r == 0.0:
         raise DomainError("ybar must be nonzero")
     v = ybar / r
-    Jv = s.J_theta(v)
-    smin = float(np.linalg.svd(Jv, compute_uv=False)[-1])
+    smin = float(np.linalg.svd(s.J_theta(v), compute_uv=False)[-1])
     lam = float(np.linalg.norm(s.Lambda_theta(v)))
-    ubar_a = N[:two_n]
-    return float(np.linalg.norm(ubar_a) * r * (smin - lam) / t)
+    return float(np.linalg.norm(N[: 2 * s.n]) * r * (smin - lam) / t)
 
 
 def _second_difference(f, y: np.ndarray, j: int, l: int, h: float) -> float:
@@ -247,7 +239,7 @@ def _fd_hessian(f, z: np.ndarray) -> np.ndarray:
 
 def curvature_matrix(s: MetivierStructure, x: np.ndarray, t: float,
                      y: np.ndarray, N: np.ndarray):
-    """Curvature matrix C_{jl} = d^2 <N, Xi> / dy_j dy_l and its rank.
+    """(C, rank C) for the curvature matrix C_{jl} = d^2 <N, Xi> / dy_j dy_l.
 
     Central second differences with one Richardson refinement; N is held
     fixed while y varies.  The rank uses the cutoff CURVATURE_TOL.
@@ -256,8 +248,7 @@ def curvature_matrix(s: MetivierStructure, x: np.ndarray, t: float,
         return float(N @ xi(s, x, t, yy))
 
     C = _fd_hessian(f, y)
-    rank, sv = matrix_rank_report(C, CURVATURE_TOL)
-    return C, rank, sv
+    return C, _rank(np.linalg.svd(C, compute_uv=False), CURVATURE_TOL)
 
 
 # --- chart sampling ------------------------------------------------------
@@ -269,20 +260,20 @@ def _ball(rng, dim, radius):
 
 
 def sample_chart_point(s: MetivierStructure, rng: np.random.Generator,
-                       on_fold: bool = False, match_xprime: bool = False):
+                       on_fold: bool = False):
     """One seeded chart point (x, t, y).
 
     y' lies in a small ball, ubar x is a perturbation of e_{2n}, t is in
     [1,2], ybar sits on the annulus 1/2 <= |ybar| <= 2.  With on_fold the
-    y_{2n} slot is solved from sigma = 0; with match_xprime the x' block
-    is set equal to y' (where the analytic block forms apply).
+    x' block is set equal to y' (where the analytic block forms apply)
+    and the y_{2n} slot is solved from sigma = 0.
     """
     two_n = 2 * s.n
     yp = _ball(rng, two_n - 1, YPRIME_RADIUS)
     x = np.zeros(s.d)
     x[:two_n] = _ball(rng, two_n, X_PERTURBATION)
     x[two_n - 1] += 1.0
-    if match_xprime:
+    if on_fold:
         x[: two_n - 1] = yp
     x[two_n:] = rng.uniform(-0.5, 0.5, s.m)
     t = float(rng.uniform(1.0, 2.0))
@@ -297,22 +288,25 @@ def sample_chart_point(s: MetivierStructure, rng: np.random.Generator,
 
 
 def certify_point(s: MetivierStructure, x: np.ndarray, t: float,
-                  y: np.ndarray,
-                  with_curvature: bool = True) -> CurvatureReport:
-    """Ranks of Xi_y and of its spatial block at one chart point; with
-    curvature, where Xi_y has full rank, also rank_curv, c and its floor."""
+                  y: np.ndarray, on_fold: bool = False) -> CurvatureReport:
+    """Ranks of Xi_y and of its spatial block at one chart point; at a
+    fold point (on_fold) whose Xi_y has full rank, also rank_curv, c and
+    its floor, from the unit normal N of Xi_y."""
     cols = xi_y(s, x, t, y)
-    rank_xi, _ = matrix_rank_report(cols)
-    rank_spatial, _ = matrix_rank_report(spatial_block(cols))
+    u, sv, _ = np.linalg.svd(cols)
+    rank_xi = _rank(sv)
     curvature = {}
-    if with_curvature and rank_xi == s.d:
-        N = _normal(s, cols)
+    if on_fold and rank_xi == s.d:
+        # the left null vector of Xi_y, signed so that N_{2n} >= 0
+        N = -u[:, -1] if u[2 * s.n - 1, -1] < 0 else u[:, -1]
         # the curvature matrix is finite-difference data; it keeps its own,
         # coarser rank cutoff above the differencing noise floor
-        _, rank_curv, _ = curvature_matrix(s, x, t, y, N)
+        _, rank_curv = curvature_matrix(s, x, t, y, N)
         curvature = dict(c_value=c_value(s, x, t, y, N),
                          c_bound=c_lower_bound(s, t, y, N),
                          rank_curv=rank_curv)
-    return CurvatureReport(x=np.array(x), t=float(t), y=np.array(y),
-                           sigma=sigma_value(s, x, t, y), rank_xi=rank_xi,
-                           rank_spatial=rank_spatial, **curvature)
+    return CurvatureReport(
+        x=np.array(x), t=float(t), y=np.array(y),
+        sigma=sigma_value(s, x, t, y), on_fold=on_fold, rank_xi=rank_xi,
+        rank_spatial=_rank(np.linalg.svd(cols[:-1], compute_uv=False)),
+        **curvature)

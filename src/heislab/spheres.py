@@ -202,9 +202,9 @@ def spherical_average_batch(s: MetivierStructure, f: ScalarField,
     product of the two masks.  f is evaluated on those images and counts
     as 0 on all others, which lie outside its box; the center coordinates
     are not box-tested, since f vanishes where they leave the box.  A
-    chunk covers at most chunk (point, node) pairs, and each point's
-    values are summed in node order, so results do not depend on the
-    chunk size.
+    chunk holds max(1, chunk // nodes) points, and each point's values
+    are summed in node order, so results do not depend on the chunk
+    size.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     t = np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))

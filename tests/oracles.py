@@ -23,8 +23,7 @@ import numpy as np
 
 from heislab.groups import DomainError, MetivierStructure
 from heislab.phase import (CURVATURE_TOL, _chart, _fd_hessian, _g_hess,
-                           _normal, _split_x, c_value, matrix_rank_report,
-                           sigma_value, spatial_block, xi, xi_y,
+                           _rank, _split_x, c_value, sigma_value, xi, xi_y,
                            y2n_on_fold)
 from heislab.regions import RatPoint, Region, contains
 
@@ -81,10 +80,11 @@ def normal_vector(s: MetivierStructure, x: np.ndarray, t: float,
     Sign is fixed by a nonnegative 2n-th entry.  Raises when the columns
     are rank deficient, since then the null direction is not unique.
     """
-    cols = xi_y(s, x, t, y)
-    if matrix_rank_report(cols)[0] < s.d:
+    u, sv, _ = np.linalg.svd(xi_y(s, x, t, y))
+    if _rank(sv) < s.d:
         raise DomainError("mixed Hessian is rank deficient, normal undefined")
-    return _normal(s, cols)
+    N = u[:, -1]
+    return -N if N[2 * s.n - 1] < 0 else N
 
 
 def curvature_block_form(s: MetivierStructure, x: np.ndarray, t: float,
@@ -135,15 +135,14 @@ def fold_cone_curvature(s: MetivierStructure, x: np.ndarray, t: float,
     two_n = 2 * s.n
     # The d-1 tangent vectors: by the chain rule through y_{2n}, the ybar_i
     # tangent picks up the Xi_{y_2n} column times d(y2n_on_fold)/d ybar_i.
-    cols = spatial_block(xi_y(s, x, t, fold_point(s, x, t, yp, ybar)))
+    cols = xi_y(s, x, t, fold_point(s, x, t, yp, ybar))[:-1]
     dy2n = [float(t * s.Lambda[i, -1] - x[:two_n] @ s.J[i][:, -1])
             for i in range(s.m)]
     tang = np.concatenate([cols[:, : two_n - 1], cols[:, two_n:]
                            + np.outer(cols[:, two_n - 1], dy2n)], axis=1)
-    rank_t, _ = matrix_rank_report(tang)
-    if rank_t < s.d - 1:
+    u, sv_t, _ = np.linalg.svd(tang)
+    if _rank(sv_t) < s.d - 1:
         raise DomainError("degenerate tangent frame on the fold cone")
-    u, _, _ = np.linalg.svd(tang)
     nu = u[:, -1]
 
     def f(z):
@@ -151,8 +150,8 @@ def fold_cone_curvature(s: MetivierStructure, x: np.ndarray, t: float,
         return float(nu @ xi(s, x, t, y)[:-1])
 
     C = _fd_hessian(f, np.concatenate([yp, ybar]))
-    rank, sv = matrix_rank_report(C, CURVATURE_TOL)
-    return rank, sv, nu
+    sv = np.linalg.svd(C, compute_uv=False)
+    return _rank(sv, CURVATURE_TOL), sv, nu
 
 
 def fold_cone_block_form(s: MetivierStructure, x: np.ndarray, t: float,
@@ -187,16 +186,14 @@ def fold_transversality(s: MetivierStructure, x: np.ndarray, t: float,
     what makes the singularity a two-sided fold.  Returns (left, right)
     derivatives together with the kernel and cokernel vectors.
     """
-    cols = spatial_block(xi_y(s, x, t, y))
-    rank, _ = matrix_rank_report(cols)
-    if rank != s.d - 1:
+    u, sv, vt = np.linalg.svd(xi_y(s, x, t, y)[:-1])
+    if _rank(sv) != s.d - 1:
         raise DomainError("not a fold point: spatial rank is not d-1")
-    u, _, vt = np.linalg.svd(cols)
     b = vt[-1]          # right null vector: kernel direction in y
     a = u[:, -1]        # left null vector: cokernel direction in x
 
     def det_at(xx, yy):
-        return float(np.linalg.det(spatial_block(xi_y(s, xx, t, yy))))
+        return float(np.linalg.det(xi_y(s, xx, t, yy)[:-1]))
 
     h = TRANSVERSAL_STEP
     left = (det_at(x, y + h * b) - det_at(x, y - h * b)) / (2 * h)

@@ -150,21 +150,55 @@ def test_missing_config_file_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv, key", [
-    (["group-check", "--set", "sampels=20"], "sampels"),
-    (["lemma-check", "--set", "sampels=3"], "sampels"),
-    (["geometry", "--set", "points=2", "--set", "tolerance=0"], "tolerance"),
+@pytest.mark.parametrize("argv, keys", [
+    (["group-check", "--set", "sampels=20"], ("sampels",)),
+    (["lemma-check", "--set", "sampels=3"], ("sampels",)),
+    (["geometry", "--set", "points=2", "--set", "tolerance=0"],
+     ("tolerance",)),
     (["counterexample", "--set", "family=stein", "--set", "j_high=12"],
-     "j_high"),
-    (["region", "--set", "regoin=averaging", "--set", "n=1"], "regoin"),
-], ids=["group-check", "lemma-check", "geometry", "counterexample", "region"])
-def test_unknown_key_exits_2(argv, key, capsys):
-    # a misspelled key would otherwise leave its default in force
+     ("j_high",)),
+    (["region", "--set", "regoin=averaging", "--set", "n=1"], ("regoin",)),
+    # keys that the chosen kind or family does not read
+    (["group-check", "--set", "m=2"], ("m",)),
+    (["group-check", "--set", "kind=quaternionic", "--set", "n=9",
+      "--set", "samples=3"], ("n",)),
+    (["counterexample", "--set", "family=moment", "--set", "n=7",
+      "--set", "t=1.9"], ("n", "t")),
+    (["counterexample", "--set", "family=ball", "--set", "alpha=0.5"],
+     ("alpha",)),
+], ids=["group-check", "lemma-check", "geometry", "counterexample", "region",
+        "heisenberg-m", "quaternionic-n", "moment-n-t", "ball-alpha"])
+def test_unknown_key_exits_2(argv, keys, capsys):
+    # a misspelled key, or one the chosen kind or family ignores, would
+    # otherwise leave its default in force
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: unknown key ") and err.count("\n") == 1
-    assert repr(key) in err and argv[0] in err
+    assert re.match(r"error: unknown keys? ", err) and err.count("\n") == 1
+    assert argv[0] in err
+    assert all(repr(key) in err for key in keys)
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["group-check", "--set", "samples=1e3"], "samples=1e3"),
+    (["geometry", "--set", "points=x"], "points=x"),
+    (["geometry", "--set", "fold_points=2.5"], "fold_points=2.5"),
+    (["group-check", "--set", "n=x"], "n=x"),
+    (["region", "--set", "n=2.5"], "n=2.5"),
+    (["region", "--set", "m=one"], "m=one"),
+    (["group-check", "--set", "kind=quaternionic", "--set", "blocks=1.0"],
+     "blocks=1.0"),
+    (["counterexample", "--set", "family=stein", "--set", "j_lo=ten"],
+     "j_lo=ten"),
+    (["counterexample", "--set", "family=stein", "--set", "j_hi=abc"],
+     "j_hi=abc"),
+], ids=["samples", "points", "fold_points", "n", "region-n", "m", "blocks",
+        "j_lo", "j_hi"])
+def test_bad_integer_names_its_key(argv, entry, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {entry}: must be an integer\n"
 
 
 def test_unknown_key_in_config_file_exits_2(tmp_path, capsys):

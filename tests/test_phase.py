@@ -5,11 +5,10 @@ import pytest
 
 from heislab.groups import (DomainError, quaternionic_htype,
                             standard_heisenberg)
-from heislab.phase import (ChartError, c_lower_bound, c_value,
-                           certify_point, curvature_matrix,
-                           matrix_rank_report, sample_chart_point,
-                           sigma_value, spatial_block, xi, xi_y,
-                           y2n_on_fold)
+from heislab.phase import (C_SLACK, ChartError, CurvatureReport, _rank,
+                           c_lower_bound, c_value, certify_point,
+                           curvature_matrix, sample_chart_point,
+                           sigma_value, xi, xi_y, y2n_on_fold)
 from oracles import (curvature_block_form, defining_functions,
                      det_identity_rhs, fold_cone_block_form,
                      fold_cone_curvature, fold_point, fold_transversality,
@@ -150,6 +149,24 @@ def test_y2n_on_fold_solves_sigma():
         assert abs(sigma_value(s, x, t, y)) <= 1e-12
 
 
+def test_fold_draw_matches_xprime():
+    # a fold point is the generic draw of the same seed with x' set to y'
+    # and y_2n solved from sigma = 0: the same random numbers, bitwise
+    for s in (standard_heisenberg(1), standard_heisenberg(2),
+              quaternionic_htype(1, 3)):
+        k = 2 * s.n - 1
+        for seed in range(20):
+            x, t, y = sample_chart_point(s, np.random.default_rng(seed),
+                                         on_fold=True)
+            xg, tg, yg = sample_chart_point(s, np.random.default_rng(seed))
+            assert x[:k].tobytes() == y[:k].tobytes()
+            assert t == tg
+            assert x[k:].tobytes() == xg[k:].tobytes()
+            assert y[:k].tobytes() == yg[:k].tobytes()
+            assert y[k + 1:].tobytes() == yg[k + 1:].tobytes()
+            assert y[k] == y2n_on_fold(s, x, t, y[k + 1:])
+
+
 # --- rank certificates ---------------------------------------------------
 
 def test_full_rank_away_from_fold():
@@ -161,21 +178,59 @@ def test_full_rank_away_from_fold():
         if abs(sigma_value(s, x, t, y)) <= 0.1:
             continue
         count += 1
-        rep = certify_point(s, x, t, y, with_curvature=False)
+        rep = certify_point(s, x, t, y)
         assert rep.rank_xi == s.d
         assert rep.rank_spatial == s.d
+        assert not rep.deviates
 
 
 def test_rank_drop_on_fold():
     s = standard_heisenberg(2)
     rng = np.random.default_rng(37)
     for _ in range(50):
-        x, t, y = sample_chart_point(s, rng, on_fold=True,
-                                     match_xprime=True)
-        rep = certify_point(s, x, t, y)
+        x, t, y = sample_chart_point(s, rng, on_fold=True)
+        rep = certify_point(s, x, t, y, on_fold=True)
         assert rep.rank_xi == s.d
         assert rep.rank_spatial == s.d - 1
         assert rep.rank_curv == s.d - 1
+        assert not rep.deviates
+
+
+def test_generic_point_certified_as_fold_deviates():
+    # off the fold the spatial block keeps rank d, which a fold point
+    # must not
+    s = standard_heisenberg(2)
+    rng = np.random.default_rng(41)
+    x, t, y = sample_chart_point(s, rng)
+    y[3] += 0.5 if sigma_value(s, x, t, y) >= 0 else -0.5
+    rep = certify_point(s, x, t, y, on_fold=True)
+    assert rep.rank_xi == s.d and rep.rank_spatial == s.d
+    assert rep.deviates
+    assert not certify_point(s, x, t, y).deviates
+
+
+FOLD_REPORT = dict(x=np.zeros(5), t=1.0, y=np.zeros(5), sigma=0.0,
+                   on_fold=True, rank_xi=5, rank_spatial=4, rank_curv=4,
+                   c_value=-0.5, c_bound=0.5)
+
+
+@pytest.mark.parametrize("changes, deviates", [
+    ({}, False),
+    ({"rank_xi": 4, "rank_curv": None, "c_value": None, "c_bound": None},
+     True),
+    ({"on_fold": False, "rank_xi": 4, "rank_curv": None, "c_value": None,
+      "c_bound": None}, True),
+    ({"on_fold": False, "rank_spatial": 5, "rank_curv": None,
+      "c_value": None, "c_bound": None}, False),
+    ({"rank_spatial": 5}, True),
+    ({"rank_curv": 3}, True),
+    ({"c_bound": 0.5 + 2 * C_SLACK}, True),
+    ({"c_bound": 0.5 + C_SLACK / 2}, False),
+], ids=["fold-point", "rank_xi", "generic-rank_xi", "generic-point",
+        "rank_spatial", "rank_curv", "c-below-floor", "c-inside-slack"])
+def test_report_deviates(changes, deviates):
+    # the one verdict rule that the geometry command counts
+    assert CurvatureReport(**{**FOLD_REPORT, **changes}).deviates is deviates
 
 
 def test_det_identity():
@@ -183,23 +238,23 @@ def test_det_identity():
     rng = np.random.default_rng(43)
     for _ in range(50):
         x, t, y = sample_chart_point(s, rng)
-        lhs = float(np.linalg.det(spatial_block(xi_y(s, x, t, y))))
+        lhs = float(np.linalg.det(xi_y(s, x, t, y)[:-1]))
         rhs = det_identity_rhs(s, x, t, y)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         assert abs(lhs - rhs) / scale <= 1e-8
     for _ in range(50):
         x, t, y = sample_chart_point(s, rng, on_fold=True)
-        lhs = float(np.linalg.det(spatial_block(xi_y(s, x, t, y))))
+        lhs = float(np.linalg.det(xi_y(s, x, t, y)[:-1]))
         assert abs(lhs) <= 1e-10
         assert abs(det_identity_rhs(s, x, t, y)) <= 1e-10
 
 
-def test_matrix_rank_report_thresholds():
-    M = np.diag([1.0, 1e-3, 1e-12])
-    rank, sv = matrix_rank_report(M, tol=1e-7)
-    assert rank == 2
+def test_rank_thresholds():
+    sv = np.linalg.svd(np.diag([1.0, 1e-3, 1e-12]), compute_uv=False)
     assert sv[0] == 1.0
-    assert matrix_rank_report(np.zeros((3, 3)))[0] == 0
+    assert _rank(sv, tol=1e-7) == 2
+    assert _rank(sv, tol=1e-2) == 1
+    assert _rank(np.zeros(3)) == 0
 
 
 # --- normal and curvature ------------------------------------------------
@@ -220,10 +275,9 @@ def test_curvature_matches_block_form_at_matched_points():
     s = standard_heisenberg(2)
     rng = np.random.default_rng(53)
     for _ in range(15):
-        x, t, y = sample_chart_point(s, rng, on_fold=True,
-                                     match_xprime=True)
+        x, t, y = sample_chart_point(s, rng, on_fold=True)
         N = normal_vector(s, x, t, y)
-        C_fd, rank, _ = curvature_matrix(s, x, t, y, N)
+        C_fd, rank = curvature_matrix(s, x, t, y, N)
         C_an = curvature_block_form(s, x, t, y, N)
         assert np.max(np.abs(C_fd - C_an)) <= 1e-5
         assert rank == s.d - 1
@@ -234,13 +288,13 @@ def test_c_value_lower_bound_matched_frame():
     rng = np.random.default_rng(59)
     for on_fold in (False, True):
         for _ in range(40):
-            x, t, y = sample_chart_point(s, rng, on_fold=on_fold,
-                                         match_xprime=True)
+            x, t, y = sample_chart_point(s, rng, on_fold=on_fold)
+            x[:3] = y[:3]       # the matched frame x' = y'
             N = normal_vector(s, x, t, y)
             c = c_value(s, x, t, y, N)
             bound = c_lower_bound(s, t, y, N)
             assert bound >= 0.0
-            assert abs(c) >= bound - 1e-8
+            assert abs(c) >= bound - C_SLACK
 
 
 def test_c_bound_uses_margin():
@@ -248,10 +302,11 @@ def test_c_bound_uses_margin():
     # larger than the standard one at comparable normals
     s = quaternionic_htype(1, 3)
     rng = np.random.default_rng(61)
-    x, t, y = sample_chart_point(s, rng, match_xprime=True)
+    x, t, y = sample_chart_point(s, rng)
+    two_n = 2 * s.n
+    x[: two_n - 1] = y[: two_n - 1]     # the matched frame x' = y'
     N = normal_vector(s, x, t, y)
     bound = c_lower_bound(s, t, y, N)
-    two_n = 2 * s.n
     r = np.linalg.norm(y[two_n:])
     expected = np.linalg.norm(N[:two_n]) * r * 1.0 / t
     assert bound == pytest.approx(expected, rel=1e-10)
@@ -263,8 +318,7 @@ def test_fold_cone_rank_and_block_form():
     s = standard_heisenberg(2)
     rng = np.random.default_rng(67)
     for _ in range(15):
-        x, t, y = sample_chart_point(s, rng, on_fold=True,
-                                     match_xprime=True)
+        x, t, y = sample_chart_point(s, rng, on_fold=True)
         yp, ybar = y[:3], y[4:]
         rank, sv, nu = fold_cone_curvature(s, x, t, yp, ybar)
         assert rank == s.d - 2
@@ -278,8 +332,7 @@ def test_fold_transversality_two_sided():
     s = standard_heisenberg(2)
     rng = np.random.default_rng(71)
     for _ in range(50):
-        x, t, y = sample_chart_point(s, rng, on_fold=True,
-                                     match_xprime=True)
+        x, t, y = sample_chart_point(s, rng, on_fold=True)
         left, right, b, a = fold_transversality(s, x, t, y)
         assert abs(left) > 1e-6
         assert abs(right) > 1e-6
