@@ -118,11 +118,12 @@ def build_structure(cfg):
         raise ConfigError(f"unknown structure kind {kind!r}")
     tilt = cfg.get("tilt")
     if tilt:
-        row = np.array([float(v) for v in str(tilt).split(",")])
-        if row.shape != (2 * s.n,) or s.m != 1:
-            raise ConfigError("tilt expects 2n comma-separated values "
-                              "on a one-dimensional center")
-        s = groups.MetivierStructure(n=s.n, m=1, J=s.J, Lambda=row[None, :])
+        try:
+            row = np.array(str(tilt).split(","), dtype=float)
+            s = groups.MetivierStructure(s.n, 1, s.J, row[None, :])
+        except ValueError:
+            raise ConfigError(f"tilt={tilt}: must be 2n finite numbers "
+                              "on a one-dimensional center") from None
     return s
 
 
@@ -138,11 +139,15 @@ def _integer(cfg, key, default, least=None):
     return value
 
 
-def _tolerance(cfg, default):
-    """Tolerance entry: finite and at least 0."""
-    value = float(cfg.get("tolerance", default))
+def _real(cfg, key, default):
+    """Float config entry: a finite number of at least 0."""
+    text = cfg.get(key, default)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{key}={text}: must be a number") from None
     if not (math.isfinite(value) and value >= 0):
-        raise ConfigError(f"tolerance={value!r}: must be finite and >= 0")
+        raise ConfigError(f"{key}={text}: must be finite and >= 0")
     return value
 
 
@@ -190,7 +195,7 @@ def _emit(data, out_path):
 def cmd_group_check(cfg, seed, out_path, fmt):
     s = build_structure(cfg)
     samples = _integer(cfg, "samples", 1000, least=1)
-    tol = _tolerance(cfg, 1e-12)
+    tol = _real(cfg, "tolerance", 1e-12)
     cfg.reject_unread()
     rng = np.random.default_rng(seed)
     # one row per sample in the order of Generator.uniform draws: x, y, z
@@ -232,7 +237,7 @@ def cmd_group_check(cfg, seed, out_path, fmt):
 
 def cmd_lemma_check(cfg, seed, out_path, fmt):
     count = _integer(cfg, "samples", 200, least=1)
-    tol = _tolerance(cfg, 1e-10)
+    tol = _real(cfg, "tolerance", 1e-10)
     cfg.reject_unread()
     rng = np.random.default_rng(seed)
     rows = []
@@ -292,9 +297,9 @@ def cmd_geometry(cfg, seed, out_path, fmt):
 def cmd_counterexample(cfg, seed, out_path, fmt):
     family = cfg.get("family", "ball")
     # the stein growth exponent's default tolerance is looser than a slope's
-    tol = _tolerance(cfg, 0.2 if family == "stein" else 0.15)
+    tol = _real(cfg, "tolerance", 0.2 if family == "stein" else 0.15)
     if family == "stein":
-        alpha = float(cfg.get("alpha", 0.9))
+        alpha = _real(cfg, "alpha", 0.9)
         j_lo = _integer(cfg, "j_lo", 10)
         j_hi = _integer(cfg, "j_hi", 30)
         cfg.reject_unread()
@@ -318,7 +323,7 @@ def cmd_counterexample(cfg, seed, out_path, fmt):
     if family == "ball":
         make = lambda d: families.ball_example(s, d)
     elif family == "scaling":
-        t_fixed = float(cfg.get("t", 1.5))
+        t_fixed = _real(cfg, "t", 1.5)
         make = lambda d: families.scaling_example(s, d, t_fixed)
     elif family == "knapp":
         make = lambda d: families.knapp_example(s, d)

@@ -13,7 +13,8 @@ directions.  All per-axis lattice counts are fixed along the ladder while
 the coordinate ranges scale linearly with delta; relative quadrature bias
 is then delta-independent and cancels in the fitted slope.  The scaling
 and moment sets have closed-form measures; the ball and knapp sets are
-counted on a 24^d lattice of a support box that scales as they do.
+counted on a 24^d lattice of a support box that scales as they do, in
+blocks that share their trailing coordinates, built once.
 """
 
 import math
@@ -30,8 +31,7 @@ from .spheres import ScalarField, SphereRule, sphere_rule
 FAMILIES = ("ball", "scaling", "knapp", "moment")
 
 
-# Lattice points per block of _box_measure.  A block's points, weights
-# and field values take a few MB, however large the lattice.
+# Lattice points per block of _box_measure; a block needs 1-2 MiB at any d.
 BLOCK_POINTS = 2 ** 14
 
 
@@ -54,23 +54,17 @@ class ParamRegion:
     counts: Tuple[int, ...]
     param: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
-    def points_and_weights(self, head=()):
-        """Lattice points whose leading axis indices equal head, and weights.
-
-        The weights are the Jacobian over the size of the whole lattice, so
-        the blocks of all heads of one length add up to the integral.  With
-        no head this is the whole lattice, its nodes in row-major index
-        order; the points come coordinate-major.
-        """
+    def points_and_weights(self):
+        """Lattice points, coordinate-major and in row-major node order, and
+        weights: the Jacobian over the lattice size."""
         axes = [(np.arange(c) + 0.5) / c for c in self.counts]
-        axes[:len(head)] = [ax[i:i + 1] for ax, i in zip(axes, head)]
-        k = len(axes)
-        # u[i] is axis i broadcast over the lattice in row-major order
-        u = np.empty((k,) + tuple(len(ax) for ax in axes))
-        for i, ax in enumerate(axes):
-            u[i] = ax.reshape((-1,) + (1,) * (k - 1 - i))
-        pts, jac = self.param(u.reshape(k, -1).T)
+        pts, jac = self.param(_grid(axes).T)
         return pts, np.asarray(jac, dtype=float) / math.prod(self.counts)
+
+
+def _grid(axes) -> np.ndarray:
+    """(k, N) C array: row i is axes[i] spread over the lattice, row-major."""
+    return np.stack(np.broadcast_arrays(*np.ix_(*axes))).reshape(len(axes), -1)
 
 
 @dataclass(frozen=True)
@@ -124,23 +118,22 @@ def _box_measure(f: ScalarField) -> float:
     """Integral of f on the 24^d midpoint lattice of its support box.
 
     The families build their sphere rule first, so a refused rule fails
-    before this sum.  A block of the lattice fixes the fewest leading axes
-    that leave at most BLOCK_POINTS points; math.fsum adds the block sums
-    with one rounding, so the order of the blocks does not matter.
+    before this sum.  A block fixes the fewest leading axes that leave at
+    most BLOCK_POINTS points; all blocks share one array of the trailing
+    coordinates.  math.fsum adds the block sums with one rounding.
     """
     lo, hi = f.support_lo, f.support_hi
-    volume = float(np.prod(hi - lo))
-
-    def param(u):
-        # elementwise, so the points keep u's coordinate-major order
-        return (hi - lo) * u + lo, np.full(len(u), volume)
-
-    box = ParamRegion((24,) * len(lo), param)
-    lead = next(k for k in range(len(lo) + 1)
-                if math.prod(box.counts[k:]) <= BLOCK_POINTS)
-    blocks = (box.points_and_weights(head)
-              for head in np.ndindex(*box.counts[:lead]))
-    return math.fsum(np.sum(f(pts) * w) for pts, w in blocks)
+    d = len(lo)
+    axes = (hi - lo)[:, None] * ((np.arange(24) + 0.5) / 24) + lo[:, None]
+    w = float(np.prod(hi - lo)) / 24 ** d
+    lead = next(k for k in range(d + 1) if 24 ** (d - k) <= BLOCK_POINTS)
+    pts = _grid([*axes[:lead, :1], *axes[lead:]])
+    sums = []
+    for head in np.ndindex(*(24,) * lead):
+        for k, i in enumerate(head):
+            pts[k] = axes[k, i]
+        sums.append(np.sum(f(pts.T) * w))
+    return math.fsum(sums)
 
 
 # --- family constants ----------------------------------------------------

@@ -130,12 +130,12 @@ def sphere_rule(n: int, resolution, latitude: str = "gauss") -> SphereRule:
 class ScalarField:
     """Pointwise-evaluable function with a declared bounding box.
 
-    evaluator takes a batch array of shape (count, d) and returns (count,)
-    values, which the call casts to float (an indicator may return its
-    booleans); it must vanish outside the support box [support_lo,
-    support_hi].  spherical_average_batch relies on this: it skips every
-    sphere node whose image has a horizontal coordinate outside the box,
-    counting f as 0 there without evaluating it.
+    evaluator takes a batch array of shape (count, d), which it leaves
+    unchanged, and returns (count,) values, cast to float by the call (an
+    indicator may return its booleans); it must vanish outside the support
+    box [support_lo, support_hi].  spherical_average_batch relies on this:
+    it skips every sphere node whose image has a horizontal coordinate
+    outside the box, counting f as 0 there without evaluating it.
 
     Batches come coordinate-major: each coordinate pts[:, k] is one
     contiguous run of count floats (the transpose of a (d, count) C
@@ -198,13 +198,14 @@ def spherical_average_batch(s: MetivierStructure, f: ScalarField,
     factor of w and 2, 3 only on the (latitude, b) factor, and its center
     coordinates are a sum of one term per factor.  So each chunk of points
     tabulates these parts per factor, masks the factors whose horizontal
-    coordinates leave f's support box, and assembles images only for the
-    product of the two masks.  f is evaluated on those images and counts
-    as 0 on all others, which lie outside its box; the center coordinates
+    coordinates leave f's support box, and gathers the images of the
+    product of the two masks row by row into one (d, K) array (take's
+    mode="clip" writes there unbuffered; the indices are in range).  f is
+    evaluated on its transpose, a coordinate-major batch, and counts as 0
+    on all other images, which lie outside its box; the center coordinates
     are not box-tested, since f vanishes where they leave the box.  A
     chunk holds max(1, chunk // nodes) points, and each point's values
-    are summed in node order, so results do not depend on the chunk
-    size.
+    are summed in node order, so results do not depend on the chunk size.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     t = np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))
@@ -234,10 +235,11 @@ def spherical_average_batch(s: MetivierStructure, f: ScalarField,
         row_b = row_a // a_count * b_count + (flat - row_a * b_count)
         p = flat // count
         node = flat - p * count
-        center = bar.T[:, p] - terms_a[:, row_a] - terms_b[:, row_b]  # (m, K)
-        # (d, K) rows, handed on as a coordinate-major (K, d) batch
-        images = np.stack([x[row_a] for x in coords_a]
-                          + [x[row_b] for x in coords_b] + list(center))
+        images = np.empty((s.d, len(flat)))
+        for k, x in enumerate(coords_a + coords_b):
+            np.take(x, row_a if k < 2 else row_b, out=images[k], mode="clip")
+        np.subtract(bar.T[:, p], terms_a[:, row_a], out=images[two_n:])
+        images[two_n:] -= terms_b[:, row_b]
         vals = f(images.T) * rule.weights[node]
         # bincount adds each point's values one by one in node order
         out[sl] = np.bincount(p, weights=vals, minlength=len(tc))

@@ -11,21 +11,26 @@ package's own evaluations:
   * the fold cone: its finite-difference curvature rank (d - 2), its
     x' = y' block form, and the two transversal derivatives of det along
     kernel and cokernel (two-sided fold);
-  * is_member and parse_region_csv for the exact rational regions.
+  * is_member and parse_region_csv for the exact rational regions;
+  * box_measure_blocks, the support-box measure with every block's
+    points built afresh.
 
 Coordinates follow heislab.phase.
 """
 
+import math
 from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
 
+from heislab.families import BLOCK_POINTS
 from heislab.groups import DomainError, MetivierStructure
 from heislab.phase import (CURVATURE_TOL, _chart, _fd_hessian, _g_hess,
                            _rank, _split_x, c_value, sigma_value, xi, xi_y,
                            y2n_on_fold)
 from heislab.regions import RatPoint, Region, contains
+from heislab.spheres import ScalarField
 
 TRANSVERSAL_STEP = 1e-5     # central differences of fold_transversality
 
@@ -235,3 +240,30 @@ def parse_region_csv(data: bytes) -> Region:
     return Region(tuple(verts), tuple(labels),
                   {"strong": frozenset(exc_s), "rwt": frozenset(exc_r)},
                   tuple(flags))
+
+
+# --- families ------------------------------------------------------------
+
+def box_measure_blocks(f: ScalarField) -> float:
+    """heislab.families._box_measure, each block built on its own.
+
+    A block fixes the fewest leading axes of the 24^d midpoint lattice of
+    f's support box that leave at most BLOCK_POINTS points; its lattice
+    is built from those axis indices and mapped onto the box, and
+    math.fsum adds the block sums.
+    """
+    lo, hi = f.support_lo, f.support_hi
+    d = len(lo)
+    volume = float(np.prod(hi - lo))
+    lead = next(k for k in range(d + 1) if 24 ** (d - k) <= BLOCK_POINTS)
+    sums = []
+    for head in np.ndindex(*(24,) * lead):
+        axes = [(np.arange(24) + 0.5) / 24 for _ in range(d)]
+        axes[:lead] = [ax[i:i + 1] for ax, i in zip(axes, head)]
+        u = np.empty((d,) + tuple(len(ax) for ax in axes))
+        for i, ax in enumerate(axes):
+            u[i] = ax.reshape((-1,) + (1,) * (d - 1 - i))
+        u = u.reshape(d, -1).T
+        w = np.full(len(u), volume) / math.prod((24,) * d)
+        sums.append(np.sum(f((hi - lo) * u + lo) * w))
+    return math.fsum(sums)

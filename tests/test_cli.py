@@ -201,6 +201,23 @@ def test_bad_integer_names_its_key(argv, entry, capsys):
     assert err == f"error: {entry}: must be an integer\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["group-check", "--set", "tolerance=abc"],
+     "tolerance=abc: must be a number"),
+    (["counterexample", "--set", "family=stein", "--set", "alpha=x"],
+     "alpha=x: must be a number"),
+    (["counterexample", "--set", "family=scaling", "--set", "n=1",
+      "--set", "t=1.5.0"], "t=1.5.0: must be a number"),
+    (["group-check", "--set", "n=1", "--set", "tilt=1,x"],
+     "tilt=1,x: must be 2n finite numbers on a one-dimensional center"),
+], ids=["tolerance", "alpha", "t", "tilt"])
+def test_bad_real_names_its_key(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_unknown_key_in_config_file_exits_2(tmp_path, capsys):
     path = tmp_path / "region.cfg"
     path.write_text("region=averaging\nn=1\nformat=svg\n")

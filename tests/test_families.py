@@ -20,6 +20,7 @@ from heislab.families import (BLOCK_POINTS, ExampleInstance, ParamRegion,
                               scaling_example, stein_growth_exponent,
                               stein_probe_curve)
 from heislab.spheres import ScalarField, sphere_rule, spherical_average_batch
+from oracles import box_measure_blocks
 
 F = Fraction
 
@@ -101,20 +102,27 @@ def warped_field():
 def test_box_measure_blocks_match_one_shot():
     assert 24 ** 4 > BLOCK_POINTS >= 24 ** 3
     f, seen = recording(warped_field())
-    reg = support_lattice(f, 24)
-    pts, w = reg.points_and_weights()
-    blocks = [reg.points_and_weights((i,)) for i in range(24)]
-    assert np.array_equal(np.concatenate([b[0] for b in blocks]), pts)
-    assert np.array_equal(np.concatenate([b[1] for b in blocks]), w)
+    pts, w = support_lattice(f, 24).points_and_weights()
+    # a block fixes the leading axis: 24 slices of the one-shot lattice
+    blocks = np.split(pts, 24)
     want = math.fsum(f(pts) * w)
     del seen[:]
-    assert _box_measure(f) == pytest.approx(want, rel=1e-15, abs=0.0)
+    batches = []
+
+    def ev(x):
+        batches.append(np.array(x))
+        return f(x)
+
+    measure = _box_measure(ScalarField(ev, f.support_lo, f.support_hi))
+    assert measure == pytest.approx(want, rel=1e-15, abs=0.0)
     assert [shape for shape, _ in seen] == [(24 ** 3, 4)] * 24
+    assert all(np.array_equal(x, b) for x, b in zip(batches, blocks))
 
 
 def test_box_measure_nan_in_a_later_block():
     field = warped_field()
-    last = support_lattice(field, 24).points_and_weights((23,))[0][-1]
+    pts, _ = support_lattice(field, 24).points_and_weights()
+    last = np.split(pts, 24)[23][-1]
 
     def ev(x):
         out = field(x)
@@ -127,6 +135,17 @@ def test_box_measure_nan_in_a_later_block():
     inst = moment_example(0.125)
     with pytest.raises(DomainError, match="not positive and finite"):
         replace(inst, measure=measure)
+
+
+@pytest.mark.parametrize("f", [
+    ball_example(standard_heisenberg(1), 2 ** -3).field,
+    ball_example(standard_heisenberg(2), 2 ** -3).field,
+    knapp_example(normalized_heisenberg(2), 2 ** -3).field,
+    warped_field(),
+], ids=["ball-n1", "ball-n2", "knapp-n2", "warped"])
+def test_box_measure_matches_blockwise_oracle(f):
+    # the shared trailing lattice changes no bit of the sum
+    assert _box_measure(f) == box_measure_blocks(f)
 
 
 def test_instance_rejects_a_bad_measure():
