@@ -13,7 +13,8 @@ package's own evaluations:
     kernel and cokernel (two-sided fold);
   * is_member and parse_region_csv for the exact rational regions;
   * box_measure_blocks, the support-box measure with every block's
-    points built afresh.
+    points built afresh;
+  * node_order_average, the spherical average with no node culled.
 
 Coordinates follow heislab.phase.
 """
@@ -30,7 +31,7 @@ from heislab.phase import (CURVATURE_TOL, _chart, _fd_hessian, _g_hess,
                            _rank, _split_x, c_value, sigma_value, xi, xi_y,
                            y2n_on_fold)
 from heislab.regions import RatPoint, Region, contains
-from heislab.spheres import ScalarField
+from heislab.spheres import ScalarField, SphereRule
 
 TRANSVERSAL_STEP = 1e-5     # central differences of fold_transversality
 
@@ -267,3 +268,41 @@ def box_measure_blocks(f: ScalarField) -> float:
         w = np.full(len(u), volume) / math.prod((24,) * d)
         sums.append(np.sum(f((hi - lo) * u + lo) * w))
     return math.fsum(sums)
+
+
+# --- spheres -------------------------------------------------------------
+
+def node_order_average(s: MetivierStructure, f: ScalarField, t, pts,
+                       rule: SphereRule) -> np.ndarray:
+    """heislab.spheres.spherical_average_batch with no node culled.
+
+    Every node's image is built with the package's float operations: the
+    horizontal coordinates ubar_k - t w_k, the center terms
+    sum_k C_ik w_k added from zero in coordinate order per factor, and
+    the center (bar - terms_a) - terms_b.  f is evaluated on all of them,
+    and np.bincount adds each point's values times weights in node order
+    (l, i, j).  f vanishes outside its support box, so the zeros that the
+    package never computes change no bit of the sums.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    t = np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))
+    two_n = 2 * s.n
+    ubar = pts[:, :two_n]
+    C = (t * t)[:, None, None] * s.Lambda + t[:, None, None] * np.sum(
+        ubar[:, None, :, None] * s.J[None, :, :, :], axis=2)
+    (_, lat, a_count), b_count = rule.a.shape, rule.b.shape[2]
+    shape = (lat, a_count, b_count)
+    nodes = [np.broadcast_to(w[:, :, None], shape) for w in rule.a] + [
+        np.broadcast_to(w[:, None, :], shape) for w in rule.b]
+    vals = []
+    for p, (x, tp) in enumerate(zip(pts, t)):
+        images = np.empty((s.d,) + shape)
+        terms = np.zeros((2, s.m) + shape)
+        for k, w in enumerate(nodes):
+            images[k] = x[k] - tp * w
+            terms[int(k >= 2)] += C[p, :, k, None, None, None] * w
+        images[two_n:] = (x[two_n:, None, None, None] - terms[0]) - terms[1]
+        vals.append(f(images.reshape(s.d, -1).T) * rule.weights)
+    point = np.repeat(np.arange(len(pts)), len(rule.weights))
+    return np.bincount(point, weights=np.concatenate(vals),
+                       minlength=len(pts))

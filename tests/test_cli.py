@@ -56,6 +56,21 @@ def test_parse_deltas():
         parse_deltas("2^2000,2^-4,2^-5")
 
 
+def test_default_counterexample_ratios(capsys):
+    # ball on H^2, p = q = 2, delta = 2^-3 .. 2^-7: no other test or bench
+    # reference covers the rungs 2^-5 .. 2^-7, whose averages cull the most
+    # sphere nodes; these are the ratios of the average over every node of
+    # the full factor masks
+    code, out, _ = run(["counterexample"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "# verdict=pass"
+    ratios = [float(line.split(",")[6]) for line in out.splitlines()
+              if line.startswith("ball,")]
+    assert ratios == pytest.approx([
+        0.023342518234469443, 0.011961983338910766, 0.006010260409692177,
+        0.0030068475812585634, 0.0015087465376203647], rel=1e-9, abs=0.0)
+
+
 # --- table layout ---------------------------------------------------------
 
 GEOMETRY_COLUMNS = ("x0,x1,x2,x3,x4,t,y0,y1,y2,y3,y4,sigma,rank_xi,"

@@ -20,7 +20,7 @@ from heislab.families import (BLOCK_POINTS, ExampleInstance, ParamRegion,
                               scaling_example, stein_growth_exponent,
                               stein_probe_curve)
 from heislab.spheres import ScalarField, sphere_rule, spherical_average_batch
-from oracles import box_measure_blocks
+from oracles import box_measure_blocks, node_order_average
 
 F = Fraction
 
@@ -243,6 +243,27 @@ def test_row_major_batches_give_the_same_bits(inst):
             assert want > 0
             assert operator_ratio(s, replace(inst, field=f, test_region=(
                 row_major(test_region))), 2.0, q) == want
+
+
+@pytest.mark.parametrize("make,step", [
+    (lambda: ball_example(standard_heisenberg(1), 2.0 ** -5), 37),
+    (lambda: ball_example(standard_heisenberg(2), 2.0 ** -5), 151),
+    (lambda: knapp_example(normalized_heisenberg(2), 2.0 ** -5), 97),
+    (lambda: scaling_example(standard_heisenberg(1), 2.0 ** -5), 67),
+    (lambda: moment_example(2.0 ** -7), 13),
+], ids=["ball-n1", "ball-n2", "knapp", "scaling-n1", "moment"])
+def test_instance_averages_match_node_order_oracle(make, step):
+    # every step-th test point of the instance: the numerator's averages
+    # carry the bits of the oracle that culls no node
+    inst = make()
+    pts, _ = inst.test_region.points_and_weights()
+    pts = pts[::step]
+    t = np.clip(inst.time(pts), 1.0, 2.0)
+    got = spherical_average_batch(inst.structure, inst.field, t, pts,
+                                  inst.rule)
+    want = node_order_average(inst.structure, inst.field, t, pts, inst.rule)
+    assert np.count_nonzero(want) >= 10
+    assert np.array_equal(got, want)
 
 
 def test_instance_rejects_unknown_family():

@@ -7,11 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heislab import spheres
 from heislab.groups import (DimensionMismatch, DomainError, MetivierStructure,
                             normalized_heisenberg, quaternionic_htype,
                             standard_heisenberg)
 from heislab.spheres import (MAX_RULE_NODES, ScalarField, SphereRule,
                              spherical_average_batch, sphere_rule)
+from oracles import node_order_average
+
+# WIDE_WINDOW_FRACTION values that send every chunk down one path: the
+# product of the full factor masks, or the angle windows
+PATHS = {"dense": -1.0, "windows": 2.0}
 
 
 def box_indicator(lo, hi):
@@ -25,14 +31,19 @@ def box_indicator(lo, hi):
 
 
 def thin_bump(lo, hi):
-    """Positive, non-constant values on the box [lo, hi], zero outside."""
+    """Positive, non-constant values on the box [lo, hi], zero outside.
+
+    The phase is summed one coordinate at a time, so an image gets the
+    same bits in any batch; a matrix product may round a row differently
+    by its place in the batch.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    freq = np.arange(1.0, len(lo) + 1.0)
 
     def ev(pts):
         inside = np.all((pts >= lo) & (pts <= hi), axis=1)
-        return inside * (2.0 + np.cos(pts @ freq))
+        phase = sum(pts[:, k] * (k + 1.0) for k in range(pts.shape[1]))
+        return inside * (2.0 + np.cos(phase))
 
     return ScalarField(ev, lo, hi)
 
@@ -133,6 +144,31 @@ def test_rule_validation():
     b[1, 2, 3] = np.nan
     with pytest.raises(DomainError):
         SphereRule(rule.a, b, rule.weights)
+
+
+def test_rule_factors_are_uniform_angular_grids():
+    rule = sphere_rule(2, (4, 6, 8))
+    u = 0.5 * (np.polynomial.legendre.leggauss(4)[0] + 1.0)
+    for name, radius_of_u, count in (("a", np.sqrt(1.0 - u), 6),
+                                     ("b", np.sqrt(u), 8)):
+        radius, phase = rule.grids[name == "b"]
+        np.testing.assert_allclose(radius, radius_of_u, rtol=1e-14)
+        np.testing.assert_allclose(phase, np.pi / count, rtol=1e-14)
+        # one node turned by 1e-9 rad keeps its norm but leaves the grid
+        nodes = getattr(rule, name).copy()
+        ang = np.arctan2(nodes[1, 2, 3], nodes[0, 2, 3]) + 1e-9
+        nodes[:, 2, 3] = radius[2] * np.cos(ang), radius[2] * np.sin(ang)
+        with pytest.raises(DomainError, match="uniform angular grid"):
+            SphereRule(**{"a": rule.a, "b": rule.b, name: nodes},
+                       weights=rule.weights)
+    assert sphere_rule(1, 16).grids[1] is None
+    np.testing.assert_allclose(sphere_rule(1, 16).grids[0], [[1.0], [0.0]],
+                               rtol=0.0, atol=1e-15)
+    # the circle of test_rule_validation, nodes at angles 0 and pi/2, is
+    # no uniform grid either
+    with pytest.raises(DomainError, match="uniform angular grid"):
+        SphereRule(np.array([[1.0, 0.0], [0.0, 1.0]]).T[:, None],
+                   np.empty((0, 1, 1)), np.array([0.5, 0.5]))
 
 
 def test_rule_check_memory_is_bounded():
@@ -323,15 +359,18 @@ THIN_CASES = [
 ]
 
 
+def thin_fields(s):
+    """A thin bump and a thin box indicator about the origin."""
+    return (thin_bump(-0.25 * np.ones(s.d), 0.25 * np.ones(s.d)),
+            box_indicator(np.r_[-0.3 * np.ones(2 * s.n), -0.1 * np.ones(s.m)],
+                          np.r_[0.3 * np.ones(2 * s.n), 0.1 * np.ones(s.m)]))
+
+
 @pytest.mark.parametrize("s,rule", THIN_CASES)
 def test_culled_average_matches_dense(s, rule):
     rng = np.random.default_rng(31)
     pts, t = near_sphere_points(s, 40, rng)
-    for field in (thin_bump(-0.25 * np.ones(s.d), 0.25 * np.ones(s.d)),
-                  box_indicator(np.r_[-0.3 * np.ones(2 * s.n),
-                                      -0.1 * np.ones(s.m)],
-                                np.r_[0.3 * np.ones(2 * s.n),
-                                      0.1 * np.ones(s.m)])):
+    for field in thin_fields(s):
         want, images = dense_average(s, field, t, pts, rule)
         box = np.all((images >= field.support_lo)
                      & (images <= field.support_hi), axis=1)
@@ -340,6 +379,20 @@ def test_culled_average_matches_dense(s, rule):
         got = spherical_average_batch(s, field, t, pts, rule)
         assert np.array_equal(got == 0.0, want == 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.array_equal(got, node_order_average(s, field, t, pts, rule))
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("s,rule", THIN_CASES)
+def test_forced_paths_match_node_order_oracle(s, rule, path, monkeypatch):
+    # the thin fields, and a bump whose box holds every sphere image
+    monkeypatch.setattr(spheres, "WIDE_WINDOW_FRACTION", PATHS[path])
+    pts, t = near_sphere_points(s, 40, np.random.default_rng(31))
+    wide = thin_bump(-9.0 * np.ones(s.d), 9.0 * np.ones(s.d))
+    for field in (*thin_fields(s), wide):
+        got = spherical_average_batch(s, field, t, pts, rule, chunk=20000)
+        assert np.count_nonzero(got) >= 10
+        assert np.array_equal(got, node_order_average(s, field, t, pts, rule))
 
 
 def test_culled_average_random_node_rule():
@@ -357,6 +410,7 @@ def test_culled_average_random_node_rule():
     got = spherical_average_batch(s, f, t, pts, rule)
     assert np.count_nonzero(want) >= 5
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert np.array_equal(got, node_order_average(s, f, t, pts, rule))
 
 
 STRUCTURES = [standard_heisenberg(1), standard_heisenberg(2),
@@ -395,10 +449,84 @@ def test_culled_average_matches_dense_property(data):
         pts[k] = np.r_[ubar, y[2 * s.n:] + t[k] ** 2 * (s.Lambda @ w)
                        + t[k] * np.einsum("j,ijk,k->i", ubar, s.J, w)]
     want, _ = dense_average(s, f, t, pts, rule)
-    got = spherical_average_batch(s, f, t, pts, rule,
-                                  chunk=data.draw(st.integers(1, 2000)))
+    # either path, or the one the work picks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spheres, "WIDE_WINDOW_FRACTION",
+                   data.draw(st.sampled_from([spheres.WIDE_WINDOW_FRACTION,
+                                              *PATHS.values()])))
+        got = spherical_average_batch(s, f, t, pts, rule,
+                                      chunk=data.draw(st.integers(1, 2000)))
     assert np.array_equal(got == 0.0, want == 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert np.array_equal(got, node_order_average(s, f, t, pts, rule))
+
+
+def windows_of(s, f, t, pts, rule):
+    """The (start, width) angle windows of the a factor."""
+    return spheres._windows(pts[:, :2], np.broadcast_to(t, len(pts)),
+                            rule.grids[0], rule.a.shape[2],
+                            f.support_lo[:2], f.support_hi[:2])
+
+
+def test_window_edge_cases():
+    # each average is bitwise equal to the node-order oracle
+    s = standard_heisenberg(1)
+    rule = sphere_rule(1, 64)               # phase 0: node 0 at angle 0
+    f = thin_bump([-0.3, -0.3, -5.0], [0.3, 0.3, 5.0])
+
+    def check(t, pts, nonzero):
+        pts = np.array(pts, dtype=float)
+        got = spherical_average_batch(s, f, t, pts, rule)
+        assert np.array_equal(got, node_order_average(s, f, t, pts, rule))
+        assert np.array_equal(got != 0.0, nonzero)
+        return windows_of(s, f, t, pts, rule)
+
+    # the box lies at angle 0 seen from the center of each point's circle,
+    # where the image of node 0 falls: the window wraps past 63 to 0
+    start, width = check(1.0, [[1.0, 0.0, 0.0], [1.1, 0.05, 0.0]],
+                         [True, True])
+    assert np.all((start + width > 64) & (width < 64))
+    # the box holds the circle's center: every node is in the window
+    _, width = check(0.2, [[0.05, 0.0, 0.0]], [True])
+    assert np.all(width == 64)
+    # the circle misses the box, outside it or around it: no node
+    _, width = check(1.0, [[3.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [False, False])
+    assert np.all(width == 0)
+    # t r_l below 1e-8, the center just inside and just outside the box
+    start, width = check(5e-9, [[0.3 - 1e-9, 0.0, 0.0],
+                                [0.3 + 1e-9, 0.0, 0.0]], [True, True])
+    assert width[0] == 64 and 0 < width[1] < 64
+
+
+def test_window_wraps_on_half_step_rule():
+    # the half-step n=2 rule has nodes at pi/8 and -pi/8 next to the seam
+    s = standard_heisenberg(2)
+    rule = sphere_rule(2, (6, 8, 10))
+    t = 1.0 / rule.grids[0][0][0]           # t r_0 = 1 on latitude 0
+    f = thin_bump([-0.45, -0.45, -3.0, -3.0, -5.0],
+                  [0.45, 0.45, 3.0, 3.0, 5.0])
+    pts = np.array([[1.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0.02, 0.1, 0.0, 0.0]])
+    start, width = windows_of(s, f, t, pts, rule)
+    assert np.any((start + width > 8) & (width < 8))
+    got = spherical_average_batch(s, f, t, pts, rule)
+    assert np.all(got > 0.0)
+    assert np.array_equal(got, node_order_average(s, f, t, pts, rule))
+
+
+def test_average_rejects_bad_times_and_points():
+    s = standard_heisenberg(1)
+    rule = sphere_rule(1, 16)
+    f = box_indicator(-np.ones(3), np.ones(3))
+    pts = np.array([[0.2, 0.1, 0.0], [3.0, 0.0, 0.0]])
+    for t in (np.nan, np.inf, -1.0, [1.0, np.nan]):
+        with pytest.raises(DomainError, match="times"):
+            spherical_average_batch(s, f, t, pts, rule)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="points"):
+            spherical_average_batch(s, f, 1.0, np.array([[0.2, bad, 0.0]]),
+                                    rule)
+    # t = 0 is valid: every image is the point itself
+    assert list(spherical_average_batch(s, f, 0.0, pts, rule)) == [1.0, 0.0]
 
 
 def test_dimension_mismatch_raises():
@@ -443,4 +571,8 @@ def test_maximal_batch_matches_scalar():
 def test_scalar_field_validation():
     with pytest.raises(DomainError):
         ScalarField(lambda p: np.zeros(len(p)), np.ones(2), -np.ones(2))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(DomainError, match="finite"):
+            ScalarField(lambda p: np.zeros(len(p)), -np.ones(2),
+                        np.array([1.0, bad]))
 
