@@ -136,6 +136,21 @@ def _box_measure(f: ScalarField) -> float:
     return math.fsum(sums)
 
 
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product of each row of x with the matching row of y, or with y.
+
+    The sum runs one coordinate at a time, so unlike np.einsum and matmul
+    its order, and with it every bit of the result, depends neither on the
+    memory order of x nor on where a batch is split.  Every family field
+    and time map takes its norms and dot products from here.
+    """
+    y = np.broadcast_to(y, x.shape)
+    out = x[:, 0] * y[:, 0]
+    for k in range(1, x.shape[1]):
+        out += x[:, k] * y[:, k]
+    return out
+
+
 # --- family constants ----------------------------------------------------
 
 def _specnorm(M):
@@ -180,12 +195,12 @@ def _check_structure(s: MetivierStructure):
 
 # --- sphere direction parametrizations ----------------------------------
 
-def _circle_dir(u: np.ndarray):
-    ang = 2.0 * np.pi * u
-    return np.stack([np.cos(ang), np.sin(ang)]).T, 2.0 * np.pi
-
-
-def _hopf_dir(u: np.ndarray):
+def _sphere_dir(n: int, u: np.ndarray):
+    """Directions on S^{2n-1}, n = 1 or 2, from 2n-1 cube coordinates, and
+    the surface measure per unit cube volume."""
+    if n == 1:
+        ang = 2.0 * np.pi * u[:, 0]
+        return np.stack([np.cos(ang), np.sin(ang)]).T, 2.0 * np.pi
     # (v, a1, a2) in the cube -> S^3; surface measure 1/2 dv da1 da2.
     v, a1, a2 = u[:, 0], 2 * np.pi * u[:, 1], 2 * np.pi * u[:, 2]
     r0 = np.sqrt(1.0 - v)
@@ -193,11 +208,6 @@ def _hopf_dir(u: np.ndarray):
     dirs = np.stack([r0 * np.cos(a1), r0 * np.sin(a1),
                      r1 * np.cos(a2), r1 * np.sin(a2)]).T
     return dirs, 0.5 * (2 * np.pi) ** 2
-
-
-def _sphere_dir(n: int, u: np.ndarray):
-    """Directions on S^{2n-1}, n = 1 or 2, from 2n-1 cube coordinates."""
-    return _circle_dir(u[:, 0]) if n == 1 else _hopf_dir(u[:, :3])
 
 
 def _factor_count(nodes: float) -> float:
@@ -218,20 +228,6 @@ def _cap_resolution(n: int, delta: float) -> int:
 
 
 # --- ball family ---------------------------------------------------------
-
-def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot product of each row of x with the matching row of y, or with y.
-
-    The sum runs one coordinate at a time, so unlike np.einsum and matmul
-    its order, and with it every bit of the result, does not depend on the
-    memory order of x.
-    """
-    y = np.broadcast_to(y, x.shape)
-    out = x[:, 0] * y[:, 0]
-    for k in range(1, x.shape[1]):
-        out += x[:, k] * y[:, k]
-    return out
-
 
 def ball_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     """Indicator of the 10 delta ball against the shell-adapted slab.
@@ -267,7 +263,7 @@ def ball_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     rule = sphere_rule(n, _cap_resolution(n, delta))
     return ExampleInstance(
         "ball", delta, s, f, ParamRegion(counts, param), _box_measure(f),
-        lambda pts: np.linalg.norm(pts[:, :two_n], axis=1), rule)
+        lambda pts: np.sqrt(_row_dot(pts[:, :two_n], pts[:, :two_n])), rule)
 
 
 # --- scaling family ------------------------------------------------------
@@ -291,7 +287,7 @@ def scaling_example(s: MetivierStructure, delta: float,
 
     def inside(pts):
         ubar = pts[:, :two_n]
-        r = np.linalg.norm(ubar, axis=1)
+        r = np.sqrt(_row_dot(ubar, ubar))
         # m = 1: one center coordinate
         dev = pts[:, two_n] - t * _row_dot(ubar, s.Lambda[0])
         return (np.abs(r - t) <= shell) & (np.abs(dev) <= shell)
@@ -364,7 +360,8 @@ def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     Field: indicator of |P_perp ubar y| <= C1 sqrt(delta), |P ubar y| <=
     C1 delta, |y_d| <= C1 delta, where P projects onto span{u, v}.  Test
     region: sqrt(delta)-tube over an arc window, time map t(x) =
-    |P ubar x|.
+    |P ubar x|.  Field and time map read ubar in the coordinates of
+    knapp_frame, one _row_dot per coordinate.
     """
     _check_delta(delta)
     n = s.n
@@ -374,21 +371,24 @@ def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
                           f"not n={n}")
     C1 = c_one(s)
     u_dir, v_dir, comp = knapp_frame(s)
-    P = np.outer(u_dir, u_dir) + np.outer(v_dir, v_dir)
     lam = s.Lambda[0]
     sq = math.sqrt(delta)
 
     hw_plane = C1 * delta
     hw_perp = C1 * sq
 
+    def plane_sq(ubar):
+        """|P ubar|^2 = (ubar.u)^2 + (ubar.v)^2."""
+        a, b = _row_dot(ubar, u_dir), _row_dot(ubar, v_dir)
+        return a * a + b * b
+
     def inside(pts):
         ubar = pts[:, :two_n]
-        yd = pts[:, two_n]
-        in_plane = (P @ ubar.T).T   # keeps ubar's coordinate-major order
-        perp = ubar - in_plane
-        return ((_row_dot(perp, perp) <= C1 * C1 * delta)
-                & (_row_dot(in_plane, in_plane) <= hw_plane * hw_plane)
-                & (np.abs(yd) <= C1 * delta))
+        # |P_perp ubar|^2 from the complement coordinates ubar.comp[:, k]
+        c, e = (_row_dot(ubar, w) for w in comp.T)
+        return ((c * c + e * e <= C1 * C1 * delta)
+                & (plane_sq(ubar) <= hw_plane * hw_plane)
+                & (np.abs(pts[:, two_n]) <= C1 * delta))
 
     plane_part = np.sqrt(u_dir ** 2 + v_dir ** 2)
     perp_part = np.sqrt(np.maximum(0.0, 1.0 - plane_part ** 2))
@@ -419,9 +419,6 @@ def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
                * (2.0 * delta) * np.ones(len(u)))
         return np.concatenate([ubar, bar[None]]).T, jac
 
-    def t_of(pts):
-        return np.linalg.norm(P @ pts[:, :two_n].T, axis=0)
-
     # caps are delta-thin in the Hopf latitude and sqrt(delta)-wide in the
     # angles; match the rule to that anisotropy
     c_lat = max(24, int(math.ceil(_factor_count(3.0 / delta))))
@@ -429,7 +426,7 @@ def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     rule = sphere_rule(n, (c_lat, c_ang, c_ang), latitude="uniform")
     return ExampleInstance(
         "knapp", delta, s, f, ParamRegion((3, 4, 4, 5, 4), param),
-        _box_measure(f), t_of, rule)
+        _box_measure(f), lambda pts: np.sqrt(plane_sq(pts[:, :two_n])), rule)
 
 
 # --- stein divergence diagnostic -----------------------------------------
@@ -451,7 +448,8 @@ def stein_probe_curve(alpha: float, j_hi: int, j_lo: int = 2) -> np.ndarray:
     so the returned sequence value[j] is increasing in j by construction.
 
     Returns an array of (j, value) rows for j = max(j_lo, 2) .. j_hi, at
-    least STEIN_MIN_LEVELS of them.
+    least STEIN_MIN_LEVELS of them.  A cutoff 2^{-j} below about 2^{-1024}
+    overflows the density, so a j_hi whose curve is not finite is refused.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
@@ -469,13 +467,18 @@ def stein_probe_curve(alpha: float, j_hi: int, j_lo: int = 2) -> np.ndarray:
         sm = 0.5 * (b - a) * gl_x + 0.5 * (a + b)
         w = 0.5 * (b - a) * gl_w
         r = 2.0 * t * np.sin(sm / 2.0)
-        vals = r ** (-1.0) * np.abs(np.log(r)) ** (-alpha)
+        # a subnormal or zero r gives inf or NaN, which the loop refuses
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            vals = r ** (-1.0) * np.abs(np.log(r)) ** (-alpha)
         return float(np.sum(w * vals)) / np.pi
 
     rows = []
     total = 0.0
     for k in range(2, j_hi + 1):
         total += panel(2.0 ** (-k), 2.0 ** (-k + 1))
+        if not math.isfinite(total):
+            raise DomainError(f"j_hi={j_hi}: the probe curve is not finite "
+                              f"from j={k} on; use a smaller j_hi")
         if k >= j_lo:
             rows.append((k, total))
     return np.array(rows)
@@ -492,6 +495,8 @@ def stein_growth_exponent(curve: np.ndarray) -> float:
     if len(curve) < STEIN_MIN_LEVELS:
         raise DomainError(f"the growth fit needs at least {STEIN_MIN_LEVELS} "
                           f"levels, got {len(curve)}")
+    if not np.isfinite(curve).all():
+        raise DomainError("the probe curve must be finite")
     j = curve[:, 0]
     vals = curve[:, 1]
     inc = np.diff(vals)

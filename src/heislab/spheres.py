@@ -28,6 +28,13 @@ GRID_TOL = 1e-12
 # delta = 2^-4, windows 0.18 of the work, 264 against 168 ms.
 WIDE_WINDOW_FRACTION = 0.4
 
+# Most work per chunk of points in spherical_average_batch (see _chunks).
+# At twice this, one chunk's temporaries can outgrow glibc's heap trim
+# threshold and fault in afresh for each chunk; by heap layout the n=1
+# ladders then took 1e3 or 2.7e4 page faults per pass (2-core Xeon), and
+# at this size 1e3 to 4e3 in every layout tried.
+CHUNK_WORK = 50000
+
 
 def check_rule_nodes(nodes: float):
     """Refuse a rule of more than MAX_RULE_NODES nodes.
@@ -178,8 +185,9 @@ class ScalarField:
     contiguous run of count floats (the transpose of a (d, count) C
     array).  An evaluator should keep that order in what it computes, so
     each operation streams whole coordinates instead of rows of d floats,
-    and give the same values for a row-major batch, which is only slower;
-    the fields of heislab.families give the same bits for either order.
+    and give the same values for a row-major batch, which is only slower.
+    The fields and time maps of heislab.families give the same bits for
+    any memory layout of a batch and any split of it.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -261,20 +269,20 @@ def _windows(ubar: np.ndarray, t: np.ndarray, grid, count: int,
     return first.astype(np.int32), width.astype(np.int32)
 
 
-def _chunks(work: np.ndarray, full: int, chunk: int):
+def _chunks(work: np.ndarray, full: int):
     """Slices of consecutive points, each flagged wide or narrow.
 
     work holds each point's window work: its window nodes, box-tested one
     factor at a time, plus its candidate pairs.  full is that work with
     every node in a window, which the product of the factor masks spends
-    on every point.  A slice holds at most chunk work, or one point.  It
-    is wide when its work exceeds WIDE_WINDOW_FRACTION of its full work,
-    so a wide slice spends at most chunk / WIDE_WINDOW_FRACTION on the
-    product of the masks.
+    on every point.  A slice holds at most CHUNK_WORK work, or one point.
+    It is wide when its work exceeds WIDE_WINDOW_FRACTION of its full work,
+    so a wide slice spends at most CHUNK_WORK / WIDE_WINDOW_FRACTION on
+    the product of the masks.
     """
     bounds, total = [0], 0
     for p, w in enumerate(work.tolist()):
-        if total + w > chunk and p > bounds[-1]:
+        if total + w > CHUNK_WORK and p > bounds[-1]:
             bounds.append(p)
             total = 0
         total += w
@@ -369,8 +377,7 @@ def _pairs(row_a: np.ndarray, row_b: np.ndarray, rows: int):
 
 def spherical_average_batch(s: MetivierStructure, f: ScalarField,
                             t: np.ndarray, pts: np.ndarray,
-                            rule: SphereRule,
-                            chunk: int = 100000) -> np.ndarray:
+                            rule: SphereRule) -> np.ndarray:
     """Averages f over the t(p)-sphere at each point of a batch.
 
     The image of the node w is (ubar - t w, bar - t^2 Lambda w - t (ubar^T
@@ -386,7 +393,7 @@ def spherical_average_batch(s: MetivierStructure, f: ScalarField,
     factor's grid; one pass computes them all, in O(P L).  The work of a
     point is then its window nodes, box-tested one factor at a time, plus
     the pairs of an a window node and a b window node, and the points are
-    cut into chunks of at most chunk work (_chunks).  A narrow chunk
+    cut into chunks of at most CHUNK_WORK work (_chunks).  A narrow chunk
     box-tests only its window nodes and pairs each (point, latitude)'s a
     hits with its b hits, so it costs O(P L + window work).  A wide chunk,
     whose work exceeds WIDE_WINDOW_FRACTION of the work with every node in
@@ -420,7 +427,7 @@ def spherical_average_batch(s: MetivierStructure, f: ScalarField,
     work = np.sum(width_a + width_b + width_a * width_b, axis=1)
     full = lat * (a_count + b_count + a_count * b_count)
     out = np.empty(len(pts))
-    for sl, wide in _chunks(work, full, chunk):
+    for sl, wide in _chunks(work, full):
         ubar, bar, tc = pts[sl, :two_n], pts[sl, two_n:], t[sl]
         # center = bar - sum_l C_il w_l,
         # C_il = t^2 Lambda_il + t (J_i^T ubar)_l

@@ -385,6 +385,19 @@ def test_counterexample_short_stein_range_exits_2(levels, capsys):
     assert err.startswith("error:") and "at least 3 levels" in err
 
 
+def test_counterexample_stein_curve_not_finite_exits_2(capsys):
+    # the probe curve overflows from j = 1025 on
+    code, out, err = run(["counterexample", "--set", "family=stein",
+                          "--set", "j_hi=1100"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "j_hi=1100" in err
+    assert len(err.strip().splitlines()) == 1
+    code, out, _ = run(["counterexample", "--set", "family=stein",
+                        "--set", "j_hi=1024"], capsys)
+    assert code == 0 and "# verdict=pass" in out.splitlines()
+
+
 def test_counterexample_tight_tolerance_fails(tmp_path, capsys):
     # quadrature bias exceeds an artificially tight slope tolerance, so
     # the verdict flips and the exit code reports the assertion failure

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from heislab import spheres
 from heislab.groups import (DomainError, MetivierStructure,
                             normalized_heisenberg, quaternionic_htype,
                             standard_heisenberg)
@@ -179,7 +180,7 @@ def test_field_region_seed_denominators():
         assert inst.measure ** (1.0 / p) == pytest.approx(want, rel=1e-12)
 
 
-def test_batches_are_coordinate_major():
+def test_batches_are_coordinate_major(monkeypatch):
     inst = ball_example(standard_heisenberg(2), 0.125)
     f, seen = recording(inst.field)
     # 24^5 points in 576 blocks
@@ -190,8 +191,9 @@ def test_batches_are_coordinate_major():
     assert len(seen) == 577
     t = np.clip(inst.time(pts), 1.0, 2.0)
     # a small chunk splits the sphere images into several batches
-    assert spherical_average_batch(inst.structure, f, t, pts, inst.rule,
-                                   chunk=20000).max() > 0
+    monkeypatch.setattr(spheres, "CHUNK_WORK", 20000)
+    assert spherical_average_batch(inst.structure, f, t, pts,
+                                   inst.rule).max() > 0
     assert len(seen) > 578
     assert all(shape[1] == 5 and f_order for shape, f_order in seen)
 
@@ -212,10 +214,12 @@ TILTED_H2 = MetivierStructure(2, 1, normalized_heisenberg(2).J,
 @pytest.mark.parametrize("inst", [
     ball_example(standard_heisenberg(1), 0.125),
     knapp_example(normalized_heisenberg(2), 0.125),
+    knapp_example(TILTED_H2, 0.125),
     scaling_example(standard_heisenberg(1), 0.125),
     scaling_example(TILTED_H2, 0.125),
     moment_example(0.125),
-], ids=["ball-n1", "knapp-n2", "scaling-n1", "scaling-tilted-n2", "moment"])
+], ids=["ball-n1", "knapp-n2", "knapp-tilted-n2", "scaling-n1",
+        "scaling-tilted-n2", "moment"])
 def test_row_major_batches_give_the_same_bits(inst):
     s = inst.structure
     # halved test lattices keep the n = 2 averages cheap
@@ -227,11 +231,19 @@ def test_row_major_batches_give_the_same_bits(inst):
         rows = np.ascontiguousarray(x)
         assert x.flags.f_contiguous and not rows.flags.f_contiguous
         assert np.array_equal(_row_dot(rows, rows), _row_dot(x, x))
+    # the time map gives the same bits on a row-major copy and on a batch
+    # split at an odd index
+    times = inst.time(pts)
+    assert np.array_equal(inst.time(np.ascontiguousarray(pts)), times)
+    assert np.array_equal(np.concatenate([inst.time(pts[:7]),
+                                          inst.time(pts[7:])]), times)
     # the smooth weight exposes every bit of the image coordinates
     weighted = ScalarField(lambda x: inst.field(x) * np.exp(x.sum(axis=1)),
                            inst.field.support_lo, inst.field.support_hi)
     for f in (inst.field, weighted):
         assert np.array_equal(f(np.ascontiguousarray(box_pts)), f(box_pts))
+        assert np.array_equal(np.concatenate([f(box_pts[:7]),
+                                              f(box_pts[7:])]), f(box_pts))
         t = np.clip(inst.time(pts), 1.0, 2.0)
         avg = spherical_average_batch(s, f, t, pts, inst.rule)
         assert avg.max() > 0
@@ -676,6 +688,23 @@ def test_stein_growth_exponent_synthetic():
         with pytest.raises(DomainError, match="at least 3"):
             stein_probe_curve(0.9, j_hi, j_lo=j_lo)
     assert stein_probe_curve(0.9, 4, j_lo=1).shape == (3, 2)
+
+
+def test_stein_refuses_a_curve_that_is_not_finite():
+    # the deepest cutoffs whose curve stays finite
+    for j_hi in (1022, 1023, 1024):
+        curve = stein_probe_curve(0.9, j_hi, j_lo=10)
+        assert np.isfinite(curve).all()
+        assert abs(stein_growth_exponent(curve) - 0.1) <= 0.2
+    # the density overflows from j = 1025 on, and turns NaN later
+    for j_hi in (1025, 1100):
+        with pytest.raises(DomainError, match=f"j_hi={j_hi}"):
+            stein_probe_curve(0.9, j_hi, j_lo=10)
+    j = np.arange(10.0, 15.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(DomainError, match="finite"):
+            stein_growth_exponent(np.stack([j, [1.0, 2.0, 3.0, 4.0, bad]],
+                                           axis=1))
 
 
 # --- moment family --------------------------------------------------------

@@ -315,7 +315,7 @@ def test_average_rotation_covariance():
         assert abs(a - b) <= 1e-10
 
 
-def test_average_batch_chunk_invariance():
+def test_average_batch_chunk_invariance(monkeypatch):
     s = standard_heisenberg(2)
     rng = np.random.default_rng(12)
     pts = rng.uniform(-1, 1, (37, 5))
@@ -323,12 +323,14 @@ def test_average_batch_chunk_invariance():
     rule = sphere_rule(2, 8)
     big = 50.0 * np.ones(5)
     f = ScalarField(lambda p: np.cos(p @ np.arange(1.0, 6.0)), -big, big)
-    a = spherical_average_batch(s, f, t, pts, rule, chunk=200000)
-    b = spherical_average_batch(s, f, t, pts, rule, chunk=7)
+    monkeypatch.setattr(spheres, "CHUNK_WORK", 200000)
+    a = spherical_average_batch(s, f, t, pts, rule)
+    monkeypatch.setattr(spheres, "CHUNK_WORK", 7)
+    b = spherical_average_batch(s, f, t, pts, rule)
     assert np.array_equal(a, b)
 
 
-def test_average_batch_chunk_invariance_thin_support():
+def test_average_batch_chunk_invariance_thin_support(monkeypatch):
     # a thin box culls most nodes, and the chunks then hold different
     # numbers of candidates
     s = standard_heisenberg(2)
@@ -342,7 +344,8 @@ def test_average_batch_chunk_invariance_thin_support():
     a = spherical_average_batch(s, f, t, pts, rule)
     assert np.count_nonzero(a) > 10
     for chunk in (1, 7, len(rule.weights) + 1, 5 * len(rule.weights)):
-        b = spherical_average_batch(s, f, t, pts, rule, chunk=chunk)
+        monkeypatch.setattr(spheres, "CHUNK_WORK", chunk)
+        b = spherical_average_batch(s, f, t, pts, rule)
         assert np.array_equal(a, b)
 
 
@@ -387,10 +390,11 @@ def test_culled_average_matches_dense(s, rule):
 def test_forced_paths_match_node_order_oracle(s, rule, path, monkeypatch):
     # the thin fields, and a bump whose box holds every sphere image
     monkeypatch.setattr(spheres, "WIDE_WINDOW_FRACTION", PATHS[path])
+    monkeypatch.setattr(spheres, "CHUNK_WORK", 20000)
     pts, t = near_sphere_points(s, 40, np.random.default_rng(31))
     wide = thin_bump(-9.0 * np.ones(s.d), 9.0 * np.ones(s.d))
     for field in (*thin_fields(s), wide):
-        got = spherical_average_batch(s, field, t, pts, rule, chunk=20000)
+        got = spherical_average_batch(s, field, t, pts, rule)
         assert np.count_nonzero(got) >= 10
         assert np.array_equal(got, node_order_average(s, field, t, pts, rule))
 
@@ -454,8 +458,8 @@ def test_culled_average_matches_dense_property(data):
         mp.setattr(spheres, "WIDE_WINDOW_FRACTION",
                    data.draw(st.sampled_from([spheres.WIDE_WINDOW_FRACTION,
                                               *PATHS.values()])))
-        got = spherical_average_batch(s, f, t, pts, rule,
-                                      chunk=data.draw(st.integers(1, 2000)))
+        mp.setattr(spheres, "CHUNK_WORK", data.draw(st.integers(1, 2000)))
+        got = spherical_average_batch(s, f, t, pts, rule)
     assert np.array_equal(got == 0.0, want == 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     assert np.array_equal(got, node_order_average(s, f, t, pts, rule))
