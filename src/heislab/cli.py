@@ -18,35 +18,32 @@ from fractions import Fraction
 import numpy as np
 
 from . import families, groups, phase, regions
-from .groups import DomainError
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _assign(cfg, items, malformed):
+    """Enter each key=value item into cfg, or raise malformed.format(item)."""
+    for item in items:
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ConfigError(malformed.format(item))
+        cfg[key.strip()] = value.strip()
+    return cfg
+
+
 def load_config(path):
     """Flat key=value file; blank lines and # comments ignored."""
-    cfg = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"malformed config line: {line!r}")
-            key, _, value = line.partition("=")
-            cfg[key.strip()] = value.strip()
-    return cfg
+        lines = [line for line in map(str.strip, fh)
+                 if line and not line.startswith("#")]
+    return _assign({}, lines, "malformed config line: {!r}")
 
 
 def apply_overrides(cfg, pairs):
-    for item in pairs or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        cfg[key.strip()] = value.strip()
-    return cfg
+    return _assign(cfg, pairs, "--set expects key=value, got {!r}")
 
 
 def parse_rational(text):
@@ -182,22 +179,14 @@ def _table(columns, rows, head=(), tail=()):
     return ("\n".join(lines) + "\n").encode()
 
 
-def _emit(data, out_path):
-    if out_path:
-        with open(out_path, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data.decode())
+# --- subcommands: each maps (cfg, args) to (output bytes, exit code) -----
 
-
-# --- subcommands ---------------------------------------------------------
-
-def cmd_group_check(cfg, seed, out_path, fmt):
+def cmd_group_check(cfg, args):
     s = build_structure(cfg)
     samples = _integer(cfg, "samples", 1000, least=1)
     tol = _real(cfg, "tolerance", 1e-12)
     cfg.reject_unread()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     # one row per sample in the order of Generator.uniform draws: x, y, z
     # uniform on [-2, 2)^d, then t uniform on [0.5, 2)
     d = s.d
@@ -222,26 +211,25 @@ def cmd_group_check(cfg, seed, out_path, fmt):
     margin = groups.smallness_margin(s)
     rows.append(("margin", margin, None,
                  "ok" if margin > 0 else "warning-nonpositive"))
-    if s.m == 3 and not failed:
-        th = rng.standard_normal((100, 3))
+    # the quaternionic and normalized structures are H-type
+    if cfg.get("kind") in ("normalized", "quaternionic") and not failed:
+        th = rng.standard_normal((100, s.m))
         Jt = s.J_theta(th)
         # |theta|^2 as a (100, 1, 1) stack of dot products, rounded as th @ th
         dev = Jt @ Jt + (th[:, None, :] @ th[:, :, None]) * np.eye(2 * s.n)
         worst_h = np.max(np.abs(dev))
         failed = not worst_h <= tol
         rows.append(("htype", worst_h, tol, "FAIL" if failed else "pass"))
-    _emit(_table(["check", "worst_error", "tolerance", "status"], rows),
-          out_path)
-    return 1 if failed else 0
+    return (_table(["check", "worst_error", "tolerance", "status"], rows),
+            1 if failed else 0)
 
 
-def cmd_lemma_check(cfg, seed, out_path, fmt):
+def cmd_lemma_check(cfg, args):
     count = _integer(cfg, "samples", 200, least=1)
     tol = _real(cfg, "tolerance", 1e-10)
     cfg.reject_unread()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     rows = []
-    failed = False
     for _ in range(count):
         size = int(rng.integers(2, 9))
         raw = rng.standard_normal((size, size))
@@ -256,14 +244,13 @@ def cmd_lemma_check(cfg, seed, out_path, fmt):
         ok = rel <= tol
         if size % 2 == 1:
             ok = ok and abs(got - 1.0 / abs(rho)) <= tol / abs(rho)
-        failed = failed or not ok
         rows.append((size, rho, got, brute, rel, "pass" if ok else "FAIL"))
-    _emit(_table(["size", "rho", "formula", "bruteforce", "rel_error",
-                  "status"], rows), out_path)
-    return 1 if failed else 0
+    return (_table(["size", "rho", "formula", "bruteforce", "rel_error",
+                    "status"], rows),
+            1 if any(row[-1] == "FAIL" for row in rows) else 0)
 
 
-def cmd_geometry(cfg, seed, out_path, fmt):
+def cmd_geometry(cfg, args):
     s = build_structure(cfg)
     points = _integer(cfg, "points", 100, least=0)
     fold_points = _integer(cfg, "fold_points", 50, least=0)
@@ -272,7 +259,7 @@ def cmd_geometry(cfg, seed, out_path, fmt):
         raise ConfigError("points=0 and fold_points=0: nothing to certify")
     margin = groups.smallness_margin(s)
     certified = margin > 0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     reports = []
     # the generic points, then the fold points
     for on_fold in [False] * points + [True] * fold_points:
@@ -288,13 +275,12 @@ def cmd_geometry(cfg, seed, out_path, fmt):
              -1 if r.rank_curv is None else r.rank_curv, r.c_value, r.c_bound)
             for r in reports)
     status = "certified" if certified else "uncertified"
-    _emit(_table(columns, rows, head=[f"smallness_margin={margin!r}"],
-                 tail=[f"status={status} deviations={deviations}"]),
-          out_path)
-    return 1 if deviations and certified else 0
+    return (_table(columns, rows, head=[f"smallness_margin={margin!r}"],
+                   tail=[f"status={status} deviations={deviations}"]),
+            1 if deviations and certified else 0)
 
 
-def cmd_counterexample(cfg, seed, out_path, fmt):
+def cmd_counterexample(cfg, args):
     family = cfg.get("family", "ball")
     # the stein growth exponent's default tolerance is looser than a slope's
     tol = _real(cfg, "tolerance", 0.2 if family == "stein" else 0.15)
@@ -308,12 +294,11 @@ def cmd_counterexample(cfg, seed, out_path, fmt):
         expo = families.stein_growth_exponent(curve)
         verdict = abs(expo - (1.0 - alpha)) <= tol
         rows = [(int(j), v) for j, v in curve]
-        _emit(_table(["j", "value"], rows, head=[f"alpha={alpha!r}"],
-                     tail=[f"growth_exponent={expo!r} "
-                           f"expected={1.0 - alpha!r}",
-                           f"verdict={'pass' if verdict else 'FAIL'}"]),
-              out_path)
-        return 0 if verdict else 1
+        return (_table(["j", "value"], rows, head=[f"alpha={alpha!r}"],
+                       tail=[f"growth_exponent={expo!r} "
+                             f"expected={1.0 - alpha!r}",
+                             f"verdict={'pass' if verdict else 'FAIL'}"]),
+                0 if verdict else 1)
 
     if family not in families.FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
@@ -339,33 +324,29 @@ def cmd_counterexample(cfg, seed, out_path, fmt):
     rows = families.run_ladder(make, deltas, p, q)
     fit = families.fit_exponent(rows)
     verdict = families.fit_passes(fit, predicted, tol)
-    _emit(_table(["family", "n", "m", "p", "q", "delta", "ratio",
-                  "predicted_exponent"],
-                 [(family, s.n, s.m, p, q, delta, ratio, predicted)
-                  for delta, ratio in rows],
-                 tail=[f"slope={fit.slope!r} intercept={fit.intercept!r} "
-                       f"r_squared={fit.r_squared!r}",
-                       f"predicted={predicted} tolerance={tol!r} "
-                       f"max_residual={fit.max_residual!r} "
-                       f"residual_bound={families.MAX_LOG_RESIDUAL!r}",
-                       f"verdict={'pass' if verdict else 'FAIL'}"]),
-          out_path)
-    return 0 if verdict else 1
+    return (_table(["family", "n", "m", "p", "q", "delta", "ratio",
+                    "predicted_exponent"],
+                   [(family, s.n, s.m, p, q, delta, ratio, predicted)
+                    for delta, ratio in rows],
+                   tail=[f"slope={fit.slope!r} intercept={fit.intercept!r} "
+                         f"r_squared={fit.r_squared!r}",
+                         f"predicted={predicted} tolerance={tol!r} "
+                         f"max_residual={fit.max_residual!r} "
+                         f"residual_bound={families.MAX_LOG_RESIDUAL!r}",
+                         f"verdict={'pass' if verdict else 'FAIL'}"]),
+            0 if verdict else 1)
 
 
-def cmd_region(cfg, seed, out_path, fmt):
+def cmd_region(cfg, args):
     which = cfg.get("region", "maximal")
     n = _integer(cfg, "n", 2)
     m = _integer(cfg, "m", 1)
     cfg.reject_unread()
-    if which == "maximal":
-        reg = regions.maximal_region(n, m)
-    elif which == "averaging":
-        reg = regions.averaging_region(n, m)
-    else:
+    build = {"maximal": regions.maximal_region,
+             "averaging": regions.averaging_region}.get(which)
+    if build is None:
         raise ConfigError(f"unknown region {which!r}")
-    _emit(regions.export_region(reg, fmt or "csv"), out_path)
-    return 0
+    return regions.export_region(build(n, m), args.format), 0
 
 
 COMMANDS = {
@@ -385,15 +366,24 @@ def main(argv=None):
     parser.add_argument("--config", default=None, help="key=value file")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="output path")
-    parser.add_argument("--format", choices=["csv", "svg"], default=None)
+    parser.add_argument("--format", choices=["csv", "svg"], default="csv",
+                        help="svg is for region only")
     parser.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE", dest="overrides")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else {}
         cfg = Config(apply_overrides(cfg, args.overrides), args.command)
-        return COMMANDS[args.command](cfg, args.seed, args.out, args.format)
-    except (ConfigError, DomainError, OSError, ValueError) as exc:
+        if args.format != "csv" and args.command != "region":
+            raise ConfigError(f"--format svg: {args.command} writes csv only")
+        data, code = COMMANDS[args.command](cfg, args)
+        if args.out:
+            with open(args.out, "wb") as fh:
+                fh.write(data)
+        else:
+            sys.stdout.write(data.decode())
+        return code
+    except (OSError, ValueError) as exc:  # ConfigError, DomainError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -144,10 +144,9 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     memory order of x nor on where a batch is split.  Every family field
     and time map takes its norms and dot products from here.
     """
-    y = np.broadcast_to(y, x.shape)
-    out = x[:, 0] * y[:, 0]
+    out = x[:, 0] * y[..., 0]
     for k in range(1, x.shape[1]):
-        out += x[:, k] * y[:, k]
+        out += x[:, k] * y[..., k]
     return out
 
 

@@ -22,10 +22,14 @@ GRID_TOL = 1e-12
 # A chunk of points whose window work exceeds this fraction of the work of
 # the product of the full factor masks takes that product instead.  With
 # most nodes in a window the window bookkeeping costs more than the nodes
-# it skips.  Average times per rung (2-core Xeon, product masks against
-# windows): the n=1 scaling rungs, every node a hit, 17 against 26 ms; ball
-# on H^2 at delta = 2^-3, windows 0.9 of the work, 94 against 140 ms; at
-# delta = 2^-4, windows 0.18 of the work, 264 against 168 ms.
+# it skips.  Time in spherical_average_batch per rung (2-core Xeon, median
+# of 7 interleaved runs; product masks forced, this threshold, windows
+# forced): the n=1 scaling rungs, every node a hit, 15, 15 and 24 ms; ball
+# on H^2 at delta = 2^-3, windows 0.91 of the work, 134, 151 and 163 ms; at
+# 2^-4, windows 0.19 of the work, 241, 257 and 249 ms; at 2^-5 (p = q = 2),
+# windows 0.02 of the work, 551, 232 and 265 ms; knapp on H^2 at 2^-3,
+# windows 0.88, 520, 511 and 661 ms; at 2^-4, windows 0.25, 630, 661 and
+# 655 ms.  On the four H^2 rungs at 2^-3 and 2^-4 the runs overlap.
 WIDE_WINDOW_FRACTION = 0.4
 
 # Most work per chunk of points in spherical_average_batch (see _chunks).

@@ -127,11 +127,27 @@ def test_group_check_passes(capsys):
                for line in lines)
 
 
-def test_group_check_htype_row(capsys):
-    code, out, _ = run(["group-check", "--set", "kind=quaternionic",
-                        "--set", "samples=20"], capsys)
+@pytest.mark.parametrize("structure, has_row", [
+    (["kind=quaternionic", "m=1"], True),
+    (["kind=quaternionic", "m=2"], True),
+    (["kind=quaternionic", "m=3"], True),
+    (["kind=normalized", "n=1"], True),
+    (["kind=normalized", "n=2"], True),
+    (["kind=heisenberg"], False),
+], ids=["quaternionic-m1", "quaternionic-m2", "quaternionic-m3",
+        "normalized-n1", "normalized-n2", "heisenberg"])
+def test_group_check_htype_row(structure, has_row, capsys):
+    # the H-type identity (J^theta)^2 = -|theta|^2 I is checked for every
+    # H-type kind, whatever its center dimension; the half-scaled
+    # heisenberg structure is not H-type
+    argv = ["group-check", "--set", "samples=20"]
+    for entry in structure:
+        argv += ["--set", entry]
+    code, out, _ = run(argv, capsys)
     assert code == 0
-    assert any(line.startswith("htype,") for line in out.strip().split("\n"))
+    rows = [line for line in out.splitlines() if line.startswith("htype,")]
+    assert len(rows) == has_row
+    assert all(row.endswith(",pass") for row in rows)
 
 
 def test_group_check_negative_margin_warns(capsys):
@@ -533,3 +549,41 @@ def test_region_svg(tmp_path, capsys):
 def test_region_unknown_exits_2(capsys):
     code, _, _ = run(["region", "--set", "region=restriction"], capsys)
     assert code == 2
+
+
+# --- output ---------------------------------------------------------------
+
+# one quick run of each command
+QUICK = {
+    "group-check": ["group-check", "--set", "samples=5"],
+    "lemma-check": ["lemma-check", "--set", "samples=5"],
+    "geometry": ["geometry", "--set", "points=2", "--set", "fold_points=1"],
+    "counterexample": ["counterexample", "--set", "family=stein",
+                       "--set", "j_hi=12"],
+    "region": ["region", "--set", "region=maximal"],
+}
+
+
+@pytest.mark.parametrize("command", [c for c in QUICK if c != "region"])
+def test_format_svg_is_for_region_only(command, capsys):
+    code, out, err = run(QUICK[command] + ["--format", "svg"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --format svg: {command} writes csv only\n"
+
+
+@pytest.mark.parametrize("command", QUICK)
+def test_format_csv_is_the_default(command, capsys):
+    assert (run(QUICK[command] + ["--format", "csv"], capsys)
+            == run(QUICK[command], capsys))
+
+
+@pytest.mark.parametrize("argv", [
+    *QUICK.values(),
+    ["region", "--set", "region=averaging", "--set", "n=1", "--format", "svg"],
+], ids=[*QUICK, "region-svg"])
+def test_out_writes_the_stdout_bytes(argv, tmp_path, capsys):
+    code, out, _ = run(argv, capsys)
+    path = tmp_path / "out"
+    assert run(argv + ["--out", str(path)], capsys) == (code, "", "")
+    assert path.read_bytes() == out.encode()
