@@ -383,7 +383,9 @@ def main(argv=None):
         else:
             sys.stdout.write(data.decode())
         return code
-    except (OSError, ValueError) as exc:  # ConfigError, DomainError too
+    # ConfigError and DomainError are ValueErrors; MemoryError is a
+    # request larger than the memory available
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

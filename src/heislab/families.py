@@ -209,21 +209,15 @@ def _sphere_dir(n: int, u: np.ndarray):
     return dirs, 0.5 * (2 * np.pi) ** 2
 
 
-def _factor_count(nodes: float) -> float:
-    """nodes, once it passes the node limit that sphere_rule applies.
+def _cap_resolution(n: int, delta: float) -> float:
+    """Per-factor node count keeping the nodes-per-cap count stable in delta.
 
-    The float count is checked before int() or round() converts it: for
-    a subnormal delta it is inf, which converts to no int.
+    The count stays a float, inf for a subnormal delta; sphere_rule
+    refuses it or converts it.
     """
-    spheres.check_rule_nodes(nodes)
-    return nodes
-
-
-def _cap_resolution(n: int, delta: float) -> int:
-    """Per-factor node count keeping the nodes-per-cap count stable in delta."""
     if n == 1:
-        return max(256, int(math.ceil(_factor_count(64.0 / delta))))
-    return max(16, int(round(_factor_count(2.0 / delta))))
+        return max(256, np.ceil(64.0 / delta))
+    return max(16, np.round(2.0 / delta))
 
 
 # --- ball family ---------------------------------------------------------
@@ -347,7 +341,8 @@ def knapp_frame(s: MetivierStructure):
     v = J @ u
     v = v / np.linalg.norm(v)
     W = np.stack([u, v], axis=1)
-    # complement basis from the SVD of the projector
+    # complement basis: QR of [u, v, I] keeps span{u, v} in its first two
+    # columns, so the rest span the orthogonal complement
     q, _ = np.linalg.qr(np.concatenate([W, np.eye(two_n)], axis=1))
     comp = q[:, 2:two_n]
     return u, v, comp
@@ -420,8 +415,8 @@ def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
 
     # caps are delta-thin in the Hopf latitude and sqrt(delta)-wide in the
     # angles; match the rule to that anisotropy
-    c_lat = max(24, int(math.ceil(_factor_count(3.0 / delta))))
-    c_ang = max(24, int(math.ceil(_factor_count(10.0 / sq))))
+    c_lat = max(24, np.ceil(3.0 / delta))
+    c_ang = max(24, np.ceil(10.0 / sq))
     rule = sphere_rule(n, (c_lat, c_ang, c_ang), latitude="uniform")
     return ExampleInstance(
         "knapp", delta, s, f, ParamRegion((3, 4, 4, 5, 4), param),

@@ -118,30 +118,29 @@ def dilate(s, t, x):
     return np.concatenate([t * x[..., :k], t * t * x[..., k:]], axis=-1)
 
 
+def _heisenberg(n, entry):
+    """H^n whose symplectic matrix has entries entry and -entry."""
+    if n < 1:
+        raise DomainError("need n >= 1")
+    J = np.zeros((1, 2 * n, 2 * n))
+    j = np.arange(n)
+    J[0, j, n + j] = entry
+    J[0, n + j, j] = -entry
+    return MetivierStructure(n=n, m=1, J=J, Lambda=np.zeros((1, 2 * n)))
+
+
 def standard_heisenberg(n):
     """Heisenberg group H^n with the half-scaled symplectic form.
 
     The bilinear form carries the factor 1/2, so for n=1 the matrix is
     [[0, 1/2], [-1/2, 0]] and all singular values equal 1/2.
     """
-    if n < 1:
-        raise DomainError("need n >= 1")
-    J = np.zeros((1, 2 * n, 2 * n))
-    for j in range(n):
-        J[0, j, n + j] = 0.5
-        J[0, n + j, j] = -0.5
-    return MetivierStructure(n=n, m=1, J=J, Lambda=np.zeros((1, 2 * n)))
+    return _heisenberg(n, 0.5)
 
 
 def normalized_heisenberg(n):
     """Heisenberg group with the unscaled symplectic matrix, so J^2 = -I."""
-    if n < 1:
-        raise DomainError("need n >= 1")
-    J = np.zeros((1, 2 * n, 2 * n))
-    for j in range(n):
-        J[0, j, n + j] = 1.0
-        J[0, n + j, j] = -1.0
-    return MetivierStructure(n=n, m=1, J=J, Lambda=np.zeros((1, 2 * n)))
+    return _heisenberg(n, 1.0)
 
 
 # Left multiplication by the quaternion units i, j, k on R^4 ~ H,

@@ -13,7 +13,9 @@ import numpy as np
 from .groups import DimensionMismatch, DomainError, MetivierStructure
 
 # Most nodes a sphere rule may have: 256^3, the rule of the ball family on
-# H^2 at delta = 2^-7.  Its weights alone take 128 MiB.
+# H^2 at delta = 2^-7.  Its weights alone take 128 MiB.  sphere_rule
+# compares the counts as given, floats and the inf of a subnormal delta
+# too, with this limit before it converts them to int.
 MAX_RULE_NODES = 256 ** 3
 
 # Largest offset of a factor node from its place on a uniform angular grid.
@@ -38,17 +40,6 @@ WIDE_WINDOW_FRACTION = 0.4
 # ladders then took 1e3 or 2.7e4 page faults per pass (2-core Xeon), and
 # at this size 1e3 to 4e3 in every layout tried.
 CHUNK_WORK = 50000
-
-
-def check_rule_nodes(nodes: float):
-    """Refuse a rule of more than MAX_RULE_NODES nodes.
-
-    nodes may be a float count not yet converted to int, such as the inf
-    that a node count per delta gives for a subnormal delta.
-    """
-    if nodes > MAX_RULE_NODES:
-        raise DomainError(f"a sphere rule of more than {MAX_RULE_NODES} "
-                          "nodes is refused; use a coarser delta")
 
 
 @dataclass(frozen=True)
@@ -134,18 +125,23 @@ def sphere_rule(n: int, resolution, latitude: str = "gauss") -> SphereRule:
     latitude parameter carries a uniform measure, so latitude="gauss"
     (best for smooth integrands) and latitude="uniform" (even spacing,
     best for thin indicator caps) are both consistent.  Spheres of higher
-    dimension have no rule, and a rule of more than MAX_RULE_NODES nodes is
-    refused before anything is allocated.
+    dimension have no rule.  Counts may be ints or floats, inf included;
+    a rule of more than MAX_RULE_NODES nodes is refused before any count
+    is converted to int and before anything is allocated.
     """
     if n not in (1, 2):
         raise DomainError(f"sphere rules exist for n = 1, 2, not n={n}")
     if n == 2 and not np.isscalar(resolution):
-        cu, ca, cb = (int(c) for c in resolution)
+        cu, ca, cb = resolution
     else:
-        cu = ca = cb = int(resolution)
+        cu = ca = cb = resolution
     if min(cu, ca, cb) < 4:
         raise DomainError("resolution must be at least 4")
-    check_rule_nodes(cu if n == 1 else cu * ca * cb)
+    # divide, not multiply: a product of numpy counts could overflow
+    if cu > (MAX_RULE_NODES if n == 1 else MAX_RULE_NODES / ca / cb):
+        raise DomainError(f"a sphere rule of more than {MAX_RULE_NODES} "
+                          "nodes is refused; use a coarser delta")
+    cu, ca, cb = int(cu), int(ca), int(cb)
     if n == 1:
         ang = 2 * np.pi * np.arange(cu) / cu
         return SphereRule(np.stack([np.cos(ang), np.sin(ang)])[:, None],

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from heislab import families
+from heislab import cli, families
 from heislab.cli import (ConfigError, apply_overrides, load_config, main,
                          parse_deltas, parse_rational)
 
@@ -173,6 +173,20 @@ def test_unknown_family_exits_2(capsys):
     code, _, err = run(["counterexample", "--set", "family=wave"], capsys)
     assert code == 2
     assert "error:" in err
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    # a request too large for memory, such as group-check with 10^9 samples,
+    # ends in one error line, not a traceback; nothing is allocated here
+    def too_large(cfg, args):
+        raise MemoryError("Unable to allocate 119. GiB")
+
+    monkeypatch.setitem(cli.COMMANDS, "group-check", too_large)
+    code, out, err = run(["group-check", "--set", "samples=1000000000"],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: Unable to allocate 119. GiB\n"
 
 
 def test_missing_config_file_exits_2(capsys):
@@ -481,6 +495,10 @@ def test_counterexample_bad_ladder_exits_before_first_rung(
      "2^-1070,2^-1071,2^-1072", "sphere rule of more than"),
     (["--set", "family=moment"], "2^-1070,2^-1071,2^-1072",
      "sphere rule of more than"),
+    (["--set", "n=1"], "2^-1070,2^-1071,2^-1072", "sphere rule of more than"),
+    # finite float counts whose node product overflows a float
+    (["--set", "family=knapp", "--set", "kind=normalized"],
+     "2^-3,2^-4,2^-600", "sphere rule of more than"),
 ])
 def test_counterexample_extreme_deltas_exit_2(structure, deltas, message,
                                               capsys):

@@ -183,18 +183,33 @@ def test_rule_check_memory_is_bounded():
 
 
 def test_rule_size_limit():
-    # one node past MAX_RULE_NODES, and the 2^-1000 rung of the ball family
-    # on H^2: each is refused before its arrays are allocated
+    # one node past MAX_RULE_NODES, the 2^-1000 rung of the ball family on
+    # H^2, and the float counts of a subnormal delta (inf), refused as they
+    # come: each is refused before its arrays are allocated
     tracemalloc.start()
     try:
         for n, resolution in [(2, 257), (2, (256, 256, 257)),
-                              (1, MAX_RULE_NODES + 1), (2, 2 ** 1001)]:
+                              (1, MAX_RULE_NODES + 1), (2, 2 ** 1001),
+                              (1, np.inf), (2, (np.inf, 24, 24)),
+                              (2, np.float64(257.0))]:
             with pytest.raises(DomainError, match="more than 16777216"):
                 sphere_rule(n, resolution)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_rule_float_counts_match_int_counts():
+    # families pass their counts as floats; the rule is built from ints
+    for float_rule, int_rule in [
+            (sphere_rule(2, (48.0, 40.0, 40.0), latitude="uniform"),
+             sphere_rule(2, (48, 40, 40), latitude="uniform")),
+            (sphere_rule(1, 512.0), sphere_rule(1, 512))]:
+        for name in ("a", "b", "weights"):
+            got, want = getattr(float_rule, name), getattr(int_rule, name)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_rule_rejects_n_above_two():
