@@ -143,9 +143,19 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     its order, and with it every bit of the result, depends neither on the
     memory order of x nor on where a batch is split.  Every family field
     and time map takes its norms and dot products from here.
+
+    A 1-D y skips its coefficients equal to zero, 0.0 and -0.0 alike, as
+    knapp's axis-aligned frame and a zero Lambda have them.  For finite x
+    each skipped term is a zero, and adding a zero to a nonzero partial
+    sum returns that sum, so only the sign of a zero result can differ
+    from the full sum (all zeros give 0.0).  Every caller squares the
+    result or takes its absolute value, which hides that sign.
     """
-    out = x[:, 0] * y[..., 0]
-    for k in range(1, x.shape[1]):
+    terms = np.flatnonzero(y) if y.ndim == 1 else range(x.shape[1])
+    if not len(terms):
+        return np.zeros(len(x))
+    out = x[:, terms[0]] * y[..., terms[0]]
+    for k in terms[1:]:
         out += x[:, k] * y[..., k]
     return out
 

@@ -21,25 +21,33 @@ MAX_RULE_NODES = 256 ** 3
 # Largest offset of a factor node from its place on a uniform angular grid.
 GRID_TOL = 1e-12
 
-# A chunk of points whose window work exceeds this fraction of the work of
-# the product of the full factor masks takes that product instead.  With
-# most nodes in a window the window bookkeeping costs more than the nodes
-# it skips.  Time in spherical_average_batch per rung (2-core Xeon, median
-# of 7 interleaved runs; product masks forced, this threshold, windows
-# forced): the n=1 scaling rungs, every node a hit, 15, 15 and 24 ms; ball
-# on H^2 at delta = 2^-3, windows 0.91 of the work, 134, 151 and 163 ms; at
-# 2^-4, windows 0.19 of the work, 241, 257 and 249 ms; at 2^-5 (p = q = 2),
-# windows 0.02 of the work, 551, 232 and 265 ms; knapp on H^2 at 2^-3,
-# windows 0.88, 520, 511 and 661 ms; at 2^-4, windows 0.25, 630, 661 and
-# 655 ms.  On the four H^2 rungs at 2^-3 and 2^-4 the runs overlap.
+# A chunk of points whose window nodes exceed this fraction of all its
+# nodes box-tests every node of each factor (_mask_hits) instead of only
+# its window nodes: with most nodes in a window, the window bookkeeping
+# costs more than the nodes it skips.  Both paths feed one pair stage.
+# Time in spherical_average_batch per rung (2-core Xeon, medians of 7
+# interleaved runs, two runs; every node tested / this threshold / window
+# nodes only): the n=1 scaling rungs, every node a hit, 9-12 / 9-13 /
+# 11-14 ms; on H^2, ball at delta = 2^-3 (window nodes 0.94 of all) 87, 94
+# / 88, 92 / 119, 112 ms; at 2^-4 (0.39) 127, 141 / 118, 130 / 135, 143
+# ms; at 2^-5 (0.09) 294, 330 / 106, 104 / 96, 126 ms; knapp at 2^-3
+# (0.94) 243, 331 / 253, 261 / 248, 243 ms; at 2^-4 (0.45) 290, 324 /
+# 283, 333 / 292, 375 ms; all these rungs 1.11, 1.31 / 0.90, 1.01 / 1.02,
+# 1.13 s.  Where the threshold takes the same path as forced masks (every
+# chunk of the scaling and 0.94 rungs is wide), the medians still differ
+# by up to 27%.
 WIDE_WINDOW_FRACTION = 0.4
 
-# Most work per chunk of points in spherical_average_batch (see _chunks).
-# At twice this, one chunk's temporaries can outgrow glibc's heap trim
-# threshold and fault in afresh for each chunk; by heap layout the n=1
-# ladders then took 1e3 or 2.7e4 page faults per pass (2-core Xeon), and
-# at this size 1e3 to 4e3 in every layout tried.
-CHUNK_WORK = 50000
+# Most window nodes per chunk of points in spherical_average_batch, and
+# most hit pairs per block of a chunk (see _blocks).  Larger chunks cost
+# less numpy call overhead but hold more memory: one average of the four
+# h2-thin rungs (ball and knapp on H^2 at delta = 2^-3, 2^-4) peaks at
+# 2.3-2.9, 3.5-4.1, 4.0-4.8 and 8.4-8.7 MiB of memory traced by
+# tracemalloc at 12500, 20000, 25000 and 50000, and at 50000 the h2-thin
+# bench's peak RSS was 54.0 MiB against 45.3 MiB at 20000.  Their averages
+# took 1.01, 1.03 and 0.97 s in all at the first three sizes (2-core Xeon,
+# medians of 7 interleaved runs), within the runs' spread.
+CHUNK_WORK = 20000
 
 
 @dataclass(frozen=True)
@@ -269,16 +277,14 @@ def _windows(ubar: np.ndarray, t: np.ndarray, grid, count: int,
     return first.astype(np.int32), width.astype(np.int32)
 
 
-def _chunks(work: np.ndarray, full: int):
-    """Slices of consecutive points, each flagged wide or narrow.
+def _blocks(work: np.ndarray):
+    """Slices of consecutive points, each holding at most CHUNK_WORK work,
+    or one point.
 
-    work holds each point's window work: its window nodes, box-tested one
-    factor at a time, plus its candidate pairs.  full is that work with
-    every node in a window, which the product of the factor masks spends
-    on every point.  A slice holds at most CHUNK_WORK work, or one point.
-    It is wide when its work exceeds WIDE_WINDOW_FRACTION of its full work,
-    so a wide slice spends at most CHUNK_WORK / WIDE_WINDOW_FRACTION on
-    the product of the masks.
+    spherical_average_batch cuts the points into chunks by their window
+    nodes, and each chunk into blocks by its hit pairs.  Whether a chunk
+    box-tests every node (wide) or its window nodes (narrow) is decided
+    there, from WIDE_WINDOW_FRACTION.
     """
     bounds, total = [0], 0
     for p, w in enumerate(work.tolist()):
@@ -287,32 +293,39 @@ def _chunks(work: np.ndarray, full: int):
             total = 0
         total += w
     bounds.append(len(work))
-    return [(slice(a, b),
-             work[a:b].sum() > WIDE_WINDOW_FRACTION * (b - a) * full)
-            for a, b in zip(bounds, bounds[1:]) if b > a]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
-def _factor_tables(ubar: np.ndarray, t: np.ndarray, C: np.ndarray,
-                   nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """The image parts that one factor of the rule fixes, for a chunk.
+def _mask_hits(ubar: np.ndarray, t: np.ndarray, C: np.ndarray,
+               nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The nodes of one factor whose image passes the box test, for a chunk
+    that box-tests every node.
 
     nodes holds the factor's k coordinates, shape (k, L, A); ubar, C, lo
     and hi are the matching columns of the points, of the center
-    coefficients C_il and of the support box.  Returns, over (point,
-    latitude, angle): the mask of the image's k coordinates inside [lo,
-    hi], those k coordinates, and the m center terms sum_l C_il w_l, each
-    coordinate and term flattened to one entry per (point, latitude, angle).
+    coefficients C_il and of the support box.  The image coordinates and
+    the m center terms sum_l C_il w_l, added from zero one factor
+    coordinate at a time, are computed over the whole (point, latitude,
+    angle) table.  Returns the hits as lists in order of (point,
+    latitude, angle): (row, flat, coords, terms), where row is point * L +
+    latitude, flat is latitude * A + angle, coords holds the image's k
+    coordinates and terms, of shape (m, hits), the center terms.
     """
-    shape = (len(t),) + nodes.shape[1:]
-    inside = np.ones(shape, dtype=bool)
+    lat, count = nodes.shape[1:]
+    inside = np.ones((len(t), lat, count), dtype=bool)
     coords = []
-    terms = np.zeros((C.shape[1],) + shape)
+    terms = np.zeros((C.shape[1], len(t), lat, count))
     for k, w in enumerate(nodes):
         x = ubar[:, k, None, None] - t[:, None, None] * w
-        inside &= (x >= lo[k]) & (x <= hi[k])
+        inside &= x >= lo[k]
+        inside &= x <= hi[k]
         coords.append(x.ravel())
         terms += C[:, :, k].T[:, :, None, None] * w
-    return inside, coords, terms.reshape(len(terms), -1)
+    hit = np.flatnonzero(inside)
+    row = hit // count
+    return (row, hit - row // lat * (lat * count),
+            [np.take(x, hit) for x in coords],
+            np.take(terms.reshape(len(terms), -1), hit, axis=1))
 
 
 def _window_hits(ubar: np.ndarray, t: np.ndarray, C: np.ndarray,
@@ -320,58 +333,60 @@ def _window_hits(ubar: np.ndarray, t: np.ndarray, C: np.ndarray,
                  lo: np.ndarray, hi: np.ndarray):
     """The window nodes of one factor whose image passes the box test.
 
-    start and width (P, L) are the factor's windows for the chunk.  Each
-    node's image coordinates and center terms take the float operations
-    of _factor_tables.  Returns, over the window nodes whose image has its
-    k coordinates inside [lo, hi], in order of (point, latitude, angle):
-    the row point * L + latitude, the angle index, the k coordinates and
-    the m center terms.
+    start and width (P, L) are the factor's windows for the chunk; the
+    other arguments and the returned hit lists are those of _mask_hits,
+    and each hit's image coordinates and center terms take the same float
+    operations.  Only the (point, latitude) rows with a non-empty window
+    enter the run arrays.
     """
     lat, count = nodes.shape[1:]
-    rows = width.size
+    per_point = width.sum(axis=1)
     width = width.ravel()
+    rows = np.flatnonzero(width)
+    width = width[rows]
+    start = start.ravel()[rows]
     # a window is the index runs [0, wrap) and [start, start + width - wrap);
     # flat = latitude * count + index numbers the factor's nodes
-    wrap = np.maximum(start.ravel() + width - count, 0)
+    wrap = np.maximum(start + width - count, 0)
     runs = np.stack([wrap, width - wrap], axis=1).ravel()
-    first = np.stack([np.zeros_like(wrap), start.ravel()], axis=1).ravel()
-    first += np.repeat(np.arange(rows) % lat * count, 2)
+    first = np.stack([np.zeros_like(wrap), start], axis=1).ravel()
+    first += np.repeat(rows % lat * count, 2)
     ends = np.cumsum(runs)
     flat = np.repeat(first - ends + runs, runs)
     flat += np.arange(len(flat))
-    per_point = width.reshape(len(t), lat).sum(axis=1)
     tt = np.repeat(t, per_point)
     inside = np.ones(len(flat), dtype=bool)
     coords = []
     nodes = nodes.reshape(len(nodes), lat * count)
     for k, w in enumerate(nodes):
         x = np.repeat(ubar[:, k], per_point)
-        x -= tt * w[flat]
+        x -= tt * np.take(w, flat)
         inside &= x >= lo[k]
         inside &= x <= hi[k]
         coords.append(x)
     hit = np.flatnonzero(inside)
-    coords = [x[hit] for x in coords]
-    flat = flat[hit]
-    row = np.repeat(np.arange(rows), width)[hit]
+    coords = [np.take(x, hit) for x in coords]
+    flat = np.take(flat, hit)
+    row = np.take(np.repeat(rows, width), hit)
     point = row // lat
     terms = np.zeros((C.shape[1], len(hit)))
     for k, w in enumerate(nodes):
-        terms += C[point, :, k].T * w[flat]
-    index = flat - (row - point * lat) * count
-    return row, index, coords, terms
+        w = np.take(w, flat)
+        for c, term in enumerate(terms):
+            term += np.take(C[:, c, k], point) * w
+    return row, flat, coords, terms
 
 
-def _pairs(row_a: np.ndarray, row_b: np.ndarray, rows: int):
+def _pairs(row_a: np.ndarray, nb: np.ndarray, first_b: np.ndarray):
     """Indices (ia, ib) of every pair of an a hit and a b hit on one row,
-    in order of the a hit, then the b hit; both hit lists are sorted by
-    row."""
-    nb = np.bincount(row_b, minlength=rows)
+    in order of the a hit, then the b hit.  row_a lists the rows of
+    consecutive a hits; nb counts the b hits of each row and first_b
+    holds the index of each row's first b hit in the row-sorted b list."""
     reps = nb[row_a]
     ends = np.cumsum(reps)
     ia = np.repeat(np.arange(len(row_a)), reps)
     ib = np.arange(int(reps.sum())) + np.repeat(
-        (np.cumsum(nb) - nb)[row_a] - ends + reps, reps)
+        first_b[row_a] - ends + reps, reps)
     return ia, ib
 
 
@@ -390,17 +405,22 @@ def spherical_average_batch(s: MetivierStructure, f: ScalarField,
 
     Per (point, latitude) and factor, the angle window (_windows) holds
     every angle whose image can pass the box test, in O(1) from the
-    factor's grid; one pass computes them all, in O(P L).  The work of a
-    point is then its window nodes, box-tested one factor at a time, plus
-    the pairs of an a window node and a b window node, and the points are
-    cut into chunks of at most CHUNK_WORK work (_chunks).  A narrow chunk
-    box-tests only its window nodes and pairs each (point, latitude)'s a
-    hits with its b hits, so it costs O(P L + window work).  A wide chunk,
-    whose work exceeds WIDE_WINDOW_FRACTION of the work with every node in
-    a window, masks every node of each factor and takes the product of
-    the masks.  Both paths pass f the same images in node order and sum
-    each point's values in that order, with the same float operations, so
-    results do not depend on the path or the chunk size.
+    factor's grid; one pass computes them all, in O(P L).  The points are
+    cut into chunks of at most CHUNK_WORK window nodes (_blocks), and a
+    chunk lists each factor's hits: the nodes whose image passes the box
+    test in that factor's coordinates.  A wide chunk, whose window nodes
+    exceed WIDE_WINDOW_FRACTION of all its nodes, box-tests every node of
+    the factor (_mask_hits), a narrow one only its window nodes
+    (_window_hits).  Both paths feed one pair stage.  It forms the
+    center's a part bar - terms_a once per a hit, cuts the chunk into
+    blocks of at most CHUNK_WORK pairs, pairs each (point, latitude)'s a
+    hits with its b hits (_pairs) and gathers the images with 1-D takes.
+    On the circle the b factor has one node and no coordinates, so each
+    a hit is its row's one pair and its own image, and the b terms it
+    would subtract are zeros.  A rung costs O(P L + window nodes + hit
+    pairs).  Every path passes f the same images in node order and sums
+    each point's values in that order, with the same float operations,
+    so results do not depend on the path or the chunk size.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     t = np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))
@@ -415,54 +435,69 @@ def spherical_average_batch(s: MetivierStructure, f: ScalarField,
         raise DomainError("times must be finite and >= 0")
     lo, hi = f.support_lo, f.support_hi
     (_, lat, a_count), b_count = rule.a.shape, rule.b.shape[2]
-    count = len(rule.weights)
     factors = [(rule.a, slice(0, 2)), (rule.b, slice(2, two_n))]
-    (start_a, width_a), (start_b, width_b) = (
+    windows = [
         _windows(pts[:, cols], t, grid, nodes.shape[2], lo[cols], hi[cols])
-        for (nodes, cols), grid in zip(factors, rule.grids))
+        for (nodes, cols), grid in zip(factors, rule.grids)]
     # a node is a candidate only when both of its factors are in window
+    (_, width_a), (_, width_b) = windows
     width_a[width_b == 0] = 0
     width_b[width_a == 0] = 0
-    windows = [(start_a, width_a), (start_b, width_b)]
-    work = np.sum(width_a + width_b + width_a * width_b, axis=1)
-    full = lat * (a_count + b_count + a_count * b_count)
+    # the circle's b factor has no coordinates: no hits to list
+    if not len(rule.b):
+        factors, windows = factors[:1], windows[:1]
+    work = sum(width for _, width in windows).sum(axis=1)
+    full = lat * sum(nodes.shape[2] for nodes, _ in factors)
     out = np.empty(len(pts))
-    for sl, wide in _chunks(work, full):
+    for sl in _blocks(work):
+        wide = work[sl].sum() > WIDE_WINDOW_FRACTION * full * len(work[sl])
         ubar, bar, tc = pts[sl, :two_n], pts[sl, two_n:], t[sl]
         # center = bar - sum_l C_il w_l,
         # C_il = t^2 Lambda_il + t (J_i^T ubar)_l
         C = (tc * tc)[:, None, None] * s.Lambda + tc[:, None, None] * np.sum(
             ubar[:, None, :, None] * s.J[None, :, :, :], axis=2)
-        if wide:
-            (in_a, *part_a), (in_b, *part_b) = (
-                _factor_tables(ubar[:, cols], tc, C[:, :, cols], nodes,
-                               lo[cols], hi[cols]) for nodes, cols in factors)
-            flat = np.flatnonzero(in_a[:, :, :, None] & in_b[:, :, None, :])
-            # floor division by a scalar is fast in numpy, the remainder
-            # is not
-            ia = flat // b_count                  # ia indexes (P, L, A)
-            ib = ia // a_count * b_count + (flat - ia * b_count)
-            p = flat // count
-            node = flat - p * count
-        else:
-            (row_a, i_a, *part_a), (row_b, i_b, *part_b) = (
-                _window_hits(ubar[:, cols], tc, C[:, :, cols], nodes,
-                             start[sl], width[sl], lo[cols], hi[cols])
-                for (nodes, cols), (start, width) in zip(factors, windows))
-            ia, ib = _pairs(row_a, row_b, len(tc) * lat)
-            point = row_a // lat
-            p = point[ia]
-            node = (((row_a - point * lat) * a_count + i_a) * b_count)[ia] \
-                + i_b[ib]
-        # the images, gathered row by row into one (d, K) array (take's
-        # mode="clip" writes there unbuffered; the indices are in range)
-        (coords_a, terms_a), (coords_b, terms_b) = part_a, part_b
-        images = np.empty((s.d, len(p)))
-        for k, x in enumerate(coords_a + coords_b):
-            np.take(x, ia if k < 2 else ib, out=images[k], mode="clip")
-        np.subtract(bar.T[:, p], terms_a[:, ia], out=images[two_n:])
-        images[two_n:] -= terms_b[:, ib]
-        vals = f(images.T) * rule.weights[node]
-        # bincount adds each point's values one by one in node order
-        out[sl] = np.bincount(p, weights=vals, minlength=len(tc))
+        (row_a, flat_a, coords_a, terms_a), *b_hits = (
+            _mask_hits(ubar[:, cols], tc, C[:, :, cols], nodes, lo[cols],
+                       hi[cols]) if wide else
+            _window_hits(ubar[:, cols], tc, C[:, :, cols], nodes, start[sl],
+                         width[sl], lo[cols], hi[cols])
+            for (nodes, cols), (start, width) in zip(factors, windows))
+        point = row_a // lat
+        # the a part of the center, once per a hit
+        center = [np.take(bar[:, c], point) - term
+                  for c, term in enumerate(terms_a)]
+        if not b_hits:
+            # node (l, i, 0) is number l * A + i
+            vals = f(np.stack(coords_a + center).T) * np.take(rule.weights,
+                                                             flat_a)
+            out[sl] = np.bincount(point, weights=vals, minlength=len(tc))
+            continue
+        (row_b, flat_b, coords_b, terms_b), = b_hits
+        # node (l, i, j) is number (l * A + i) * B + j
+        node_a = flat_a * b_count
+        node_b = flat_b - row_b % lat * b_count
+        nb = np.bincount(row_b, minlength=len(tc) * lat)
+        first_b = np.cumsum(nb) - nb
+        first_a = np.searchsorted(point, np.arange(len(tc) + 1))
+        sums = out[sl]
+        for q in _blocks(np.bincount(point, weights=nb[row_a],
+                                     minlength=len(tc))):
+            a = slice(first_a[q.start], first_a[q.stop])
+            ia, ib = _pairs(row_a[a], nb, first_b)
+            # the images, gathered row by row into one (d, K) array (take's
+            # mode="clip" writes there unbuffered; the indices are in range)
+            images = np.empty((s.d, len(ia)))
+            parts = ([(x[a], ia) for x in coords_a]
+                     + [(x, ib) for x in coords_b]
+                     + [(x[a], ia) for x in center])
+            for k, (x, index) in enumerate(parts):
+                np.take(x, index, out=images[k], mode="clip")
+            for c, term in enumerate(terms_b):
+                images[two_n + c] -= np.take(term, ib)
+            node = np.take(node_a[a], ia)
+            node += np.take(node_b, ib)
+            vals = f(images.T) * np.take(rule.weights, node)
+            # bincount adds each point's values one by one in node order
+            sums[q] = np.bincount(np.take(point[a] - q.start, ia),
+                                  weights=vals, minlength=q.stop - q.start)
     return out

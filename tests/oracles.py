@@ -13,7 +13,8 @@ package's own evaluations:
     kernel and cokernel (two-sided fold);
   * is_member and parse_region_csv for the exact rational regions;
   * box_measure_blocks, the support-box measure with every block's
-    points built afresh;
+    points built afresh, and row_dot_full, the row dot product that
+    skips no zero coefficient;
   * node_order_average, the spherical average with no node culled.
 
 Coordinates follow heislab.phase.
@@ -268,6 +269,16 @@ def box_measure_blocks(f: ScalarField) -> float:
         w = np.full(len(u), volume) / math.prod((24,) * d)
         sums.append(np.sum(f((hi - lo) * u + lo) * w))
     return math.fsum(sums)
+
+
+def row_dot_full(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """heislab.families._row_dot with every term kept: the products
+    x[:, k] * y[..., k] added one coordinate at a time, zero coefficients
+    included."""
+    out = x[:, 0] * y[..., 0]
+    for k in range(1, x.shape[1]):
+        out += x[:, k] * y[..., k]
+    return out
 
 
 # --- spheres -------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heislab import spheres
+from heislab import families, spheres
 from heislab.groups import (DomainError, MetivierStructure,
                             normalized_heisenberg, quaternionic_htype,
                             standard_heisenberg)
@@ -21,7 +21,7 @@ from heislab.families import (BLOCK_POINTS, ExampleInstance, ParamRegion,
                               scaling_example, stein_growth_exponent,
                               stein_probe_curve)
 from heislab.spheres import ScalarField, sphere_rule, spherical_average_batch
-from oracles import box_measure_blocks, node_order_average
+from oracles import box_measure_blocks, node_order_average, row_dot_full
 
 F = Fraction
 
@@ -255,6 +255,56 @@ def test_row_major_batches_give_the_same_bits(inst):
             assert want > 0
             assert operator_ratio(s, replace(inst, field=f, test_region=(
                 row_major(test_region))), 2.0, q) == want
+
+
+def test_row_dot_skips_zero_coefficients():
+    # 0.0 and -0.0 coefficients, all zeros, and none; the rows of x make
+    # negative, positive and zero products, so full sums hold -0.0
+    rng = np.random.default_rng(7)
+    x = np.concatenate([rng.standard_normal((40, 4)),
+                        [[1.0, -1.0, -1.0, -1.0], [-0.0, 2.0, -3.0, 0.0]],
+                        np.zeros((1, 4))])
+    coefficients = [[0.0, 1.5, -0.0, -2.0], [-0.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 0.0], [-0.0, -0.0, 0.0, 0.7],
+                    [0.3, -1.1, 2.0, 0.5]]
+    signs_differ = False
+    for y in map(np.array, coefficients):
+        got, want = _row_dot(x, y), row_dot_full(x, y)
+        assert (got * got).tobytes() == (want * want).tobytes()
+        assert np.abs(got).tobytes() == np.abs(want).tobytes()
+        # equal as numbers: only the sign of a zero may differ
+        assert np.array_equal(got, want)
+        signs_differ |= bool(np.any(np.signbit(got) != np.signbit(want)))
+    assert signs_differ
+    assert _row_dot(x, x).tobytes() == row_dot_full(x, x).tobytes()
+
+
+def with_zeros(pts, two_n):
+    """pts, plus copies whose center is -0.0 or 0.0 and whose horizontal
+    coordinates are negative, so that full row dots with zero
+    coefficients are -0.0."""
+    neg = -np.abs(pts[:, :two_n])
+    return np.concatenate([pts] + [np.c_[neg, np.full((len(pts), 1), z)]
+                                   for z in (-0.0, 0.0)])
+
+
+@pytest.mark.parametrize("inst", [
+    knapp_example(normalized_heisenberg(2), 0.125),
+    knapp_example(TILTED_H2, 0.125),
+    scaling_example(standard_heisenberg(1), 0.125),
+    scaling_example(standard_heisenberg(2), 0.125),
+], ids=["knapp-n2", "knapp-tilted-n2", "scaling-n1", "scaling-n2"])
+def test_fields_match_full_row_dots(inst, monkeypatch):
+    # the frames and the zero Lambda hold 0.0 and -0.0 coefficients
+    two_n = 2 * inst.structure.n
+    pts, _ = inst.test_region.points_and_weights()
+    box_pts, _ = support_lattice(inst.field, 6).points_and_weights()
+    x = with_zeros(np.concatenate([pts, box_pts]), two_n)
+    field, times = inst.field(x), inst.time(x)
+    assert 0 < np.count_nonzero(field) < len(x)
+    monkeypatch.setattr(families, "_row_dot", row_dot_full)
+    assert inst.field(x).tobytes() == field.tobytes()
+    assert inst.time(x).tobytes() == times.tobytes()
 
 
 @pytest.mark.parametrize("make,step", [

@@ -65,6 +65,12 @@ def factored_rule(nodes):
                       np.full(count, 1.0 / count))
 
 
+def reweighted(rule, seed):
+    """rule with random positive weights in place of its own."""
+    weights = np.random.default_rng(seed).uniform(0.5, 1.5, len(rule.weights))
+    return SphereRule(rule.a, rule.b, weights / weights.sum())
+
+
 def dense_average(s, f, t, pts, rule):
     """Oracle: every sphere image assembled and f evaluated on all of them."""
     two_n = 2 * s.n
@@ -367,13 +373,15 @@ def test_average_batch_chunk_invariance_thin_support(monkeypatch):
 THIN_CASES = [
     # (structure, rule): the circle rule, the Gauss n=2 rule, the
     # anisotropic uniform-latitude rule of the knapp family, a tilted
-    # structure and a two-dimensional center
+    # structure, a two-dimensional center, and the circle rule with
+    # unequal weights, which each a hit must carry as its own image
     (standard_heisenberg(1), sphere_rule(1, 512)),
     (standard_heisenberg(2), sphere_rule(2, 24)),
     (normalized_heisenberg(2), sphere_rule(2, (40, 24, 24), latitude="uniform")),
     (MetivierStructure(2, 1, normalized_heisenberg(2).J,
                        np.array([[0.3, -0.2, 0.1, 0.05]])), sphere_rule(2, 16)),
     (quaternionic_htype(1, 2), sphere_rule(2, (16, 20, 12))),
+    (standard_heisenberg(1), reweighted(sphere_rule(1, 512), 34)),
 ]
 
 
