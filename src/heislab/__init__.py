@@ -9,8 +9,7 @@ from .groups import (DimensionMismatch, DomainError, MetivierStructure,
 from .spheres import (ScalarField, SphereRule, spherical_average_batch,
                       sphere_rule)
 from .phase import (ChartError, CurvatureReport, certify_point,
-                    curvature_matrix, sample_chart_point, sigma_value, xi,
-                    xi_y)
+                    curvature_matrix, sample_chart_point, sigma_value, xi_y)
 from .families import (ExampleInstance, ExponentFit, ParamRegion,
                        ball_example, fit_exponent, knapp_example,
                        moment_example, moment_structure, operator_ratio,

@@ -118,6 +118,8 @@ def build_structure(cfg):
         try:
             row = np.array(str(tilt).split(","), dtype=float)
             s = groups.MetivierStructure(s.n, 1, s.J, row[None, :])
+        except groups.DomainError as exc:
+            raise ConfigError(f"tilt={tilt}: {exc}") from None
         except ValueError:
             raise ConfigError(f"tilt={tilt}: must be 2n finite numbers "
                               "on a one-dimensional center") from None
@@ -318,7 +320,7 @@ def cmd_counterexample(cfg, args):
     q = _exponent(cfg, "q")
     deltas = parse_deltas(cfg.get("deltas", "2^-3,2^-4,2^-5,2^-6,2^-7"))
     cfg.reject_unread()
-    # the fit's condition on the ladder, checked before the first rung
+    # the ladder's count, order and range, checked before the first rung
     families.check_ladder(deltas)
     predicted = families.predicted_exponent(family, s.n, s.m, p, q)
     rows = families.run_ladder(make, deltas, p, q)

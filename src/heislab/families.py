@@ -590,15 +590,18 @@ class ExponentFit:
 
 
 def check_ladder(deltas: Sequence[float]):
-    """Reject a delta ladder that a slope cannot be fitted to.
+    """Reject a delta ladder that a slope cannot be fitted to, or whose
+    rungs the families refuse.
 
     A fit needs at least 3 strictly decreasing deltas: two points always
-    lie on a line.
+    lie on a line.  Every delta must lie in (0, 1/4].
     """
     if len(deltas) < 3:
         raise DomainError("need at least 3 ladder points")
     if np.any(np.diff(np.asarray(deltas, dtype=float)) >= 0):
         raise DomainError("deltas must be strictly decreasing")
+    for delta in deltas:
+        _check_delta(delta)
 
 
 def fit_exponent(points: Sequence[Tuple[float, float]]) -> ExponentFit:

@@ -11,6 +11,7 @@ the identity is np.zeros(d).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,18 @@ class MetivierStructure:
         if Lam.shape != (self.m, 2 * self.n):
             raise DimensionMismatch(
                 f"Lambda has shape {Lam.shape}, expected {(self.m, 2*self.n)}")
-        if not (np.isfinite(J).all() and np.isfinite(Lam).all()):
-            raise DomainError("J and Lambda must have finite entries")
+        # The lab multiplies up to d = 5 quantities that grow linearly with
+        # the entries (a family's support-box volume: knapp's box sides are
+        # c_one(s) times delta or sqrt(delta)) and adds squares of them (the
+        # norms of Lambda^theta, (J^theta)^2 in the H-type check, |x|^2 of
+        # sphere images).  Entries of at most 2^128 = (float max)^(1/8)
+        # keep all of these inside the float range with room to spare; a
+        # tilt between 2^200 and 2^205 overflows knapp's box volume, and
+        # one of 1e154 the ball field's |x|^2.  NaN fails the comparison.
+        bound = 2.0 ** (sys.float_info.max_exp // 8)
+        if not ((np.abs(J) <= bound).all() and (np.abs(Lam) <= bound).all()):
+            raise DomainError("J and Lambda entries must be finite and at "
+                              "most 2^128 in magnitude")
         for i in range(self.m):
             if not np.array_equal(J[i].T, -J[i]):
                 raise DimensionMismatch(f"J[{i}] is not exactly skew-symmetric")

@@ -3,21 +3,23 @@
 The fixed-time averaging operator is, locally, an oscillatory integral with
 phase Phi(x, t, y) = y_{2n} S^{2n}(x,t,y') + sum_i ybar_i Sbar_i(x,t,y'),
 where the S's are defining functions of the translated sphere written over
-the graph chart g(w') = sqrt(1 - |w'|^2).  This module evaluates the
-(x,t)-gradient Xi of Phi and the mixed-Hessian columns Xi_{y_j}
-analytically.  At the chart points sample_chart_point draws, the
-geometry command certifies with certify_point:
+the graph chart g(w') = sqrt(1 - |w'|^2).  This module evaluates one
+analytic object, the mixed-Hessian columns Xi_{y_j} of the (x,t)-gradient
+Xi of Phi.  At the chart points sample_chart_point draws, the geometry
+command certifies with certify_point:
 
   * rank Xi_y = d at every point,
   * at points of the fold locus sigma = 0, drawn at x' = y': the spatial
-    block and the curvature of the cone y -> Xi(x,t,y) (a finite-difference
-    Hessian, see curvature_matrix) have rank d-1, and the diagonal
-    curvature scalar c has |c| >= c_bound - C_SLACK, its certified floor.
+    block and the curvature of the cone y -> Xi(x,t,y) have rank d-1, and
+    the diagonal curvature scalar c has |c| >= c_bound - C_SLACK, its
+    certified floor.  The curvature matrix is the y-derivative of
+    <N, Xi_y>, one central difference of the analytic Xi_y (see
+    curvature_matrix).
 
-A point that breaks one of these deviates.  Only the tests check the
-determinant identity, the fold cone's curvature rank d-2 and the two-sided
-fold, with the closed forms and finite-difference oracles of
-tests/oracles.py.
+Every rank uses the one cutoff of _rank.  A point that breaks one of these
+deviates.  Only the tests check the determinant identity, the fold cone's
+curvature rank d-2 and the two-sided fold, with the gradient Xi, the closed
+forms and the finite-difference oracles of tests/oracles.py.
 
 Coordinates: x = (x', x_{2n}, xbar) in R^{2n-1} x R x R^m, same split for
 y; the time t is appended as the last gradient slot, so Xi lives in
@@ -38,11 +40,8 @@ class ChartError(DomainError):
 
 # Radii of the y' ball and of the ubar x perturbation in sample_chart_point.
 YPRIME_RADIUS = X_PERTURBATION = 0.1
-# Finite-difference curvature Hessians: their step, and a rank cutoff well
-# above the differencing noise floor (about 1e-7 relative) and well below
-# any certified curvature.
+# Step of the central differences of Xi_y that give the curvature matrix.
 FD_STEP = 1e-4
-CURVATURE_TOL = 1e-5
 # Slack of the fold-point check |c| >= c_bound - C_SLACK.
 C_SLACK = 1e-8
 
@@ -98,14 +97,6 @@ def _linear_columns(s: MetivierStructure, x: np.ndarray, t: float,
     return cols
 
 
-def xi(s: MetivierStructure, x: np.ndarray, t: float,
-       y: np.ndarray) -> np.ndarray:
-    """Gradient of Phi in (x, t), a vector in R^{d+1}."""
-    k = 2 * s.n - 1
-    yp = y[:k]
-    return _linear_columns(s, x, t, yp, _chart(s, x, t, yp)) @ y[k:]
-
-
 def sigma_value(s: MetivierStructure, x: np.ndarray, t: float,
                 y: np.ndarray) -> float:
     """Rotational-curvature scalar y_{2n} + (ubar x^T J^{ybar} - t L^{ybar}) e_{2n}."""
@@ -150,8 +141,7 @@ def xi_y(s: MetivierStructure, x: np.ndarray, t: float,
 
 
 def _rank(sv: np.ndarray, tol: float = 1e-7) -> int:
-    """Count of the descending singular values sv above tol * sv[0]; the
-    default cutoff is the one for the analytic Xi_y."""
+    """Count of the descending singular values sv above tol * sv[0]."""
     return int(np.sum(sv > tol * sv[0])) if len(sv) and sv[0] > 0 else 0
 
 
@@ -211,44 +201,25 @@ def c_lower_bound(s: MetivierStructure, t: float, y: np.ndarray,
     return float(np.linalg.norm(N[: 2 * s.n]) * r * (smin - lam) / t)
 
 
-def _second_difference(f, y: np.ndarray, j: int, l: int, h: float) -> float:
-    yj = np.array(y)
-    if j == l:
-        yp = np.array(y); yp[j] += h
-        ym = np.array(y); ym[j] -= h
-        return (f(yp) - 2.0 * f(yj) + f(ym)) / h ** 2
-    ypp = np.array(y); ypp[j] += h; ypp[l] += h
-    ypm = np.array(y); ypm[j] += h; ypm[l] -= h
-    ymp = np.array(y); ymp[j] -= h; ymp[l] += h
-    ymm = np.array(y); ymm[j] -= h; ymm[l] -= h
-    return (f(ypp) - f(ypm) - f(ymp) + f(ymm)) / (4.0 * h ** 2)
-
-
-def _fd_hessian(f, z: np.ndarray) -> np.ndarray:
-    """Symmetric Hessian of f at z: central second differences at FD_STEP
-    and FD_STEP/2, combined by one Richardson refinement."""
-    k = len(z)
-    H = np.zeros((k, k))
-    for j in range(k):
-        for l in range(j, k):
-            d1 = _second_difference(f, z, j, l, FD_STEP)
-            d2 = _second_difference(f, z, j, l, FD_STEP / 2.0)
-            H[j, l] = H[l, j] = (4.0 * d2 - d1) / 3.0
-    return H
-
-
 def curvature_matrix(s: MetivierStructure, x: np.ndarray, t: float,
                      y: np.ndarray, N: np.ndarray):
-    """(C, rank C) for the curvature matrix C_{jl} = d^2 <N, Xi> / dy_j dy_l.
+    """(C, rank C) for the curvature matrix C_{jl} = d <N, Xi_{y_j}> / dy_l.
 
-    Central second differences with one Richardson refinement; N is held
-    fixed while y varies.  The rank uses the cutoff CURVATURE_TOL.
+    Central differences of the analytic xi_y at FD_STEP and FD_STEP/2,
+    combined by one Richardson step and symmetrized; N is held fixed while
+    y varies.
     """
-    def f(yy):
-        return float(N @ xi(s, x, t, yy))
+    def jacobian(h):
+        D = np.empty((s.d, s.d))
+        for l in range(s.d):
+            yp = np.array(y); yp[l] += h
+            ym = np.array(y); ym[l] -= h
+            D[:, l] = N @ (xi_y(s, x, t, yp) - xi_y(s, x, t, ym)) / (2.0 * h)
+        return D
 
-    C = _fd_hessian(f, y)
-    return C, _rank(np.linalg.svd(C, compute_uv=False), CURVATURE_TOL)
+    D = (4.0 * jacobian(FD_STEP / 2.0) - jacobian(FD_STEP)) / 3.0
+    C = (D + D.T) / 2.0
+    return C, _rank(np.linalg.svd(C, compute_uv=False))
 
 
 # --- chart sampling ------------------------------------------------------
@@ -299,8 +270,6 @@ def certify_point(s: MetivierStructure, x: np.ndarray, t: float,
     if on_fold and rank_xi == s.d:
         # the left null vector of Xi_y, signed so that N_{2n} >= 0
         N = -u[:, -1] if u[2 * s.n - 1, -1] < 0 else u[:, -1]
-        # the curvature matrix is finite-difference data; it keeps its own,
-        # coarser rank cutoff above the differencing noise floor
         _, rank_curv = curvature_matrix(s, x, t, y, N)
         curvature = dict(c_value=c_value(s, x, t, y, N),
                          c_bound=c_lower_bound(s, t, y, N),

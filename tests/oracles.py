@@ -3,12 +3,14 @@
 Nothing in heislab, the demos or the bench calls these; they check the
 package's own evaluations:
 
-  * phi and its defining functions, whose differences test the analytic
-    gradient xi;
+  * phi and its defining functions, whose differences test the gradient
+    xi, whose differences in turn test the analytic xi_y;
   * det_identity_rhs, the closed form of det Pi Xi_y;
   * normal_vector and curvature_block_form, the x' = y' closed form of
-    the curvature matrix that the CLI computes by finite differences;
-  * the fold cone: its finite-difference curvature rank (d - 2), its
+    the curvature matrix that the CLI computes as a central difference of
+    xi_y;
+  * the fold cone: its curvature rank (d - 2) from the second-difference
+    Hessian _fd_hessian of <nu, xi> with its own cutoff CURVATURE_TOL, its
     x' = y' block form, and the two transversal derivatives of det along
     kernel and cokernel (two-sided fold);
   * is_member and parse_region_csv for the exact rational regions;
@@ -28,16 +30,29 @@ import numpy as np
 
 from heislab.families import BLOCK_POINTS
 from heislab.groups import DomainError, MetivierStructure
-from heislab.phase import (CURVATURE_TOL, _chart, _fd_hessian, _g_hess,
-                           _rank, _split_x, c_value, sigma_value, xi, xi_y,
+from heislab.phase import (FD_STEP, _chart, _g_hess, _linear_columns,
+                           _rank, _split_x, c_value, sigma_value, xi_y,
                            y2n_on_fold)
 from heislab.regions import RatPoint, Region, contains
 from heislab.spheres import ScalarField, SphereRule
 
 TRANSVERSAL_STEP = 1e-5     # central differences of fold_transversality
+# Rank cutoff of the second-difference Hessian of fold_cone_curvature: well
+# above its differencing noise floor (about 1e-7 relative) and well below
+# any curvature the fold cone has.
+CURVATURE_TOL = 1e-5
 
 
 # --- phase ---------------------------------------------------------------
+
+def xi(s: MetivierStructure, x: np.ndarray, t: float,
+       y: np.ndarray) -> np.ndarray:
+    """Gradient of Phi in (x, t), a vector in R^{d+1}: Xi is linear in
+    (y_{2n}, ybar), with the columns of heislab.phase.xi_y."""
+    k = 2 * s.n - 1
+    yp = y[:k]
+    return _linear_columns(s, x, t, yp, _chart(s, x, t, yp)) @ y[k:]
+
 
 def defining_functions(s: MetivierStructure, x: np.ndarray, t: float,
                        yp: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -123,6 +138,32 @@ def curvature_block_form(s: MetivierStructure, x: np.ndarray, t: float,
 
 
 # --- fold cone -----------------------------------------------------------
+
+def _second_difference(f, y: np.ndarray, j: int, l: int, h: float) -> float:
+    yj = np.array(y)
+    if j == l:
+        yp = np.array(y); yp[j] += h
+        ym = np.array(y); ym[j] -= h
+        return (f(yp) - 2.0 * f(yj) + f(ym)) / h ** 2
+    ypp = np.array(y); ypp[j] += h; ypp[l] += h
+    ypm = np.array(y); ypm[j] += h; ypm[l] -= h
+    ymp = np.array(y); ymp[j] -= h; ymp[l] += h
+    ymm = np.array(y); ymm[j] -= h; ymm[l] -= h
+    return (f(ypp) - f(ypm) - f(ymp) + f(ymm)) / (4.0 * h ** 2)
+
+
+def _fd_hessian(f, z: np.ndarray) -> np.ndarray:
+    """Symmetric Hessian of f at z: central second differences at FD_STEP
+    and FD_STEP/2, combined by one Richardson refinement."""
+    k = len(z)
+    H = np.zeros((k, k))
+    for j in range(k):
+        for l in range(j, k):
+            d1 = _second_difference(f, z, j, l, FD_STEP)
+            d2 = _second_difference(f, z, j, l, FD_STEP / 2.0)
+            H[j, l] = H[l, j] = (4.0 * d2 - d1) / 3.0
+    return H
+
 
 def fold_point(s: MetivierStructure, x: np.ndarray, t: float, yp: np.ndarray,
                ybar: np.ndarray) -> np.ndarray:

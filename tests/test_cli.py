@@ -161,6 +161,47 @@ def test_group_check_negative_margin_warns(capsys):
                for line in out.strip().split("\n"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["group-check", "--set", "tilt=1e160,0,0,0"],
+    ["group-check", "--set", "tilt=1e308,1e308,0,0"],
+    ["geometry", "--set", "tilt=1e200,0,0,0", "--set", "points=2"],
+    ["geometry", "--set", "tilt=1e308,1e308,0,0"],
+    ["counterexample", "--set", "tilt=1e154,0,0,0",
+     "--set", "deltas=2^-3,2^-4,2^-5"],
+], ids=["group-check-1e160", "group-check-1e308", "geometry-1e200",
+        "geometry-1e308", "ball-1e154"])
+def test_tilt_past_the_float_bound_exits_2(argv, capsys):
+    # entries past 2^128 are refused when the structure is built, before any
+    # overflow; Tier-1 turns any numpy RuntimeWarning into an error
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "at most 2^128" in err
+
+
+BOUND = repr(2.0 ** 128)      # the largest entry MetivierStructure takes
+
+
+@pytest.mark.parametrize("argv", [
+    ["group-check", "--set", "samples=20",
+     "--set", f"tilt={BOUND},-{BOUND},{BOUND},{BOUND}"],
+    ["geometry", "--set", "points=5", "--set", "fold_points=5",
+     "--set", f"tilt={BOUND},-{BOUND},{BOUND},{BOUND}"],
+    ["counterexample", "--set", f"tilt={BOUND},-{BOUND},{BOUND},{BOUND}",
+     "--set", "deltas=2^-3,2^-4,2^-5"],
+    ["counterexample", "--set", "family=scaling", "--set", "n=1",
+     "--set", f"tilt={BOUND},-{BOUND}", "--set", "deltas=2^-3,2^-4,2^-5"],
+], ids=["group-check", "geometry", "ball", "scaling"])
+def test_tilt_at_the_float_bound_runs_without_overflow(argv, capsys):
+    # tilt entries at the bound: the commands judge the structure (the ball
+    # field misses every node, so that ladder exits 2), and no numpy
+    # operation overflows on the way
+    code, _, err = run(argv, capsys)
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("no equals sign here\n")
@@ -469,12 +510,16 @@ def test_counterexample_zero_exponent_exits_2(exponent, message, capsys):
     ("2^-3,2^-4,2^-4", "strictly decreasing"),
     ("2^-4,2^-3,2^-5", "strictly decreasing"),
     ("2^-3,2^-4", "at least 3"),
+    # a delta out of range after three good ones: no rung may run first
+    ("2^-5,2^-6,2^-7,-1", "(0, 1/4]"),
+    ("0.5,2^-3,2^-4", "(0, 1/4]"),
 ])
 def test_counterexample_bad_ladder_exits_before_first_rung(
         deltas, message, capsys, monkeypatch):
     def no_rung(*args, **kwargs):
         raise AssertionError("a rung ran on a ladder that cannot be fitted")
 
+    monkeypatch.setattr(families, "ball_example", no_rung)
     monkeypatch.setattr(families, "operator_ratio", no_rung)
     code, out, err = run(["counterexample", "--set", f"deltas={deltas}"],
                          capsys)

@@ -660,6 +660,21 @@ def test_scaling_measure_matches_radial_quadrature():
 
 # --- knapp family ---------------------------------------------------------
 
+def test_instances_at_the_entry_bound_stay_finite():
+    # J and Lambda entries of 2^128, the largest MetivierStructure takes:
+    # the support boxes, whose volume grows as the fifth power of the
+    # entries for knapp, and the measures stay finite (ExampleInstance
+    # refuses any other), and Tier-1 turns an overflow warning into an error
+    bound = 2.0 ** 128
+    J = normalized_heisenberg(2).J
+    lam = np.array([[bound, -bound, bound, bound]])
+    tilted = MetivierStructure(2, 1, J, lam)
+    large = MetivierStructure(2, 1, np.sign(J) * bound, lam)
+    knapp_example(tilted, 0.25)
+    scaling_example(large, 0.25)
+    ball_example(large, 0.25)
+
+
 def test_knapp_frame_invariance():
     s = normalized_heisenberg(2)
     u, v, comp = knapp_frame(s)

@@ -221,7 +221,11 @@ def test_structure_validation():
     with pytest.raises(DomainError):
         standard_heisenberg(0)
     J = standard_heisenberg(1).J
-    for bad in (math.nan, math.inf, -math.inf):
+    # entries up to 2^128 in magnitude are taken, larger ones refused
+    bound = 2.0 ** 128
+    MetivierStructure(n=1, m=1, J=np.sign(J) * bound, Lambda=[[bound, -bound]])
+    for bad in (math.nan, math.inf, -math.inf, np.nextafter(bound, math.inf),
+                -2.0 ** 205):
         with pytest.raises(DomainError, match="finite"):
             MetivierStructure(n=1, m=1, J=J, Lambda=[[bad, 0.0]])
         with pytest.raises(DomainError, match="finite"):

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from heislab.groups import (DomainError, quaternionic_htype,
-                            standard_heisenberg)
+from heislab.groups import (DomainError, MetivierStructure,
+                            quaternionic_htype, standard_heisenberg)
 from heislab.phase import (C_SLACK, ChartError, CurvatureReport, _rank,
                            c_lower_bound, c_value, certify_point,
                            curvature_matrix, sample_chart_point,
-                           sigma_value, xi, xi_y, y2n_on_fold)
+                           sigma_value, xi_y, y2n_on_fold)
 from oracles import (curvature_block_form, defining_functions,
                      det_identity_rhs, fold_cone_block_form,
                      fold_cone_curvature, fold_point, fold_transversality,
-                     normal_vector, phi)
+                     normal_vector, phi, xi)
 
 
 # --- defining functions and phase ----------------------------------------
@@ -272,15 +272,20 @@ def test_normal_is_orthogonal_unit():
 
 
 def test_curvature_matches_block_form_at_matched_points():
-    s = standard_heisenberg(2)
-    rng = np.random.default_rng(53)
-    for _ in range(15):
-        x, t, y = sample_chart_point(s, rng, on_fold=True)
-        N = normal_vector(s, x, t, y)
-        C_fd, rank = curvature_matrix(s, x, t, y, N)
-        C_an = curvature_block_form(s, x, t, y, N)
-        assert np.max(np.abs(C_fd - C_an)) <= 1e-5
-        assert rank == s.d - 1
+    # the central difference of the analytic xi_y is exact to rounding
+    # (0.6-1.9e-12 here).  The tilt has a nonzero e_{2n} entry, which
+    # enters c and the rows of A.
+    h2 = standard_heisenberg(2)
+    tilted = MetivierStructure(2, 1, h2.J, np.array([[0.1, 0.05, 0.0, 0.2]]))
+    for s in (h2, quaternionic_htype(1, 3), tilted):
+        rng = np.random.default_rng(53)
+        for _ in range(15):
+            x, t, y = sample_chart_point(s, rng, on_fold=True)
+            N = normal_vector(s, x, t, y)
+            C_fd, rank = curvature_matrix(s, x, t, y, N)
+            C_an = curvature_block_form(s, x, t, y, N)
+            assert np.max(np.abs(C_fd - C_an)) <= 1e-9
+            assert rank == s.d - 1
 
 
 def test_c_value_lower_bound_matched_frame():
