@@ -29,7 +29,7 @@ def main():
         rep = certify_point(s, x, t, y, on_fold=True)
         print(f"  sigma={rep.sigma:+.1e}  rank_xi={rep.rank_xi}  "
               f"rank_spatial={rep.rank_spatial}  rank_curv={rep.rank_curv}  "
-              f"|c|={abs(rep.c_value):.4f} >= {rep.c_bound:.4f}")
+              f"|c|={rep.c_value:.4f} >= {rep.c_bound:.4f}")
 
 
 if __name__ == "__main__":

@@ -6,8 +6,7 @@ from .groups import (DimensionMismatch, DomainError, MetivierStructure,
                      normalized_heisenberg, quaternionic_htype,
                      radon_hurwitz, skew_inverse_norm, smallness_margin,
                      standard_heisenberg, theta_grid)
-from .spheres import (ScalarField, SphereRule, spherical_average_batch,
-                      sphere_rule)
+from .spheres import ScalarField, spherical_average_batch, sphere_rule
 from .phase import (ChartError, CurvatureReport, certify_point,
                     curvature_matrix, sample_chart_point, sigma_value, xi_y)
 from .families import (ExampleInstance, ExponentFit, ParamRegion,

@@ -81,8 +81,6 @@ class ExampleInstance:
     rule: SphereRule
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}")
         if not 0.0 < self.measure < math.inf:    # NaN fails too
             raise DomainError(f"{self.family} delta={self.delta!r}: field "
                               f"measure {self.measure!r} is not positive "

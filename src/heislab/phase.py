@@ -140,9 +140,9 @@ def xi_y(s: MetivierStructure, x: np.ndarray, t: float,
     return cols
 
 
-def _rank(sv: np.ndarray, tol: float = 1e-7) -> int:
-    """Count of the descending singular values sv above tol * sv[0]."""
-    return int(np.sum(sv > tol * sv[0])) if len(sv) and sv[0] > 0 else 0
+def _rank(sv: np.ndarray) -> int:
+    """Count of the descending singular values sv above 1e-7 * sv[0]."""
+    return int(np.sum(sv > 1e-7 * sv[0])) if len(sv) and sv[0] > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ class CurvatureReport:
     on_fold: bool
     rank_xi: int
     rank_spatial: int
-    c_value: Optional[float] = None
+    c_value: Optional[float] = None     # |c|
     c_bound: Optional[float] = None
     rank_curv: Optional[int] = None
 
@@ -261,17 +261,22 @@ def sample_chart_point(s: MetivierStructure, rng: np.random.Generator,
 def certify_point(s: MetivierStructure, x: np.ndarray, t: float,
                   y: np.ndarray, on_fold: bool = False) -> CurvatureReport:
     """Ranks of Xi_y and of its spatial block at one chart point; at a
-    fold point (on_fold) whose Xi_y has full rank, also rank_curv, c and
-    its floor, from the unit normal N of Xi_y."""
+    fold point (on_fold) whose Xi_y has full rank, also rank_curv, |c| and
+    its floor, from the unit normal N of Xi_y.
+
+    N keeps the sign the SVD gives it: the entry N_{2n} that could fix
+    the sign is zero to rounding at the fold points sample_chart_point
+    draws (x' = y').  c is odd in N, so the report keeps |c|; the floor
+    and the curvature rank do not depend on the sign.
+    """
     cols = xi_y(s, x, t, y)
     u, sv, _ = np.linalg.svd(cols)
     rank_xi = _rank(sv)
     curvature = {}
     if on_fold and rank_xi == s.d:
-        # the left null vector of Xi_y, signed so that N_{2n} >= 0
-        N = -u[:, -1] if u[2 * s.n - 1, -1] < 0 else u[:, -1]
+        N = u[:, -1]
         _, rank_curv = curvature_matrix(s, x, t, y, N)
-        curvature = dict(c_value=c_value(s, x, t, y, N),
+        curvature = dict(c_value=abs(c_value(s, x, t, y, N)),
                          c_bound=c_lower_bound(s, t, y, N),
                          rank_curv=rank_curv)
     return CurvatureReport(

@@ -5,7 +5,7 @@ is the mean of f over the t-dilated tilted sphere through x.  Quadrature
 rules carry normalized weights so the constant field averages to itself.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,7 +18,8 @@ from .groups import DimensionMismatch, DomainError, MetivierStructure
 # too, with this limit before it converts them to int.
 MAX_RULE_NODES = 256 ** 3
 
-# Largest offset of a factor node from its place on a uniform angular grid.
+# Largest offset of a factor node from its place on the grid that
+# sphere_rule records for it: the rounding of cos and sin.
 GRID_TOL = 1e-12
 
 # A chunk of points whose window nodes exceed this fraction of all its
@@ -52,7 +53,8 @@ CHUNK_WORK = 20000
 
 @dataclass(frozen=True)
 class SphereRule:
-    """Product quadrature rule on S^{2n-1}, n = 1 or 2.
+    """Product quadrature rule on S^{2n-1}, n = 1 or 2, as sphere_rule
+    builds it.
 
     Node (l, i, j) has coordinates 0, 1 equal to a[:, l, i] and
     coordinates 2 .. 2n-1 equal to b[:, l, j]: a has shape (2, L, A) and b
@@ -60,67 +62,16 @@ class SphereRule:
     circle.  weights holds one positive weight per node in node order
     (l, i, j), summing to 1.
 
-    Each latitude of a factor must be a uniform angular grid: node i sits
-    at radius r_l and angle phase_l + 2 pi i / A, within GRID_TOL in each
-    coordinate.  grids holds (r, phase) per latitude for each factor, and
-    None for the b factor of the circle; spherical_average_batch cuts its
-    angle windows from them.
+    Each latitude of a factor is a uniform angular grid: node i sits at
+    radius r_l and angle phase_l + 2 pi i / A.  grids holds (r, phase) per
+    latitude for each factor, and None for the b factor of the circle;
+    spherical_average_batch cuts its angle windows from them.
     """
 
     a: np.ndarray        # (2, L, A)
     b: np.ndarray        # (2n - 2, L, B)
     weights: np.ndarray  # (L * A * B,), positive, sum 1
-    grids: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if a.ndim != 3 or b.ndim != 3 or len(a) != 2 or len(b) not in (0, 2):
-            raise DimensionMismatch("rules exist on S^1 and S^3 only: a needs "
-                                    "2 coordinate rows and b 0 or 2")
-        if a.shape[1] != b.shape[1]:
-            raise DimensionMismatch(f"factors have {a.shape[1]} and "
-                                    f"{b.shape[1]} latitudes")
-        if weights.shape != (a.shape[1] * a.shape[2] * b.shape[2],):
-            raise DimensionMismatch("one weight per node required")
-        # every comparison with NaN is false, so the checks below pass it
-        if not (np.isfinite(a).all() and np.isfinite(b).all()
-                and np.isfinite(weights).all()):
-            raise DomainError("nodes and weights must be finite")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise DomainError("weights must sum to 1")
-        if np.any(weights <= 0):
-            raise DomainError("weights must be positive")
-        # The squared norm of node (l, i, j) is sa[l, i] + sb[l, j].  Float
-        # addition and sqrt are monotone, so per latitude the extreme norms
-        # come from the extreme factor norms: no (L, A, B) array is needed.
-        sa, sb = np.sum(a * a, axis=0), np.sum(b * b, axis=0)
-        extremes = np.concatenate([sa.max(axis=1) + sb.max(axis=1),
-                                   sa.min(axis=1) + sb.min(axis=1)])
-        if np.max(np.abs(np.sqrt(extremes) - 1.0)) > 1e-12:
-            raise DomainError("nodes must lie on the unit sphere")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "grids", (_angle_grid(a), _angle_grid(b)))
-
-
-def _angle_grid(nodes: np.ndarray):
-    """(radius, phase) per latitude of a (2, L, A) rule factor, or None
-    for a factor without coordinates; refuses a factor whose latitudes are
-    not uniform angular grids."""
-    if not len(nodes):
-        return None
-    radius = np.hypot(nodes[0, :, 0], nodes[1, :, 0])
-    phase = np.arctan2(nodes[1, :, 0], nodes[0, :, 0])
-    count = nodes.shape[2]
-    ang = phase[:, None] + 2 * np.pi * np.arange(count) / count
-    grid = radius[:, None] * np.stack([np.cos(ang), np.sin(ang)])
-    if np.max(np.abs(nodes - grid)) > GRID_TOL:
-        raise DomainError("each latitude of a rule factor must be a uniform "
-                          "angular grid")
-    return radius, phase
+    grids: tuple         # ((r, phase) of a, (r, phase) of b or None)
 
 
 def sphere_rule(n: int, resolution, latitude: str = "gauss") -> SphereRule:
@@ -153,7 +104,8 @@ def sphere_rule(n: int, resolution, latitude: str = "gauss") -> SphereRule:
     if n == 1:
         ang = 2 * np.pi * np.arange(cu) / cu
         return SphereRule(np.stack([np.cos(ang), np.sin(ang)])[:, None],
-                          np.empty((0, 1, 1)), np.full(cu, 1.0 / cu))
+                          np.empty((0, 1, 1)), np.full(cu, 1.0 / cu),
+                          ((np.ones(1), np.zeros(1)), None))
     # Write omega = (sqrt(1-u) cos a, sqrt(1-u) sin a, sqrt(u) cos b,
     # sqrt(u) sin b); the normalized measure is du da db / (2 pi)^2
     # with u in [0,1].
@@ -166,7 +118,8 @@ def sphere_rule(n: int, resolution, latitude: str = "gauss") -> SphereRule:
         wu = np.full(cu, 1.0 / cu)
     else:
         raise DomainError(f"unknown latitude rule {latitude!r}")
-    # half-step offsets keep grid lines off the coordinate circles
+    # half-step offsets keep grid lines off the coordinate circles: node i
+    # sits at angle pi / A + 2 pi i / A
     ang_a = 2 * np.pi * (np.arange(ca) + 0.5) / ca
     ang_b = 2 * np.pi * (np.arange(cb) + 0.5) / cb
     r0 = np.sqrt(1.0 - u)
@@ -175,7 +128,8 @@ def sphere_rule(n: int, resolution, latitude: str = "gauss") -> SphereRule:
     b = np.stack([r1[:, None] * np.cos(ang_b), r1[:, None] * np.sin(ang_b)])
     weights = np.repeat(wu / (ca * cb), ca * cb)
     weights /= weights.sum()
-    return SphereRule(a, b, weights)
+    return SphereRule(a, b, weights, ((r0, np.full(cu, np.pi / ca)),
+                                      (r1, np.full(cu, np.pi / cb))))
 
 
 @dataclass(frozen=True)
@@ -401,20 +355,23 @@ def spherical_average_batch(s: MetivierStructure, f: ScalarField,
     coordinates are a sum of one term per factor.  f is evaluated only on
     the images whose horizontal coordinates lie in its support box, and
     counts as 0 on all others; the center coordinates are not box-tested,
-    since f vanishes where they leave the box.
+    since f vanishes where they leave the box.  rule is a rule of
+    sphere_rule on S^{2n-1}; a rule of another sphere, a point that is
+    not finite and a time that is not finite or is negative are refused.
 
     Per (point, latitude) and factor, the angle window (_windows) holds
-    every angle whose image can pass the box test, in O(1) from the
-    factor's grid; one pass computes them all, in O(P L).  The points are
-    cut into chunks of at most CHUNK_WORK window nodes (_blocks), and a
-    chunk lists each factor's hits: the nodes whose image passes the box
-    test in that factor's coordinates.  A wide chunk, whose window nodes
-    exceed WIDE_WINDOW_FRACTION of all its nodes, box-tests every node of
-    the factor (_mask_hits), a narrow one only its window nodes
-    (_window_hits).  Both paths feed one pair stage.  It forms the
-    center's a part bar - terms_a once per a hit, cuts the chunk into
-    blocks of at most CHUNK_WORK pairs, pairs each (point, latitude)'s a
-    hits with its b hits (_pairs) and gathers the images with 1-D takes.
+    every angle whose image can pass the box test, in O(1) from the grid
+    that sphere_rule recorded for the factor; one pass computes them all,
+    in O(P L).  The points are cut into chunks of at most CHUNK_WORK
+    window nodes (_blocks), and a chunk lists each factor's hits: the
+    nodes whose image passes the box test in that factor's coordinates.
+    A wide chunk, whose window nodes exceed WIDE_WINDOW_FRACTION of all
+    its nodes, box-tests every node of the factor (_mask_hits), a narrow
+    one only its window nodes (_window_hits).  Both paths feed one pair
+    stage.  It forms the center's a part bar - terms_a once per a hit,
+    cuts the chunk into blocks of at most CHUNK_WORK pairs, pairs each
+    (point, latitude)'s a hits with its b hits (_pairs) and gathers the
+    images with 1-D takes.
     On the circle the b factor has one node and no coordinates, so each
     a hit is its row's one pair and its own image, and the b terms it
     would subtract are zeros.  A rung costs O(P L + window nodes + hit

@@ -199,7 +199,7 @@ def fold_cone_curvature(s: MetivierStructure, x: np.ndarray, t: float,
 
     C = _fd_hessian(f, np.concatenate([yp, ybar]))
     sv = np.linalg.svd(C, compute_uv=False)
-    return _rank(sv, CURVATURE_TOL), sv, nu
+    return int(np.sum(sv > CURVATURE_TOL * sv[0])), sv, nu
 
 
 def fold_cone_block_form(s: MetivierStructure, x: np.ndarray, t: float,

@@ -389,6 +389,22 @@ def test_geometry_uncertified_margin(tmp_path, capsys):
     assert "# status=uncertified" in out
 
 
+@pytest.mark.parametrize("kind", [[], ["--set", "kind=quaternionic"]],
+                         ids=["heisenberg", "quaternionic-m3"])
+def test_geometry_c_value_is_nonnegative(kind, capsys):
+    # c is odd in the normal N, and N's sign at a fold point is the SVD's:
+    # the entry N_{2n} that could fix it is zero to rounding there, so the
+    # report keeps |c| and the bytes do not depend on LAPACK's rounding
+    code, out, _ = run(["geometry", *kind], capsys)
+    assert code == 0
+    lines = [line.split(",") for line in out.splitlines()
+             if not line.startswith("#")]
+    col = lines[0].index("c_value")
+    fold = [row[col] for row in lines[1:] if row[col]]
+    assert len(fold) == 50
+    assert not [c for c in fold if c.startswith("-")]
+
+
 def test_geometry_fold_points_only(capsys):
     code, out, _ = run(["geometry", "--set", "points=0",
                         "--set", "fold_points=3"], capsys)

@@ -12,11 +12,10 @@ from heislab import families, spheres
 from heislab.groups import (DomainError, MetivierStructure,
                             normalized_heisenberg, quaternionic_htype,
                             standard_heisenberg)
-from heislab.families import (BLOCK_POINTS, ExampleInstance, ParamRegion,
-                              _box_measure, _row_dot, ball_example, c_one,
-                              c_ring, c_zero, fit_exponent, fit_passes,
-                              knapp_example, knapp_frame,
-                              moment_example, moment_structure,
+from heislab.families import (BLOCK_POINTS, ParamRegion, _box_measure,
+                              _row_dot, ball_example, c_one, c_ring, c_zero,
+                              fit_exponent, fit_passes, knapp_example,
+                              knapp_frame, moment_example, moment_structure,
                               operator_ratio, predicted_exponent, run_ladder,
                               scaling_example, stein_growth_exponent,
                               stein_probe_curve)
@@ -326,14 +325,6 @@ def test_instance_averages_match_node_order_oracle(make, step):
     want = node_order_average(inst.structure, inst.field, t, pts, inst.rule)
     assert np.count_nonzero(want) >= 10
     assert np.array_equal(got, want)
-
-
-def test_instance_rejects_unknown_family():
-    s = standard_heisenberg(1)
-    inst = ball_example(s, 0.125)
-    with pytest.raises(DomainError):
-        ExampleInstance("cone", 0.125, s, inst.field, inst.test_region,
-                        inst.measure, inst.time, inst.rule)
 
 
 # --- operator ratio -------------------------------------------------------

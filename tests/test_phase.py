@@ -252,8 +252,9 @@ def test_det_identity():
 def test_rank_thresholds():
     sv = np.linalg.svd(np.diag([1.0, 1e-3, 1e-12]), compute_uv=False)
     assert sv[0] == 1.0
-    assert _rank(sv, tol=1e-7) == 2
-    assert _rank(sv, tol=1e-2) == 1
+    assert _rank(sv) == 2
+    # the one cutoff is 1e-7 relative to the largest singular value
+    assert _rank(np.array([4.0, 4.1e-7, 3.9e-7])) == 2
     assert _rank(np.zeros(3)) == 0
 
 

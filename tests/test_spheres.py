@@ -1,5 +1,6 @@
 """Sphere quadrature and batched spherical averages."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislab import spheres
+from heislab import families, spheres
 from heislab.groups import (DimensionMismatch, DomainError, MetivierStructure,
                             normalized_heisenberg, quaternionic_htype,
                             standard_heisenberg)
-from heislab.spheres import (MAX_RULE_NODES, ScalarField, SphereRule,
-                             spherical_average_batch, sphere_rule)
+from heislab.spheres import (GRID_TOL, MAX_RULE_NODES, ScalarField,
+                             SphereRule, spherical_average_batch, sphere_rule)
 from oracles import node_order_average
 
 # WIDE_WINDOW_FRACTION values that send every chunk down one path: the
@@ -58,17 +59,23 @@ def dense_nodes(rule):
 
 
 def factored_rule(nodes):
-    """Equal-weight rule with one latitude per node: factors (k, count, 1)."""
+    """Equal-weight rule with one latitude per node: factors (k, count, 1).
+
+    Each latitude is a grid of one node, at its own radius and phase.
+    """
     nodes = np.asarray(nodes, dtype=float)
     count = len(nodes)
-    return SphereRule(nodes[:, :2].T[:, :, None], nodes[:, 2:].T[:, :, None],
-                      np.full(count, 1.0 / count))
+    a, b = nodes[:, :2].T[:, :, None], nodes[:, 2:].T[:, :, None]
+    grids = tuple((np.hypot(x[0, :, 0], x[1, :, 0]),
+                   np.arctan2(x[1, :, 0], x[0, :, 0])) if len(x) else None
+                  for x in (a, b))
+    return SphereRule(a, b, np.full(count, 1.0 / count), grids)
 
 
 def reweighted(rule, seed):
     """rule with random positive weights in place of its own."""
     weights = np.random.default_rng(seed).uniform(0.5, 1.5, len(rule.weights))
-    return SphereRule(rule.a, rule.b, weights / weights.sum())
+    return dataclasses.replace(rule, weights=weights / weights.sum())
 
 
 def dense_average(s, f, t, pts, rule):
@@ -100,15 +107,59 @@ def near_sphere_points(s, count, rng, spread=0.15):
 
 # --- quadrature rules ----------------------------------------------------
 
+def assert_grid_rule(rule):
+    """Each factor node lies on the grid the rule records (within GRID_TOL),
+    and the rule has one positive weight per node, of sum 1, on unit
+    nodes."""
+    for nodes, grid in zip((rule.a, rule.b), rule.grids):
+        if grid is None:
+            assert nodes.shape == (0, 1, 1)
+            continue
+        radius, phase = grid
+        count = nodes.shape[2]
+        ang = phase[:, None] + 2 * np.pi * np.arange(count) / count
+        on_grid = radius[:, None] * np.stack([np.cos(ang), np.sin(ang)])
+        assert np.max(np.abs(nodes - on_grid)) <= GRID_TOL
+    assert np.all(rule.weights > 0)
+    assert abs(rule.weights.sum() - 1.0) <= 1e-12
+    nodes = dense_nodes(rule)
+    assert nodes.shape == (len(rule.weights), 2 + len(rule.b))
+    assert np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1.0)) <= 1e-12
+
+
 def test_rule_weights_and_nodes():
     for rule in (sphere_rule(1, 64), sphere_rule(2, 12),
                  sphere_rule(2, (8, 12, 16)),
                  sphere_rule(2, 12, latitude="uniform")):
-        assert abs(rule.weights.sum() - 1.0) <= 1e-12
-        assert np.all(rule.weights > 0)
-        nodes = dense_nodes(rule)
-        assert nodes.shape == (len(rule.weights), 2 + len(rule.b))
-        assert np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1.0)) <= 1e-12
+        assert_grid_rule(rule)
+
+
+def ladder_instances():
+    """(id, make) of each rung of the bench ladders and of criterion 7:
+    ball, scaling and moment on H^1 at delta = 2^-3 .. 2^-7, ball on H^2
+    and knapp on normalized H^2 at 2^-3 .. 2^-5; make() builds the
+    rung's instance."""
+    s1, s2 = standard_heisenberg(1), standard_heisenberg(2)
+    s2n = normalized_heisenberg(2)
+    cases = []
+    for k in range(3, 8):
+        d = 2.0 ** -k
+        cases += [(f"ball-H1-2^-{k}", lambda d=d: families.ball_example(s1, d)),
+                  (f"scaling-H1-2^-{k}",
+                   lambda d=d: families.scaling_example(s1, d)),
+                  (f"moment-2^-{k}", lambda d=d: families.moment_example(d))]
+    for k in range(3, 6):
+        d = 2.0 ** -k
+        cases += [(f"ball-H2-2^-{k}", lambda d=d: families.ball_example(s2, d)),
+                  (f"knapp-H2-2^-{k}",
+                   lambda d=d: families.knapp_example(s2n, d))]
+    return cases
+
+
+@pytest.mark.parametrize("make", [pytest.param(make, id=name)
+                                  for name, make in ladder_instances()])
+def test_family_rules_are_grid_rules(make):
+    assert_grid_rule(make().rule)
 
 
 def test_circle_second_moment():
@@ -133,23 +184,6 @@ def test_rule_validation():
         sphere_rule(2, (12, 3, 12))
     with pytest.raises(DomainError):
         sphere_rule(2, 12, latitude="chebyshev")
-    circle = np.array([[1.0, 0.0], [0.0, 1.0]]).T[:, None]
-    with pytest.raises(DomainError):
-        SphereRule(circle, np.empty((0, 1, 1)), np.array([0.7, 0.7]))
-    with pytest.raises(DomainError):
-        SphereRule(circle, np.empty((0, 1, 1)), np.array([1.5, -0.5]))
-    with pytest.raises(DomainError):
-        factored_rule([[2.0, 0.0]])
-    # every comparison with NaN is false, so NaN needs its own check
-    with pytest.raises(DomainError):
-        SphereRule(circle, np.empty((0, 1, 1)), np.array([np.nan, 1.0]))
-    with pytest.raises(DomainError):
-        factored_rule([[np.nan, 0.0], [0.0, 1.0]])
-    rule = sphere_rule(2, (4, 4, 6))
-    b = rule.b.copy()
-    b[1, 2, 3] = np.nan
-    with pytest.raises(DomainError):
-        SphereRule(rule.a, b, rule.weights)
 
 
 def test_rule_factors_are_uniform_angular_grids():
@@ -160,21 +194,9 @@ def test_rule_factors_are_uniform_angular_grids():
         radius, phase = rule.grids[name == "b"]
         np.testing.assert_allclose(radius, radius_of_u, rtol=1e-14)
         np.testing.assert_allclose(phase, np.pi / count, rtol=1e-14)
-        # one node turned by 1e-9 rad keeps its norm but leaves the grid
-        nodes = getattr(rule, name).copy()
-        ang = np.arctan2(nodes[1, 2, 3], nodes[0, 2, 3]) + 1e-9
-        nodes[:, 2, 3] = radius[2] * np.cos(ang), radius[2] * np.sin(ang)
-        with pytest.raises(DomainError, match="uniform angular grid"):
-            SphereRule(**{"a": rule.a, "b": rule.b, name: nodes},
-                       weights=rule.weights)
     assert sphere_rule(1, 16).grids[1] is None
     np.testing.assert_allclose(sphere_rule(1, 16).grids[0], [[1.0], [0.0]],
                                rtol=0.0, atol=1e-15)
-    # the circle of test_rule_validation, nodes at angles 0 and pi/2, is
-    # no uniform grid either
-    with pytest.raises(DomainError, match="uniform angular grid"):
-        SphereRule(np.array([[1.0, 0.0], [0.0, 1.0]]).T[:, None],
-                   np.empty((0, 1, 1)), np.array([0.5, 0.5]))
 
 
 def test_rule_check_memory_is_bounded():
@@ -248,25 +270,6 @@ def test_rule_product_shape():
     np.testing.assert_allclose(rule.weights.reshape(8, -1),
                                np.repeat(gl_w[:, None] / 384.0, 192, axis=1),
                                rtol=1e-14, atol=0.0)
-
-
-def test_rule_rejects_wrong_shape():
-    rule = sphere_rule(2, (4, 4, 6))
-    a, b, w = rule.a, rule.b, rule.weights
-    with pytest.raises(DimensionMismatch):   # one weight too few
-        SphereRule(a, b, w[:-1])
-    with pytest.raises(DimensionMismatch):   # 4 latitudes against 3
-        SphereRule(a, b[:, :3], w[:72])
-    with pytest.raises(DimensionMismatch):   # a without 2 rows
-        SphereRule(a[:1], b, w)
-    with pytest.raises(DimensionMismatch):   # b with 1 row
-        SphereRule(a, b[:1], w)
-    with pytest.raises(DimensionMismatch):   # factors without latitudes
-        SphereRule(a[:, 0], b[:, 0], w[:24])
-    off = a.copy()
-    off[:, 2, 3] *= 1.0 + 1e-9
-    with pytest.raises(DomainError):
-        SphereRule(off, b, w)
 
 
 # --- averages ------------------------------------------------------------
@@ -561,8 +564,15 @@ def test_dimension_mismatch_raises():
     rule = sphere_rule(2, 8)
     big = np.ones(5)
     f = ScalarField(lambda p: np.zeros(len(p)), -big, big)
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatch, match="point dimension"):
         spherical_average_batch(s, f, np.array([1.0]), np.zeros((1, 4)), rule)
+    # a rule of the other sphere
+    with pytest.raises(DimensionMismatch, match="sphere rule"):
+        spherical_average_batch(s, f, 1.0, np.zeros((1, 5)), sphere_rule(1, 8))
+    s1 = standard_heisenberg(1)
+    with pytest.raises(DimensionMismatch, match="sphere rule"):
+        spherical_average_batch(s1, box_indicator(-np.ones(3), np.ones(3)),
+                                1.0, np.zeros((1, 3)), rule)
 
 
 # --- maximal values ------------------------------------------------------
