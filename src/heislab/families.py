@@ -18,6 +18,8 @@ blocks that share their trailing coordinates, built once.
 """
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Tuple
@@ -189,7 +191,7 @@ def c_one(s: MetivierStructure) -> float:
 
 def _check_delta(delta: float):
     if not 0.0 < delta <= 0.25:
-        raise DomainError("delta must lie in (0, 1/4]")
+        raise DomainError(f"delta={delta!r} must lie in (0, 1/4]")
 
 
 def _check_structure(s: MetivierStructure):
@@ -634,12 +636,101 @@ def fit_passes(fit: ExponentFit, predicted, tol: float) -> bool:
             and fit.max_residual <= MAX_LOG_RESIDUAL)
 
 
+def _cpus() -> int:
+    """How many processes a ladder may run at once: the CPUs this process
+    may use, or 1 where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _rate(make_instance, deltas, p, q, share):
+    """[(index, ok, ratio or exception)] for the rungs in share, in order,
+    up to the first rung that raises."""
+    out = []
+    for i in share:
+        try:
+            inst = make_instance(deltas[i])
+            out.append((i, True, operator_ratio(inst.structure, inst,
+                                                float(p), float(q))))
+        except Exception as exc:
+            out.append((i, False, exc))
+            break
+    return out
+
+
+def _fork_rate(make_instance, deltas, p, q, share):
+    """(pid, read end of a pipe) of a forked child that sends
+    _rate(..., share) through the pipe, pickled, and exits."""
+    r, w = os.pipe()
+    # Forking is safe here: the child runs only heislab and numpy (OpenBLAS
+    # shuts its thread pool down in an atfork handler) and leaves through
+    # os._exit, so no stdio buffer or atexit hook of the parent runs twice.
+    # Python 3.12 and later warn with a DeprecationWarning when a process
+    # with threads forks, as one with OpenBLAS's pool does; the warning is
+    # left alone.  Only Python 3.11 has run this fork, so its behaviour
+    # under 3.12 is unverified.
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with os.fdopen(w, "wb") as fh:
+                pickle.dump(_rate(make_instance, deltas, p, q, share), fh)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
 def run_ladder(make_instance: Callable[[float], ExampleInstance],
                deltas: Sequence[float], p, q):
-    """(delta, ratio) rows down a delta ladder, largest delta first."""
+    """(delta, ratio) rows down a delta ladder, largest delta first.
+
+    The rungs are independent, so W workers share them, W being the CPUs
+    this process may use but at most one per rung: worker i rates rungs
+    i, i + W, ... and stops at its first failing rung.  Worker 0 is this
+    process, the others are forked children.  Each ratio is computed by
+    the same code from the same inputs wherever it runs, so the rows do
+    not depend on W.  The first failing rung in ladder order raises its
+    exception, as a serial loop would; a child that ends without a result
+    raises ChildProcessError in place of its first rung.  Spans, counts
+    and memory of the rungs a child rates stay in that child.
+    """
+    workers = max(1, min(_cpus(), len(deltas)))
+    children, ends = [], []
+    try:
+        for first in range(1, workers):
+            children.append(_fork_rate(make_instance, deltas, p, q,
+                                       range(first, len(deltas), workers)))
+        rated = _rate(make_instance, deltas, p, q,
+                      range(0, len(deltas), workers))
+    finally:
+        # read every pipe to its end and reap its child, whatever happened
+        for pid, r in children:
+            with os.fdopen(r, "rb") as fh:
+                data = fh.read()
+            ends.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]),
+                         data))
+    for first, (code, data) in enumerate(ends, 1):
+        rated += pickle.loads(data) if code == 0 else [(
+            first, False, ChildProcessError(
+                f"delta={deltas[first]!r}: the ladder worker ended with "
+                f"exit code {code} and no result"))]
+    results = {i: (ok, value) for i, ok, value in rated}
     rows = []
-    for delta in deltas:
-        inst = make_instance(delta)
-        rows.append((float(delta),
-                     operator_ratio(inst.structure, inst, float(p), float(q))))
+    for i, delta in enumerate(deltas):
+        # a rung with no result comes after a failure in its worker's share
+        ok, value = results[i]
+        if not ok:
+            raise value
+        rows.append((float(delta), value))
     return rows

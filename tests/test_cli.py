@@ -527,8 +527,9 @@ def test_counterexample_zero_exponent_exits_2(exponent, message, capsys):
     ("2^-4,2^-3,2^-5", "strictly decreasing"),
     ("2^-3,2^-4", "at least 3"),
     # a delta out of range after three good ones: no rung may run first
-    ("2^-5,2^-6,2^-7,-1", "(0, 1/4]"),
-    ("0.5,2^-3,2^-4", "(0, 1/4]"),
+    ("2^-5,2^-6,2^-7,-1", "delta=-1.0 must lie in (0, 1/4]"),
+    ("2^-5,2^-6,2^-7,nan", "delta=nan must lie in (0, 1/4]"),
+    ("0.5,2^-3,2^-4", "delta=0.5 must lie in (0, 1/4]"),
 ])
 def test_counterexample_bad_ladder_exits_before_first_rung(
         deltas, message, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Counterexample families: geometry invariants, exponents, fitting."""
 
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heislab import families, spheres
+from heislab import cli, families, spheres
 from heislab.groups import (DomainError, MetivierStructure,
                             normalized_heisenberg, quaternionic_htype,
                             standard_heisenberg)
@@ -397,8 +398,9 @@ def test_families_reject_unsupported_structures():
 
 def test_delta_window():
     s = standard_heisenberg(1)
-    for bad in (0.0, -0.1, 0.3):
-        with pytest.raises(DomainError):
+    for bad in (0.0, -0.1, 0.3, math.nan):
+        with pytest.raises(DomainError,
+                           match=rf"delta={bad!r} must lie in \(0, 1/4\]"):
             ball_example(s, bad)
 
 
@@ -799,3 +801,91 @@ def test_run_ladder_rows():
     assert rows[0][0] == 0.25
     assert rows[0][1] > rows[1][1] > 0
 
+
+
+# --- ladder workers -------------------------------------------------------
+
+LADDER = [2.0 ** -k for k in range(2, 6)]
+
+
+def _forks(monkeypatch, cpus):
+    """Pretend this process may use cpus CPUs; returns the list that
+    collects the pid of every child run_ladder forks."""
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(families, "_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_run_ladder_rows_do_not_depend_on_workers(cpus, monkeypatch):
+    s = standard_heisenberg(1)
+    rows = [(d, operator_ratio(s, scaling_example(s, d), 2.0, 2.0))
+            for d in LADDER]
+    pids = _forks(monkeypatch, cpus)
+    got = run_ladder(lambda d: scaling_example(s, d), LADDER, 2, 2)
+    # one worker per CPU, never more than one per rung; worker 0 is this
+    # process
+    assert len(pids) == min(cpus, len(LADDER)) - 1
+    assert [(d, r.hex()) for d, r in got] == [(d, r.hex()) for d, r in rows]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_run_ladder_raises_the_first_failing_rung(cpus, monkeypatch):
+    # with two workers rung 1 fails in the child and rung 2 in this process
+    s = standard_heisenberg(1)
+    pids = _forks(monkeypatch, cpus)
+
+    def make(delta):
+        if delta in LADDER[1:3]:
+            raise DomainError(f"rung {LADDER.index(delta)} failed")
+        return scaling_example(s, delta)
+
+    with pytest.raises(DomainError, match="^rung 1 failed$"):
+        run_ladder(make, LADDER, 2, 2)
+    assert len(pids) == cpus - 1
+    _no_child_left()
+
+
+def test_run_ladder_child_without_result(monkeypatch, capsys):
+    parent = os.getpid()
+    pids = _forks(monkeypatch, 2)
+    ball = families.ball_example
+
+    def make(s, delta):
+        # only a child may leave, and only on its first rung
+        if os.getpid() != parent and delta == 2.0 ** -4:
+            os._exit(3)
+        return ball(s, delta)
+
+    monkeypatch.setattr(families, "ball_example", make)
+    s = standard_heisenberg(1)
+    with pytest.raises(ChildProcessError, match="exit code 3 and no result"):
+        run_ladder(lambda d: families.ball_example(s, d), LADDER[1:], 1,
+                   math.inf)
+    assert len(pids) == 1
+    _no_child_left()
+
+    code = cli.main(["counterexample", "--set", "n=1",
+                     "--set", "deltas=2^-3,2^-4,2^-5"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "delta=0.0625: the ladder worker ended with exit code 3" in err
+    assert len(pids) == 2
+    _no_child_left()
