@@ -527,9 +527,9 @@ def test_counterexample_zero_exponent_exits_2(exponent, message, capsys):
     ("2^-4,2^-3,2^-5", "strictly decreasing"),
     ("2^-3,2^-4", "at least 3"),
     # a delta out of range after three good ones: no rung may run first
-    ("2^-5,2^-6,2^-7,-1", "delta=-1.0 must lie in (0, 1/4]"),
-    ("2^-5,2^-6,2^-7,nan", "delta=nan must lie in (0, 1/4]"),
-    ("0.5,2^-3,2^-4", "delta=0.5 must lie in (0, 1/4]"),
+    ("2^-5,2^-6,2^-7,-1", "(0, 1/4]"),
+    ("2^-5,2^-6,2^-7,nan", "(0, 1/4]"),
+    ("0.5,2^-3,2^-4", "(0, 1/4]"),
 ])
 def test_counterexample_bad_ladder_exits_before_first_rung(
         deltas, message, capsys, monkeypatch):
@@ -538,6 +538,19 @@ def test_counterexample_bad_ladder_exits_before_first_rung(
 
     monkeypatch.setattr(families, "ball_example", no_rung)
     monkeypatch.setattr(families, "operator_ratio", no_rung)
+    code, out, err = run(["counterexample", "--set", f"deltas={deltas}"],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("deltas, message", [
+    ("2^-5,2^-6,2^-7,-1", "delta=-1.0 must lie in (0, 1/4]"),
+    ("2^-5,2^-6,2^-7,nan", "delta=nan must lie in (0, 1/4]"),
+    ("0.5,2^-3,2^-4", "delta=0.5 must lie in (0, 1/4]"),
+])
+def test_counterexample_out_of_range_delta_is_named(deltas, message, capsys):
     code, out, err = run(["counterexample", "--set", f"deltas={deltas}"],
                          capsys)
     assert code == 2
