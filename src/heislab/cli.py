@@ -58,7 +58,7 @@ def parse_rational(text):
 
 
 def parse_deltas(text):
-    """Comma list; entries are decimals or '2^-k' powers."""
+    """Comma list; entries are decimals or real 'b^e' powers like 2^-3."""
     out = []
     for item in str(text).split(","):
         item = item.strip()
@@ -67,7 +67,7 @@ def parse_deltas(text):
         try:
             if "^" in item:
                 base, _, expo = item.partition("^")
-                out.append(float(base) ** float(expo))
+                out.append(math.pow(float(base), float(expo)))
             else:
                 out.append(float(item))
         except ValueError as exc:

@@ -20,6 +20,7 @@ blocks that share their trailing coordinates, built once.
 import math
 import os
 import pickle
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Tuple
@@ -106,12 +107,18 @@ def operator_ratio(s: MetivierStructure, instance: ExampleInstance,
     # (as bench/tracer.py does) sees every average
     vals = np.abs(spheres.spherical_average_batch(s, instance.field, t, pts,
                                                   instance.rule))
-    numer = (float(vals.max()) if np.isinf(q)
-             else float(np.sum(vals ** q * w)) ** iq)
-    if numer == 0.0:
-        raise DomainError(f"{instance.family} delta={instance.delta!r}: no "
-                          "sphere node hits the field's support")
-    return numer / instance.measure ** ip
+    rung = f"{instance.family} delta={instance.delta!r}"
+    if not vals.any():
+        raise DomainError(f"{rung}: no sphere node hits the field's support")
+    if np.isinf(q):
+        return float(vals.max()) / instance.measure ** ip
+    total = float(np.sum(vals ** q * w))
+    # a subnormal sum keeps fewer than 53 significant bits, and 0 none
+    if total < sys.float_info.min:
+        raise DomainError(f"{rung}: sum w |A_t f|^q = {total!r} at q={q!r} "
+                          "leaves the normal float range; use a smaller q "
+                          "or q=inf")
+    return total ** iq / instance.measure ** ip
 
 
 def _box_measure(f: ScalarField) -> float:
@@ -646,51 +653,6 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _rate(make_instance, deltas, p, q, share):
-    """[(index, ok, ratio or exception)] for the rungs in share, in order,
-    up to the first rung that raises."""
-    out = []
-    for i in share:
-        try:
-            inst = make_instance(deltas[i])
-            out.append((i, True, operator_ratio(inst.structure, inst,
-                                                float(p), float(q))))
-        except Exception as exc:
-            out.append((i, False, exc))
-            break
-    return out
-
-
-def _fork_rate(make_instance, deltas, p, q, share):
-    """(pid, read end of a pipe) of a forked child that sends
-    _rate(..., share) through the pipe, pickled, and exits."""
-    r, w = os.pipe()
-    # Forking is safe here: the child runs only heislab and numpy (OpenBLAS
-    # shuts its thread pool down in an atfork handler) and leaves through
-    # os._exit, so no stdio buffer or atexit hook of the parent runs twice.
-    # Python 3.12 and later warn with a DeprecationWarning when a process
-    # with threads forks, as one with OpenBLAS's pool does; the warning is
-    # left alone.  Only Python 3.11 has run this fork, so its behaviour
-    # under 3.12 is unverified.
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            with os.fdopen(w, "wb") as fh:
-                pickle.dump(_rate(make_instance, deltas, p, q, share), fh)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
-
-
 def run_ladder(make_instance: Callable[[float], ExampleInstance],
                deltas: Sequence[float], p, q):
     """(delta, ratio) rows down a delta ladder, largest delta first.
@@ -698,39 +660,72 @@ def run_ladder(make_instance: Callable[[float], ExampleInstance],
     The rungs are independent, so W workers share them, W being the CPUs
     this process may use but at most one per rung: worker i rates rungs
     i, i + W, ... and stops at its first failing rung.  Worker 0 is this
-    process, the others are forked children.  Each ratio is computed by
-    the same code from the same inputs wherever it runs, so the rows do
-    not depend on W.  The first failing rung in ladder order raises its
-    exception, as a serial loop would; a child that ends without a result
-    raises ChildProcessError in place of its first rung.  Spans, counts
-    and memory of the rungs a child rates stay in that child.
+    process, the others are forked children.  Each worker returns a map
+    {rung index: ratio, or the exception the rung raised}, and the maps
+    of all workers merge into one; a child that ends without a result
+    puts a ChildProcessError at its first rung.  Each ratio is computed
+    by the same code from the same inputs wherever it runs, so the rows
+    do not depend on W.  The first exception in ladder order is raised,
+    as a serial loop would raise it.  Spans, counts and memory of the
+    rungs a child rates stay in that child.
     """
     workers = max(1, min(_cpus(), len(deltas)))
-    children, ends = [], []
+
+    def rate(first):
+        out = {}
+        for i in range(first, len(deltas), workers):
+            try:
+                inst = make_instance(deltas[i])
+                out[i] = operator_ratio(inst.structure, inst, float(p),
+                                        float(q))
+            except Exception as exc:
+                out[i] = exc
+                break
+        return out
+
+    children, results = [], {}
     try:
         for first in range(1, workers):
-            children.append(_fork_rate(make_instance, deltas, p, q,
-                                       range(first, len(deltas), workers)))
-        rated = _rate(make_instance, deltas, p, q,
-                      range(0, len(deltas), workers))
+            r, w = os.pipe()
+            # Forking is safe here: the child runs only heislab and numpy
+            # (OpenBLAS shuts its thread pool down in an atfork handler) and
+            # leaves through os._exit, so no stdio buffer or atexit hook of the
+            # parent runs twice.  Python 3.12 and later warn with a
+            # DeprecationWarning when a process with threads forks, as one with
+            # OpenBLAS's pool does; the warning is left alone.  Only Python 3.11
+            # has run this fork, so its behaviour under 3.12 is unverified.
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    with os.fdopen(w, "wb") as fh:
+                        pickle.dump(rate(first), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, r))
+        results.update(rate(0))
     finally:
         # read every pipe to its end and reap its child, whatever happened
-        for pid, r in children:
+        for first, (pid, r) in enumerate(children, 1):
             with os.fdopen(r, "rb") as fh:
                 data = fh.read()
-            ends.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]),
-                         data))
-    for first, (code, data) in enumerate(ends, 1):
-        rated += pickle.loads(data) if code == 0 else [(
-            first, False, ChildProcessError(
-                f"delta={deltas[first]!r}: the ladder worker ended with "
-                f"exit code {code} and no result"))]
-    results = {i: (ok, value) for i, ok, value in rated}
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            results.update(pickle.loads(data) if code == 0 else {
+                first: ChildProcessError(
+                    f"delta={deltas[first]!r}: the ladder worker ended "
+                    f"with exit code {code} and no result")})
     rows = []
     for i, delta in enumerate(deltas):
         # a rung with no result comes after a failure in its worker's share
-        ok, value = results[i]
-        if not ok:
-            raise value
-        rows.append((float(delta), value))
+        if isinstance(results[i], Exception):
+            raise results[i]
+        rows.append((float(delta), results[i]))
     return rows

@@ -1,9 +1,13 @@
 """Command line driver: exit codes, config handling, output determinism."""
 
+import io
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heislab import cli, families
 from heislab.cli import (ConfigError, apply_overrides, load_config, main,
@@ -54,6 +58,11 @@ def test_parse_deltas():
         parse_deltas("")
     with pytest.raises(ConfigError, match="too large"):
         parse_deltas("2^2000,2^-4,2^-5")
+    # a complex power and a zero to a negative power are no real deltas
+    for bad in ("-8^0.5", "0^-1"):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"cannot parse delta '{bad}'")):
+            parse_deltas(f"{bad},2^-4,2^-5")
 
 
 def test_default_counterexample_ratios(capsys):
@@ -574,6 +583,12 @@ def test_counterexample_out_of_range_delta_is_named(deltas, message, capsys):
     # finite float counts whose node product overflows a float
     (["--set", "family=knapp", "--set", "kind=normalized"],
      "2^-3,2^-4,2^-600", "sphere rule of more than"),
+    # powers that are no real number
+    ([], "-8^0.5,2^-4,2^-5", "cannot parse delta '-8^0.5'"),
+    ([], "0^-1,2^-4,2^-5", "cannot parse delta '0^-1'"),
+    # the 2^-7 rung's q-sum underflows to 0 although its averages do not
+    (["--set", "n=1", "--set", "q=200"], "2^-3,2^-4,2^-5,2^-6,2^-7",
+     "ball delta=0.0078125: sum w |A_t f|^q = 0.0 at q=200.0"),
 ])
 def test_counterexample_extreme_deltas_exit_2(structure, deltas, message,
                                               capsys):
@@ -616,6 +631,46 @@ def test_counterexample_unsupported_structure_exits_2(structure, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# a signed decimal, optionally raised to a signed decimal power
+NUMBER = st.from_regex(
+    r"[-+]?\d{1,3}(\.\d{0,2})?(\^[-+]?\d{1,3}(\.\d{0,2})?)?", fullmatch=True)
+ENTRY = st.one_of(NUMBER, st.text(max_size=6))
+# drawn lists are seldom ladders, so whole 2^-k ladders are drawn too
+LADDERS = st.one_of(
+    *(st.lists(e, min_size=1, max_size=5).map(",".join)
+      for e in (NUMBER, ENTRY)),
+    st.lists(st.integers(2, 40), min_size=3, max_size=6, unique=True).map(
+        lambda ks: ",".join(f"2^-{k}" for k in sorted(ks))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({}, optional={
+    "p": ENTRY, "q": ENTRY, "t": ENTRY, "tolerance": ENTRY,
+    "deltas": LADDERS}))
+@example({"deltas": "-8^0.5,2^-4,2^-5"})
+@example({"deltas": "0^-1,2^-4,2^-5"})
+def test_counterexample_number_keys_exit_0_1_or_2(entries):
+    argv = ["counterexample", "--set", "family=scaling", "--set", "n=1"]
+    for key, value in entries.items():
+        argv += ["--set", f"{key}={value}"]
+    out, err = io.StringIO(), io.StringIO()
+    with (pytest.MonkeyPatch.context() as patch, redirect_stdout(out),
+          redirect_stderr(err)):
+        # each ratio equals its delta, so no rung is computed
+        patch.setattr(families, "run_ladder", lambda make, deltas, p, q:
+                      [(float(d), float(d)) for d in deltas])
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error:")
+        # a drawn value may put a line break into the message
+        assert sum(line.startswith("error:") for line in err.split("\n")) == 1
+    else:
+        assert code in (0, 1) and err == ""
+        assert out.endswith(f"# verdict={'pass' if code == 0 else 'FAIL'}\n")
 
 
 # --- region ---------------------------------------------------------------

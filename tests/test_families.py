@@ -371,6 +371,22 @@ def test_operator_ratio_zero_numerator_raises():
     assert "no sphere node hits the field's support" in msg
 
 
+def test_operator_ratio_refuses_an_underflowing_q_sum():
+    # the n = 1 ball rung at 2^-7 has averages up to 0.018, but its sum
+    # w |A_t f|^q is 0 at q = 200 and subnormal from q = 180
+    s = standard_heisenberg(1)
+    inst = ball_example(s, 2.0 ** -7)
+    with pytest.raises(DomainError) as err:
+        operator_ratio(s, inst, 2.0, 200.0)
+    assert str(err.value) == (
+        f"ball delta={2.0 ** -7!r}: sum w |A_t f|^q = 0.0 at q=200.0 leaves "
+        "the normal float range; use a smaller q or q=inf")
+    with pytest.raises(DomainError, match=r"= 1\.38994816e-316 at q=180\.0 "):
+        operator_ratio(s, inst, 2.0, 180.0)
+    # a normal sum keeps every bit of the ratio
+    assert operator_ratio(s, inst, 2.0, 100.0).hex() == "0x1.87108e09e2254p-2"
+
+
 def test_operator_ratio_clamps_time_map():
     # a time map outside [1, 2] acts as its clamped value
     def const(t):
