@@ -119,9 +119,9 @@ def build_structure(cfg):
             row = np.array(str(tilt).split(","), dtype=float)
             s = groups.MetivierStructure(s.n, 1, s.J, row[None, :])
         except groups.DomainError as exc:
-            raise ConfigError(f"tilt={tilt}: {exc}") from None
+            raise ConfigError(f"tilt={tilt!r}: {exc}") from None
         except ValueError:
-            raise ConfigError(f"tilt={tilt}: must be 2n finite numbers "
+            raise ConfigError(f"tilt={tilt!r}: must be 2n finite numbers "
                               "on a one-dimensional center") from None
     return s
 
@@ -132,7 +132,7 @@ def _integer(cfg, key, default, least=None):
     try:
         value = int(text)
     except ValueError:
-        raise ConfigError(f"{key}={text}: must be an integer") from None
+        raise ConfigError(f"{key}={text!r}: must be an integer") from None
     if least is not None and value < least:
         raise ConfigError(f"{key}={value}: must be at least {least}")
     return value
@@ -144,9 +144,9 @@ def _real(cfg, key, default):
     try:
         value = float(text)
     except ValueError:
-        raise ConfigError(f"{key}={text}: must be a number") from None
+        raise ConfigError(f"{key}={text!r}: must be a number") from None
     if not (math.isfinite(value) and value >= 0):
-        raise ConfigError(f"{key}={text}: must be finite and >= 0")
+        raise ConfigError(f"{key}={text!r}: must be finite and >= 0")
     return value
 
 
@@ -155,10 +155,10 @@ def _exponent(cfg, key):
     text = cfg.get(key, "2")
     value = parse_rational(text)
     if not value >= 1:
-        raise ConfigError(f"{key}={text}: exponent must be >= 1 or inf")
+        raise ConfigError(f"{key}={text!r}: exponent must be >= 1 or inf")
     # the ladder computes with float(p); a larger finite value overflows
     if value != math.inf and value > sys.float_info.max:
-        raise ConfigError(f"{key}={text}: exponent is too large for a "
+        raise ConfigError(f"{key}={text!r}: exponent is too large for a "
                           "float; use inf")
     return value
 

@@ -12,9 +12,12 @@ so thin slabs are integrated in coordinates aligned with their thin
 directions.  All per-axis lattice counts are fixed along the ladder while
 the coordinate ranges scale linearly with delta; relative quadrature bias
 is then delta-independent and cancels in the fitted slope.  The scaling
-and moment sets have closed-form measures; the ball and knapp sets are
-counted on a 24^d lattice of a support box that scales as they do, in
-blocks that share their trailing coordinates, built once.
+and moment sets have closed-form measures.  The ball and knapp sets are
+declared as Conditions on linear forms of the point, which give both
+their indicator and their measure: the count of the 24^d midpoint lattice
+of a support box that scales as the set does.  Conditions that share no
+axis are counted apart and their counts multiplied, and each group of
+axes is walked in chunks of at most BLOCK_POINTS lattice points.
 """
 
 import math
@@ -23,6 +26,7 @@ import pickle
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -34,7 +38,8 @@ from .spheres import ScalarField, SphereRule, sphere_rule
 FAMILIES = ("ball", "scaling", "knapp", "moment")
 
 
-# Lattice points per block of _box_measure; a block needs 1-2 MiB at any d.
+# Lattice points per chunk of _lattice_count; a chunk's temporaries take
+# about 0.1 MiB each at any d.
 BLOCK_POINTS = 2 ** 14
 
 
@@ -121,26 +126,117 @@ def operator_ratio(s: MetivierStructure, instance: ExampleInstance,
     return total ** iq / instance.measure ** ip
 
 
-def _box_measure(f: ScalarField) -> float:
-    """Integral of f on the 24^d midpoint lattice of its support box.
+@dataclass(frozen=True)
+class Condition:
+    """A condition on linear forms of a point x in R^d.
 
-    The families build their sphere rule first, so a refused rule fails
-    before this sum.  A block fixes the fewest leading axes that leave at
-    most BLOCK_POINTS points; all blocks share one array of the trailing
-    coordinates.  math.fsum adds the block sums with one rounding.
+    Each row of rows is the coefficient vector of one form rows[j] . x.
+    With squares, the condition is sum_j (rows[j] . x)^2 <= bound;
+    without, |rows[0] . x| <= bound, and rows has one row.
+    """
+
+    rows: np.ndarray
+    bound: float
+    squares: bool = True
+
+    def value(self, cols) -> np.ndarray:
+        """The left side at coordinates cols, cols[k] holding coordinate k.
+
+        The cols may be any arrays that broadcast together.  A form adds
+        its terms cols[k] * rows[j, k] one coordinate at a time, skipping
+        the zero coefficients, in the order _row_dot adds them, so each
+        point gets the same bits whatever the shape it is evaluated in.
+        """
+        forms = []
+        for (k, a), *rest in self._terms:
+            # x * 1.0 is x, bit for bit
+            out = cols[k] if a == 1.0 else cols[k] * a
+            for k, a in rest:
+                out = out + cols[k] * a
+            forms.append(out)
+        if not self.squares:
+            return np.abs(forms[0])
+        out = forms[0] * forms[0]
+        for form in forms[1:]:
+            out = out + form * form
+        return out
+
+    @cached_property
+    def _terms(self):
+        """(k, rows[j, k]) over each form's nonzero coefficients, in k
+        order."""
+        return [[(k, row[k]) for k in np.flatnonzero(row)]
+                for row in self.rows]
+
+
+@dataclass(frozen=True)
+class Conditions:
+    """The set where every condition holds; called on a batch of points,
+    its indicator as booleans."""
+
+    items: Tuple[Condition, ...]
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return self.holds(pts.T)
+
+    def holds(self, cols) -> np.ndarray:
+        """Booleans of the set at coordinates cols, as Condition.value
+        takes them."""
+        out = self.items[0].value(cols) <= self.items[0].bound
+        for c in self.items[1:]:
+            out = out & (c.value(cols) <= c.bound)
+        return out
+
+
+def _lattice_count(f: ScalarField) -> int:
+    """Points of the 24^d midpoint lattice of f's support box in the set,
+    f's evaluator being a Conditions.
+
+    Conditions are grouped by the axes their forms read: two share a group
+    when they share an axis.  The lattice is the product of the groups'
+    lattices and of the axes no condition reads, so the count is the
+    product of the groups' counts and of 24 per free axis.  A group walks
+    its lattice in chunks that fix the fewest leading axes leaving at most
+    BLOCK_POINTS points; each form is broadcast from its per-axis terms,
+    so every point gets the bits that the evaluator gives it.
     """
     lo, hi = f.support_lo, f.support_hi
     d = len(lo)
     axes = (hi - lo)[:, None] * ((np.arange(24) + 0.5) / 24) + lo[:, None]
-    w = float(np.prod(hi - lo)) / 24 ** d
-    lead = next(k for k in range(d + 1) if 24 ** (d - k) <= BLOCK_POINTS)
-    pts = _grid([*axes[:lead, :1], *axes[lead:]])
-    sums = []
-    for head in np.ndindex(*(24,) * lead):
-        for k, i in enumerate(head):
-            pts[k] = axes[k, i]
-        sums.append(np.sum(f(pts.T) * w))
-    return math.fsum(sums)
+    groups = []             # (axis set, conditions)
+    for c in f.evaluator.items:
+        read, conds = set(np.flatnonzero(np.any(c.rows != 0, axis=0))), [c]
+        for group in [g for g in groups if g[0] & read]:
+            groups.remove(group)
+            read |= group[0]
+            conds += group[1]
+        groups.append((read, conds))
+    count = 24 ** (d - sum(len(read) for read, _ in groups))
+    for read, conds in groups:
+        read, group = sorted(read), Conditions(tuple(conds))
+        lead = next(k for k in range(len(read) + 1)
+                    if 24 ** (len(read) - k) <= BLOCK_POINTS)
+        cols = [None] * d
+        for i, k in enumerate(read[lead:]):
+            cols[k] = axes[k].reshape((24,) + (1,) * i)
+        inside = 0
+        for head in np.ndindex(*(24,) * lead):
+            for k, i in zip(read, head):
+                cols[k] = axes[k, i]
+            inside += int(np.count_nonzero(group.holds(cols)))
+        count *= inside
+    return count
+
+
+def _box_measure(f: ScalarField) -> float:
+    """Measure of the set of the Conditions f on the 24^d midpoint lattice
+    of its support box: the count times the volume per point.
+
+    The families build their sphere rule first, so a refused rule fails
+    before this count.
+    """
+    lo, hi = f.support_lo, f.support_hi
+    return _lattice_count(f) * (float(np.prod(hi - lo)) / 24 ** len(lo))
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -148,11 +244,13 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     The sum runs one coordinate at a time, so unlike np.einsum and matmul
     its order, and with it every bit of the result, depends neither on the
-    memory order of x nor on where a batch is split.  Every family field
-    and time map takes its norms and dot products from here.
+    memory order of x nor on where a batch is split.  The scaling field
+    and the ball and scaling time maps take their norms and dot products
+    from here, the Conditions of ball and knapp from Condition.value,
+    which adds in the same order.
 
     A 1-D y skips its coefficients equal to zero, 0.0 and -0.0 alike, as
-    knapp's axis-aligned frame and a zero Lambda have them.  For finite x
+    a zero Lambda has them.  For finite x
     each skipped term is a zero, and adding a zero to a nonzero partial
     sum returns that sum, so only the sign of a zero result can differ
     from the full sum (all zeros give 0.0).  Every caller squares the
@@ -251,11 +349,8 @@ def ball_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     two_n = 2 * n
     C = c_ring(s)
     r_ball = 10.0 * delta
-
-    def inside(pts):
-        return _row_dot(pts, pts) <= r_ball * r_ball
-
-    f = ScalarField(inside, -r_ball * np.ones(d), r_ball * np.ones(d))
+    f = ScalarField(Conditions((Condition(np.eye(d), r_ball * r_ball),)),
+                    -r_ball * np.ones(d), r_ball * np.ones(d))
 
     dd = two_n - 1
     half_b = delta / C
@@ -372,7 +467,7 @@ def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     C1 delta, |y_d| <= C1 delta, where P projects onto span{u, v}.  Test
     region: sqrt(delta)-tube over an arc window, time map t(x) =
     |P ubar x|.  Field and time map read ubar in the coordinates of
-    knapp_frame, one _row_dot per coordinate.
+    knapp_frame, one form per coordinate.
     """
     _check_delta(delta)
     n = s.n
@@ -388,24 +483,21 @@ def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     hw_plane = C1 * delta
     hw_perp = C1 * sq
 
-    def plane_sq(ubar):
-        """|P ubar|^2 = (ubar.u)^2 + (ubar.v)^2."""
-        a, b = _row_dot(ubar, u_dir), _row_dot(ubar, v_dir)
-        return a * a + b * b
+    def forms(*vecs):
+        """Rows ubar . vec of the point, with no center coefficient."""
+        return np.concatenate([np.stack(vecs), np.zeros((len(vecs), 1))], 1)
 
-    def inside(pts):
-        ubar = pts[:, :two_n]
-        # |P_perp ubar|^2 from the complement coordinates ubar.comp[:, k]
-        c, e = (_row_dot(ubar, w) for w in comp.T)
-        return ((c * c + e * e <= C1 * C1 * delta)
-                & (plane_sq(ubar) <= hw_plane * hw_plane)
-                & (np.abs(pts[:, two_n]) <= C1 * delta))
+    # |P ubar|^2 and |P_perp ubar|^2 from the frame coordinates ubar.u,
+    # ubar.v and ubar.comp[:, k]
+    plane = Condition(forms(u_dir, v_dir), hw_plane * hw_plane)
+    perp = Condition(forms(*comp.T), C1 * C1 * delta)
+    slab = Condition(np.eye(two_n + 1)[two_n:], C1 * delta, squares=False)
 
     plane_part = np.sqrt(u_dir ** 2 + v_dir ** 2)
     perp_part = np.sqrt(np.maximum(0.0, 1.0 - plane_part ** 2))
     hw = hw_plane * plane_part + hw_perp * perp_part
     lo = np.concatenate([-hw, [-C1 * delta]])
-    f = ScalarField(inside, lo, -lo)
+    f = ScalarField(Conditions((perp, plane, slab)), lo, -lo)
 
     # Test region coordinates: polar radius/angle in the plane, polar
     # coordinates in the sqrt(delta)-thin complement, sheared center.
@@ -437,7 +529,7 @@ def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     rule = sphere_rule(n, (c_lat, c_ang, c_ang), latitude="uniform")
     return ExampleInstance(
         "knapp", delta, s, f, ParamRegion((3, 4, 4, 5, 4), param),
-        _box_measure(f), lambda pts: np.sqrt(plane_sq(pts[:, :two_n])), rule)
+        _box_measure(f), lambda pts: np.sqrt(plane.value(pts.T)), rule)
 
 
 # --- stein divergence diagnostic -----------------------------------------

@@ -14,21 +14,21 @@ package's own evaluations:
     x' = y' block form, and the two transversal derivatives of det along
     kernel and cokernel (two-sided fold);
   * is_member and parse_region_csv for the exact rational regions;
-  * box_measure_blocks, the support-box measure with every block's
-    points built afresh, and row_dot_full, the row dot product that
-    skips no zero coefficient;
+  * box_count_blocks, the support-box lattice count with every block's
+    points built afresh and the field evaluated on them, ball_inside and
+    knapp_inside, the ball and knapp sets as closures on _row_dot, and
+    row_dot_full, the row dot product that skips no zero coefficient;
   * node_order_average, the spherical average with no node culled.
 
 Coordinates follow heislab.phase.
 """
 
-import math
 from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
 
-from heislab.families import BLOCK_POINTS
+from heislab.families import _row_dot, c_one, knapp_frame
 from heislab.groups import DomainError, MetivierStructure
 from heislab.phase import (FD_STEP, _chart, _g_hess, _linear_columns,
                            _rank, _split_x, c_value, sigma_value, xi_y,
@@ -287,19 +287,18 @@ def parse_region_csv(data: bytes) -> Region:
 
 # --- families ------------------------------------------------------------
 
-def box_measure_blocks(f: ScalarField) -> float:
-    """heislab.families._box_measure, each block built on its own.
+def box_count_blocks(f: ScalarField) -> int:
+    """heislab.families._lattice_count from f's values alone: the points of
+    the 24^d midpoint lattice of f's support box at which f is nonzero.
 
-    A block fixes the fewest leading axes of the 24^d midpoint lattice of
-    f's support box that leave at most BLOCK_POINTS points; its lattice
-    is built from those axis indices and mapped onto the box, and
-    math.fsum adds the block sums.
+    A block fixes all but the last three axes; its points are built from
+    those axis indices, mapped onto the box and handed to f as one
+    coordinate-major batch.
     """
     lo, hi = f.support_lo, f.support_hi
     d = len(lo)
-    volume = float(np.prod(hi - lo))
-    lead = next(k for k in range(d + 1) if 24 ** (d - k) <= BLOCK_POINTS)
-    sums = []
+    lead = max(d - 3, 0)
+    count = 0
     for head in np.ndindex(*(24,) * lead):
         axes = [(np.arange(24) + 0.5) / 24 for _ in range(d)]
         axes[:lead] = [ax[i:i + 1] for ax, i in zip(axes, head)]
@@ -307,9 +306,43 @@ def box_measure_blocks(f: ScalarField) -> float:
         for i, ax in enumerate(axes):
             u[i] = ax.reshape((-1,) + (1,) * (d - 1 - i))
         u = u.reshape(d, -1).T
-        w = np.full(len(u), volume) / math.prod((24,) * d)
-        sums.append(np.sum(f((hi - lo) * u + lo) * w))
-    return math.fsum(sums)
+        count += int(np.count_nonzero(f((hi - lo) * u + lo)))
+    return count
+
+
+def ball_inside(s: MetivierStructure, delta: float):
+    """The indicator of heislab.families.ball_example's set written
+    directly on _row_dot: the points x with |x|^2 <= (10 delta)^2."""
+    r_ball = 10.0 * delta
+
+    def inside(pts):
+        return _row_dot(pts, pts) <= r_ball * r_ball
+
+    return inside
+
+
+def knapp_inside(s: MetivierStructure, delta: float):
+    """(indicator, time map) of heislab.families.knapp_example written
+    directly on _row_dot, in the frame of knapp_frame."""
+    two_n = 2 * s.n
+    C1 = c_one(s)
+    u_dir, v_dir, comp = knapp_frame(s)
+    hw_plane = C1 * delta
+
+    def plane_sq(ubar):
+        """|P ubar|^2 = (ubar.u)^2 + (ubar.v)^2."""
+        a, b = _row_dot(ubar, u_dir), _row_dot(ubar, v_dir)
+        return a * a + b * b
+
+    def inside(pts):
+        ubar = pts[:, :two_n]
+        # |P_perp ubar|^2 from the complement coordinates ubar.comp[:, k]
+        c, e = (_row_dot(ubar, w) for w in comp.T)
+        return ((c * c + e * e <= C1 * C1 * delta)
+                & (plane_sq(ubar) <= hw_plane * hw_plane)
+                & (np.abs(pts[:, two_n]) <= C1 * delta))
+
+    return inside, lambda pts: np.sqrt(plane_sq(pts[:, :two_n]))
 
 
 def row_dot_full(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -275,18 +275,18 @@ def test_unknown_key_exits_2(argv, keys, capsys):
 
 
 @pytest.mark.parametrize("argv, entry", [
-    (["group-check", "--set", "samples=1e3"], "samples=1e3"),
-    (["geometry", "--set", "points=x"], "points=x"),
-    (["geometry", "--set", "fold_points=2.5"], "fold_points=2.5"),
-    (["group-check", "--set", "n=x"], "n=x"),
-    (["region", "--set", "n=2.5"], "n=2.5"),
-    (["region", "--set", "m=one"], "m=one"),
+    (["group-check", "--set", "samples=1e3"], "samples='1e3'"),
+    (["geometry", "--set", "points=x"], "points='x'"),
+    (["geometry", "--set", "fold_points=2.5"], "fold_points='2.5'"),
+    (["group-check", "--set", "n=x"], "n='x'"),
+    (["region", "--set", "n=2.5"], "n='2.5'"),
+    (["region", "--set", "m=one"], "m='one'"),
     (["group-check", "--set", "kind=quaternionic", "--set", "blocks=1.0"],
-     "blocks=1.0"),
+     "blocks='1.0'"),
     (["counterexample", "--set", "family=stein", "--set", "j_lo=ten"],
-     "j_lo=ten"),
+     "j_lo='ten'"),
     (["counterexample", "--set", "family=stein", "--set", "j_hi=abc"],
-     "j_hi=abc"),
+     "j_hi='abc'"),
 ], ids=["samples", "points", "fold_points", "n", "region-n", "m", "blocks",
         "j_lo", "j_hi"])
 def test_bad_integer_names_its_key(argv, entry, capsys):
@@ -298,19 +298,44 @@ def test_bad_integer_names_its_key(argv, entry, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["group-check", "--set", "tolerance=abc"],
-     "tolerance=abc: must be a number"),
+     "tolerance='abc': must be a number"),
     (["counterexample", "--set", "family=stein", "--set", "alpha=x"],
-     "alpha=x: must be a number"),
+     "alpha='x': must be a number"),
     (["counterexample", "--set", "family=scaling", "--set", "n=1",
-      "--set", "t=1.5.0"], "t=1.5.0: must be a number"),
+      "--set", "t=1.5.0"], "t='1.5.0': must be a number"),
     (["group-check", "--set", "n=1", "--set", "tilt=1,x"],
-     "tilt=1,x: must be 2n finite numbers on a one-dimensional center"),
+     "tilt='1,x': must be 2n finite numbers on a one-dimensional center"),
 ], ids=["tolerance", "alpha", "t", "tilt"])
 def test_bad_real_names_its_key(argv, message, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, key, value, message", [
+    (["counterexample"], "tolerance", "a\nb", "must be a number"),
+    (["group-check"], "n", "a\nb", "must be an integer"),
+    # from Python 3.12 on, Fraction allows whitespace around the slash, so
+    # these reach the exponent checks; before, parse_rational refuses them
+    (["counterexample"], "p", "1\n/2",
+     "exponent must be >= 1 or inf|cannot parse rational"),
+    (["counterexample"], "q", "1" + "0" * 400 + "\n/1",
+     "exponent is too large for a float|cannot parse rational"),
+    (["group-check", "--set", "n=1"], "tilt", "1,\nx",
+     "must be 2n finite numbers"),
+    # float() allows a leading newline, so this tilt parses and is refused
+    (["group-check"], "tilt", "1e160,\n0,0,0", "Lambda entries"),
+], ids=["real", "integer", "exponent", "exponent-too-large", "tilt",
+        "tilt-refused"])
+def test_value_with_a_newline_prints_one_error_line(argv, key, value,
+                                                    message, capsys):
+    # the raw text is quoted by repr, so its newline stays on the one line
+    code, out, err = run([*argv, "--set", f"{key}={value}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(value) in err and re.search(message, err)
 
 
 def test_unknown_key_in_config_file_exits_2(tmp_path, capsys):

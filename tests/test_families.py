@@ -13,7 +13,7 @@ from heislab import cli, families, spheres
 from heislab.groups import (DomainError, MetivierStructure,
                             normalized_heisenberg, quaternionic_htype,
                             standard_heisenberg)
-from heislab.families import (BLOCK_POINTS, ParamRegion, _box_measure,
+from heislab.families import (ParamRegion, _box_measure, _lattice_count,
                               _row_dot, ball_example, c_one, c_ring, c_zero,
                               fit_exponent, fit_passes, knapp_example,
                               knapp_frame, moment_example, moment_structure,
@@ -21,7 +21,8 @@ from heislab.families import (BLOCK_POINTS, ParamRegion, _box_measure,
                               scaling_example, stein_growth_exponent,
                               stein_probe_curve)
 from heislab.spheres import ScalarField, sphere_rule, spherical_average_batch
-from oracles import box_measure_blocks, node_order_average, row_dot_full
+from oracles import (ball_inside, box_count_blocks, knapp_inside,
+                     node_order_average, row_dot_full)
 
 F = Fraction
 
@@ -44,17 +45,6 @@ def test_param_region_measure():
     assert np.max(np.hypot(pts[:, 0], pts[:, 1])) <= 1.0
 
 
-def box_indicator(lo, hi, box_lo, box_hi):
-    """Indicator of the box [lo, hi] declared on the larger box_lo..box_hi."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-
-    def ev(pts):
-        return np.all((pts >= lo) & (pts <= hi), axis=1).astype(float)
-
-    return ScalarField(ev, box_lo, box_hi)
-
-
 def support_lattice(f, count):
     """The midpoint lattice of f's support box, count nodes per axis."""
     lo, hi = f.support_lo, f.support_hi
@@ -74,79 +64,74 @@ def recording(f):
     return ScalarField(ev, f.support_lo, f.support_hi), seen
 
 
-def test_box_region_indicator_norms():
-    # on [-1, 1]^2 the 24-node lattice has spacing 1/12, so the box
-    # [0, 1/2] x [0, 3/4] holds 6 x 9 nodes and its measure is exact
-    f = box_indicator([0.0, 0.0], [0.5, 0.75], [-1.0, -1.0], [1.0, 1.0])
-    measure = _box_measure(f)
-    for p in (1.0, 2.0, 3.0):
-        assert measure ** (1.0 / p) == pytest.approx(0.375 ** (1.0 / p),
-                                                     rel=1e-12)
+TILTED_KNAPP = MetivierStructure(2, 1, normalized_heisenberg(2).J,
+                                 np.array([[0.1, 0.05, 0.0, 0.2]]))
+
+# the families whose measure is a lattice count; the tilted knapp frame
+# reads all four horizontal axes in each of its two disks, so they form
+# one group of 24^4 points
+LATTICE_FAMILIES = {
+    "ball-n1": lambda d: ball_example(standard_heisenberg(1), d),
+    "ball-n2": lambda d: ball_example(standard_heisenberg(2), d),
+    "knapp-n2": lambda d: knapp_example(normalized_heisenberg(2), d),
+    "knapp-tilted-n2": lambda d: knapp_example(TILTED_KNAPP, d),
+}
 
 
-def test_box_measure_scaling_law():
-    f = box_indicator([-1.0, -1.0], [1.0, 1.0], [-2.0, -2.0], [2.0, 2.0])
-    squeezed = ScalarField(lambda pts: f(2.0 * pts), f.support_lo,
-                           f.support_hi)
-    # |{x : 2x in E}| = 2^-dim |E|, dim = 2; both boxes lie on the lattice
-    assert _box_measure(f) == pytest.approx(4.0, rel=1e-12)
-    assert _box_measure(squeezed) == pytest.approx(1.0, rel=1e-12)
+@pytest.mark.parametrize("family", LATTICE_FAMILIES)
+def test_box_measure_matches_blockwise_oracle(family):
+    # the count by axis groups agrees exactly with the field evaluated on
+    # every lattice point, and the measure rounds once
+    for delta in (2.0 ** -3, 2.0 ** -4, 0.1):
+        f = LATTICE_FAMILIES[family](delta).field
+        count = _lattice_count(f)
+        assert count == box_count_blocks(f)
+        volume = float(np.prod(f.support_hi - f.support_lo))
+        assert _box_measure(f) == count * (volume / 24 ** len(f.support_lo))
 
 
-def warped_field():
-    """A smooth field on a 4-dimensional box: 24^4 = 331,776 lattice
-    points, so the box measure fixes one leading axis per block."""
-    return ScalarField(lambda x: np.cos(x[:, 0]) - x[:, 1] * x[:, 3],
-                       [-1.0, -2.0, 0.0, 0.5], [1.0, 1.0, 3.0, 2.0])
+@pytest.mark.parametrize("family, want", [
+    ("ball-n1", 7208),
+    ("ball-n2", 1314240),
+    # a disk in the plane axes, one in the complement axes, and the slab
+    ("knapp-n2", 448 * 448 * 24),
+], ids=["ball-n1", "ball-n2", "knapp-n2"])
+def test_lattice_counts_are_fixed_along_the_ladder(family, want, monkeypatch):
+    # the support box scales with the set, so every rung counts the same
+    # lattice points.  The counts read no sphere rule, and the 2^-7 rules
+    # take up to 128 MiB
+    monkeypatch.setattr(families, "sphere_rule", lambda *args, **kw: None)
+    for k in range(3, 8):
+        assert _lattice_count(LATTICE_FAMILIES[family](2.0 ** -k).field) == want
 
 
-def test_box_measure_blocks_match_one_shot():
-    assert 24 ** 4 > BLOCK_POINTS >= 24 ** 3
-    f, seen = recording(warped_field())
-    pts, w = support_lattice(f, 24).points_and_weights()
-    # a block fixes the leading axis: 24 slices of the one-shot lattice
-    blocks = np.split(pts, 24)
-    want = math.fsum(f(pts) * w)
-    del seen[:]
-    batches = []
-
-    def ev(x):
-        batches.append(np.array(x))
-        return f(x)
-
-    measure = _box_measure(ScalarField(ev, f.support_lo, f.support_hi))
-    assert measure == pytest.approx(want, rel=1e-15, abs=0.0)
-    assert [shape for shape, _ in seen] == [(24 ** 3, 4)] * 24
-    assert all(np.array_equal(x, b) for x, b in zip(batches, blocks))
-
-
-def test_box_measure_nan_in_a_later_block():
-    field = warped_field()
-    pts, _ = support_lattice(field, 24).points_and_weights()
-    last = np.split(pts, 24)[23][-1]
-
-    def ev(x):
-        out = field(x)
-        out[np.all(x == last, axis=1)] = np.nan
-        return out
-
-    measure = _box_measure(ScalarField(ev, field.support_lo,
-                                       field.support_hi))
-    assert math.isnan(measure)
-    inst = moment_example(0.125)
-    with pytest.raises(DomainError, match="not positive and finite"):
-        replace(inst, measure=measure)
-
-
-@pytest.mark.parametrize("f", [
-    ball_example(standard_heisenberg(1), 2 ** -3).field,
-    ball_example(standard_heisenberg(2), 2 ** -3).field,
-    knapp_example(normalized_heisenberg(2), 2 ** -3).field,
-    warped_field(),
-], ids=["ball-n1", "ball-n2", "knapp-n2", "warped"])
-def test_box_measure_matches_blockwise_oracle(f):
-    # the shared trailing lattice changes no bit of the sum
-    assert _box_measure(f) == box_measure_blocks(f)
+@pytest.mark.parametrize("family", LATTICE_FAMILIES)
+def test_conditions_match_the_closures(family):
+    # the Conditions give the booleans, and knapp's time map the bits, of
+    # the closures written directly on _row_dot, on random points of the
+    # support box and on points scaled to within a few ulp of each bound
+    rng = np.random.default_rng(11)
+    for delta in (2.0 ** -3, 0.1):
+        inst = LATTICE_FAMILIES[family](delta)
+        s, f = inst.structure, inst.field
+        if family.startswith("knapp"):
+            inside, time = knapp_inside(s, delta)
+        else:       # the ball's time map is unchanged
+            inside, time = ball_inside(s, delta), None
+        x = rng.uniform(f.support_lo, f.support_hi, (4000, s.d))
+        batches = [x]
+        for c in f.evaluator.items:
+            scale = (c.bound / c.value(x.T)) ** (0.5 if c.squares else 1.0)
+            near = [x * (scale * (1.0 + j * 2.0 ** -52))[:, None]
+                    for j in range(-3, 4)]
+            holds = np.concatenate([c.value(y.T) <= c.bound for y in near])
+            assert holds.any() and not holds.all()
+            batches += near
+        for y in batches:
+            y = np.ascontiguousarray(y.T).T
+            assert np.array_equal(f(y), inside(y))
+            if time is not None:
+                assert inst.time(y).tobytes() == time(y).tobytes()
 
 
 def test_instance_rejects_a_bad_measure():
@@ -157,15 +142,17 @@ def test_instance_rejects_a_bad_measure():
 
 
 def test_field_region_norm_memory_is_bounded():
-    # the 24^5 box measure: 8.0e6 points, 318 MB as one array, 576 blocks
-    f = ball_example(standard_heisenberg(2), 0.125).field
-    tracemalloc.start()
-    try:
-        _box_measure(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    # the 24^5 ball lattice: 8.0e6 points, 318 MB as one array, counted in
+    # 576 chunks of 24^3; the tilted knapp group: 24 chunks of 24^3
+    for family in ("ball-n2", "knapp-tilted-n2"):
+        f = LATTICE_FAMILIES[family](0.125).field
+        tracemalloc.start()
+        try:
+            _box_measure(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 def test_field_region_seed_denominators():
@@ -183,18 +170,15 @@ def test_field_region_seed_denominators():
 def test_batches_are_coordinate_major(monkeypatch):
     inst = ball_example(standard_heisenberg(2), 0.125)
     f, seen = recording(inst.field)
-    # 24^5 points in 576 blocks
-    _box_measure(f)
-    assert len(seen) == 576
     pts, _ = inst.test_region.points_and_weights()
     f(pts)
-    assert len(seen) == 577
+    assert len(seen) == 1
     t = np.clip(inst.time(pts), 1.0, 2.0)
     # a small chunk splits the sphere images into several batches
     monkeypatch.setattr(spheres, "CHUNK_WORK", 20000)
     assert spherical_average_batch(inst.structure, f, t, pts,
                                    inst.rule).max() > 0
-    assert len(seen) > 578
+    assert len(seen) > 2
     assert all(shape[1] == 5 and f_order for shape, f_order in seen)
 
 
@@ -303,6 +287,9 @@ def test_fields_match_full_row_dots(inst, monkeypatch):
     field, times = inst.field(x), inst.time(x)
     assert 0 < np.count_nonzero(field) < len(x)
     monkeypatch.setattr(families, "_row_dot", row_dot_full)
+    # a Condition skips its zero coefficients as _row_dot does
+    monkeypatch.setattr(families.Condition, "_terms", property(
+        lambda c: [list(enumerate(row)) for row in c.rows]))
     assert inst.field(x).tobytes() == field.tobytes()
     assert inst.time(x).tobytes() == times.tobytes()
 
