@@ -230,7 +230,7 @@ def _ball(rng, dim, radius):
     return v * radius * rng.uniform() ** (1.0 / dim)
 
 
-def sample_chart_point(s: MetivierStructure, rng: np.random.Generator,
+def sample_chart_point(s: MetivierStructure, rng: "np.random.Generator",
                        on_fold: bool = False):
     """One seeded chart point (x, t, y).
 

@@ -1,8 +1,12 @@
 """Command line driver: exit codes, config handling, output determinism."""
 
 import io
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -760,3 +764,40 @@ def test_out_writes_the_stdout_bytes(argv, tmp_path, capsys):
     path = tmp_path / "out"
     assert run(argv + ["--out", str(path)], capsys) == (code, "", "")
     assert path.read_bytes() == out.encode()
+
+
+# --- imports --------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Run in a fresh interpreter: prints "skip" when numpy itself loads
+# numpy.random (numpy 1.x), else the sampling modules loaded after the
+# sample-free commands, then after one sampling command.
+IMPORT_PROBE = """
+import contextlib, io, sys
+import numpy
+if "numpy.random" in sys.modules:
+    print("skip")
+    sys.exit()
+import heislab
+from heislab import cli
+SAMPLING = ("numpy.random", "secrets", "_hashlib")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["region"]) == 0
+    assert cli.main(["counterexample", "--set", "family=moment"]) == 0
+print([m for m in SAMPLING if m in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["geometry", "--set", "points=1",
+                     "--set", "fold_points=0"]) == 0
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_sample_free_commands_load_no_random_module():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    if done.stdout == "skip\n":
+        pytest.skip("import numpy loads numpy.random itself (numpy 1.x)")
+    assert done.stdout == "[]\nTrue\n"
