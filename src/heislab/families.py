@@ -12,12 +12,14 @@ so thin slabs are integrated in coordinates aligned with their thin
 directions.  All per-axis lattice counts are fixed along the ladder while
 the coordinate ranges scale linearly with delta; relative quadrature bias
 is then delta-independent and cancels in the fitted slope.  The scaling
-and moment sets have closed-form measures.  The ball and knapp sets are
-declared as Conditions on linear forms of the point, which give both
-their indicator and their measure: the count of the 24^d midpoint lattice
-of a support box that scales as the set does.  Conditions that share no
-axis are counted apart and their counts multiplied, and each group of
-axes is walked in chunks of at most BLOCK_POINTS lattice points.
+and moment sets have closed-form measures; the scaling set's indicator is
+a closure, since its shell needs a square root.  The ball, knapp and
+moment sets are declared as Conditions on linear forms of the point,
+which give their indicator.  For ball and knapp they give the measure
+too: the count of the 24^d midpoint lattice of a support box that scales
+as the set does.  Conditions that share no axis are counted apart and
+their counts multiplied, and each group of axes is walked in chunks of at
+most BLOCK_POINTS lattice points.
 """
 
 import math
@@ -246,8 +248,8 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     its order, and with it every bit of the result, depends neither on the
     memory order of x nor on where a batch is split.  The scaling field
     and the ball and scaling time maps take their norms and dot products
-    from here, the Conditions of ball and knapp from Condition.value,
-    which adds in the same order.
+    from here, the Conditions of ball, knapp and moment from
+    Condition.value, which adds in the same order.
 
     A 1-D y skips its coefficients equal to zero, 0.0 and -0.0 alike, as
     a zero Lambda has them.  For finite x
@@ -622,18 +624,17 @@ def moment_example(delta: float) -> ExampleInstance:
     """Sheared box matched to the circle average on the 3-dimensional group.
 
     Field: indicator of |y1| <= (2 delta)^2, |y2| <= 2 delta,
-    |y3 + y2| <= (2 delta)^3.  Test region: |x1 - 1| <= delta^2,
+    |y2 + y3| <= (2 delta)^3, declared as Conditions; its measure is the
+    closed form 8 (2 delta)^6.  Test region: |x1 - 1| <= delta^2,
     |x2| <= delta, |x3| <= delta^3, fixed time t = 1.
     """
     _check_delta(delta)
     s = moment_structure()
-
-    def inside(pts):
-        return ((np.abs(pts[:, 0]) <= (2 * delta) ** 2)
-                & (np.abs(pts[:, 1]) <= 2 * delta)
-                & (np.abs(pts[:, 2] + pts[:, 1]) <= (2 * delta) ** 3))
-
     hw1, hw2, hw3 = (2 * delta) ** 2, 2 * delta, (2 * delta) ** 3
+    inside = Conditions((
+        Condition(np.array([[1.0, 0.0, 0.0]]), hw1, squares=False),
+        Condition(np.array([[0.0, 1.0, 0.0]]), hw2, squares=False),
+        Condition(np.array([[0.0, 1.0, 1.0]]), hw3, squares=False)))
     lo = np.array([-hw1, -hw2, -(hw3 + hw2)])
     f = ScalarField(inside, lo, -lo)
 
@@ -785,7 +786,7 @@ def run_ladder(make_instance: Callable[[float], ExampleInstance],
             # parent runs twice.  Python 3.12 and later warn with a
             # DeprecationWarning when a process with threads forks, as one with
             # OpenBLAS's pool does; the warning is left alone.  Only Python 3.11
-            # has run this fork, so its behaviour under 3.12 is unverified.
+            # has run this fork outside CI, whose matrix runs 3.10 to 3.13.
             try:
                 pid = os.fork()
             except OSError:

@@ -40,15 +40,34 @@ GRID_TOL = 1e-12
 WIDE_WINDOW_FRACTION = 0.4
 
 # Most window nodes per chunk of points in spherical_average_batch, and
-# most hit pairs per block of a chunk (see _blocks).  Larger chunks cost
-# less numpy call overhead but hold more memory: one average of the four
-# h2-thin rungs (ball and knapp on H^2 at delta = 2^-3, 2^-4) peaks at
-# 2.3-2.9, 3.5-4.1, 4.0-4.8 and 8.4-8.7 MiB of memory traced by
-# tracemalloc at 12500, 20000, 25000 and 50000, and at 50000 the h2-thin
-# bench's peak RSS was 54.0 MiB against 45.3 MiB at 20000.  Their averages
-# took 1.01, 1.03 and 0.97 s in all at the first three sizes (2-core Xeon,
-# medians of 7 interleaved runs), within the runs' spread.
-CHUNK_WORK = 20000
+# most hit pairs per block of a chunk (see _blocks).  Larger blocks make
+# fewer numpy calls but hold more memory, and in a process that rates
+# ladder rungs the blocks of one average set the peak RSS.  Per size
+# (2-core Xeon, Python 3.11.7, numpy 2.4.6): the bench workers' wall_s
+# and peak RSS, medians of 6 runs of bench/worker.py --seconds 8 with the
+# sizes alternating; minor faults per pass of the worker and its forked
+# ladder children, set-up subtracted; and the peak that tracemalloc
+# traces in one average, the largest of the four h2-thin rungs (ball and
+# knapp on H^2 at delta = 2^-3, 2^-4) and the ball rung on H^1 at 2^-7:
+#
+#   CHUNK_WORK               20000  16000  14000  12500  12000  10000   8000
+#   h2-thin wall_s (ms)        656    710    749    677    733    632    678
+#   h2-thin peak RSS (MiB)    38.6   37.9   37.7   37.1   36.7   36.6   36.1
+#   h2-thin faults / pass    45.4k  39.2k  25.7k  22.2k  22.1k  20.9k  14.5k
+#   h1-ladders wall_s (ms)     113    138    128    119    121    122    149
+#   h1-ladders RSS (MiB)      36.7   36.1   35.8   35.7   35.5   35.1   34.8
+#   h1-ladders faults / pass 14.2k  15.9k  14.1k  15.5k  14.1k  13.6k  11.8k
+#   traced, H^2 (MiB)         4.13   3.36   3.08   2.86   2.79   2.53   2.43
+#   traced, H^1 (MiB)         2.70   2.17   1.90   1.70   1.64   1.37   1.11
+#
+# The wall times swing by up to 30% between runs, with the host's speed,
+# so they do not rank the sizes.  From 20000 to 12000, twenty alternating
+# pairs of the 30 s bench moved the wall_s medians by -5% to +3% on
+# h2-thin and +4% to +8% on h1-ladders, and an in-process serial pass of
+# the 15 h1-ladders rungs fell from 118 to 108 ms (lower in 17 of 20).
+# Below 12000 the H^2 peak falls little more: at 8000 it is the (P, L)
+# window arrays of _windows, 2.4 MiB on the ball rung at 2^-4.
+CHUNK_WORK = 12000
 
 
 @dataclass(frozen=True)

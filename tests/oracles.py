@@ -16,7 +16,8 @@ package's own evaluations:
   * is_member and parse_region_csv for the exact rational regions;
   * box_count_blocks, the support-box lattice count with every block's
     points built afresh and the field evaluated on them, ball_inside and
-    knapp_inside, the ball and knapp sets as closures on _row_dot, and
+    knapp_inside, the ball and knapp sets as closures on _row_dot,
+    moment_inside, the moment set as a closure on the coordinates, and
     row_dot_full, the row dot product that skips no zero coefficient;
   * node_order_average, the spherical average with no node culled.
 
@@ -343,6 +344,19 @@ def knapp_inside(s: MetivierStructure, delta: float):
                 & (np.abs(pts[:, two_n]) <= C1 * delta))
 
     return inside, lambda pts: np.sqrt(plane_sq(pts[:, :two_n]))
+
+
+def moment_inside(delta: float):
+    """The indicator of heislab.families.moment_example's set written
+    directly on the coordinates: |y1| <= (2 delta)^2, |y2| <= 2 delta and
+    |y3 + y2| <= (2 delta)^3."""
+
+    def inside(pts):
+        return ((np.abs(pts[:, 0]) <= (2 * delta) ** 2)
+                & (np.abs(pts[:, 1]) <= 2 * delta)
+                & (np.abs(pts[:, 2] + pts[:, 1]) <= (2 * delta) ** 3))
+
+    return inside
 
 
 def row_dot_full(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from heislab.families import (ParamRegion, _box_measure, _lattice_count,
                               stein_probe_curve)
 from heislab.spheres import ScalarField, sphere_rule, spherical_average_batch
 from oracles import (ball_inside, box_count_blocks, knapp_inside,
-                     node_order_average, row_dot_full)
+                     moment_inside, node_order_average, row_dot_full)
 
 F = Fraction
 
@@ -105,17 +105,25 @@ def test_lattice_counts_are_fixed_along_the_ladder(family, want, monkeypatch):
         assert _lattice_count(LATTICE_FAMILIES[family](2.0 ** -k).field) == want
 
 
-@pytest.mark.parametrize("family", LATTICE_FAMILIES)
+# the families whose sets are declared as Conditions: moment's measure is
+# a closed form, not a lattice count
+CONDITION_FAMILIES = {**LATTICE_FAMILIES, "moment": moment_example}
+
+
+@pytest.mark.parametrize("family", CONDITION_FAMILIES)
 def test_conditions_match_the_closures(family):
     # the Conditions give the booleans, and knapp's time map the bits, of
-    # the closures written directly on _row_dot, on random points of the
-    # support box and on points scaled to within a few ulp of each bound
+    # the closures written directly on _row_dot or on the coordinates, on
+    # random points of the support box and on points scaled to within a
+    # few ulp of each bound
     rng = np.random.default_rng(11)
     for delta in (2.0 ** -3, 0.1):
-        inst = LATTICE_FAMILIES[family](delta)
+        inst = CONDITION_FAMILIES[family](delta)
         s, f = inst.structure, inst.field
         if family.startswith("knapp"):
             inside, time = knapp_inside(s, delta)
+        elif family == "moment":
+            inside, time = moment_inside(delta), None
         else:       # the ball's time map is unchanged
             inside, time = ball_inside(s, delta), None
         x = rng.uniform(f.support_lo, f.support_hi, (4000, s.d))
@@ -153,6 +161,24 @@ def test_field_region_norm_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+def test_sphere_average_memory_is_bounded():
+    # one average of the ball and knapp rungs on H^2 at delta = 2^-3, the
+    # h2-thin bench's first rungs: its blocks of at most CHUNK_WORK window
+    # nodes or hit pairs hold its working set to about 2.5 MiB
+    for family in ("ball-n2", "knapp-n2"):
+        inst = LATTICE_FAMILIES[family](0.125)
+        pts, _ = inst.test_region.points_and_weights()
+        t = np.clip(inst.time(pts), 1.0, 2.0)
+        tracemalloc.start()
+        try:
+            spherical_average_batch(inst.structure, inst.field, t, pts,
+                                    inst.rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
 
 
 def test_field_region_seed_denominators():
