@@ -79,9 +79,15 @@ class MetivierStructure:
         return 2 * self.n + self.m
 
     def J_theta(self, theta):
-        """Sum theta_i J_i for theta in R^m, broadcast over leading axes."""
+        """Sum theta_i J_i for theta in R^m, broadcast over leading axes.
+
+        theta of shape (..., m) gives shape (..., 2n, 2n).  This is the one
+        matrix product np.tensordot(theta, J, axes=(-1, 0)) makes, bit for
+        bit, without its axis bookkeeping.
+        """
         theta = np.asarray(theta, dtype=float)
-        return np.tensordot(theta, self.J, axes=(-1, 0))
+        flat = np.dot(theta.reshape(-1, self.m), self.J.reshape(self.m, -1))
+        return flat.reshape(theta.shape[:-1] + self.J.shape[1:])
 
     def Lambda_theta(self, theta):
         """Sum theta_i Lambda_i, a row vector in R^{2n}."""
@@ -229,20 +235,32 @@ def theta_grid(m):
     raise DomainError("theta grids implemented for m <= 3")
 
 
+# Most theta per block of smallness_margin: bounds the temporaries of the
+# m = 3 grid's 10^4 singular value decompositions.
+MARGIN_BLOCK = 1000
+
+
 def smallness_margin(s):
     """min over a theta-grid of sigma_min(J^theta) - |Lambda^theta|.
 
     A positive value certifies the tilt-smallness condition on the grid.
     Where J^theta is (numerically) singular the margin is -|Lambda^theta|,
-    so a singular J^theta never certifies.
+    so a singular J^theta never certifies.  The grid is walked in blocks
+    of MARGIN_BLOCK; each matrix gets its own LAPACK call either way, and
+    a minimum does not depend on the order, so the value has the bits of
+    a whole-grid pass.
     """
     thetas = theta_grid(s.m)
-    Jt = np.tensordot(thetas, s.J, axes=(1, 0))          # (T, 2n, 2n)
-    svals = np.linalg.svd(Jt, compute_uv=False)
-    smin = svals[:, -1]
-    lam_norm = np.linalg.norm(thetas @ s.Lambda, axis=1)
-    singular = smin <= 1e-12 * np.maximum(1.0, svals[:, 0])
-    return float(np.where(singular, -lam_norm, smin - lam_norm).min())
+    margin = math.inf
+    for start in range(0, len(thetas), MARGIN_BLOCK):
+        block = thetas[start:start + MARGIN_BLOCK]
+        svals = np.linalg.svd(s.J_theta(block), compute_uv=False)
+        smin = svals[:, -1]
+        lam_norm = np.linalg.norm(block @ s.Lambda, axis=1)
+        singular = smin <= 1e-12 * np.maximum(1.0, svals[:, 0])
+        margin = np.minimum(margin, np.where(singular, -lam_norm,
+                                             smin - lam_norm).min())
+    return float(margin)
 
 
 def skew_inverse_norm(rho, B):

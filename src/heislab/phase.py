@@ -13,8 +13,9 @@ command certifies with certify_point:
     block and the curvature of the cone y -> Xi(x,t,y) have rank d-1, and
     the diagonal curvature scalar c has |c| >= c_bound - C_SLACK, its
     certified floor.  The curvature matrix is the y-derivative of
-    <N, Xi_y>, one central difference of the analytic Xi_y (see
-    curvature_matrix).
+    <N, Xi_y> (see curvature_matrix): a central difference of the analytic
+    Xi_y along the chart slots y', and along the slots (y_{2n}, ybar), in
+    which Phi is linear and Xi_y affine, one unit difference, exact.
 
 Every rank uses the one cutoff of _rank.  A point that breaks one of these
 deviates.  Only the tests check the determinant identity, the fold cone's
@@ -40,7 +41,8 @@ class ChartError(DomainError):
 
 # Radii of the y' ball and of the ubar x perturbation in sample_chart_point.
 YPRIME_RADIUS = X_PERTURBATION = 0.1
-# Step of the central differences of Xi_y that give the curvature matrix.
+# Step of the central differences of Xi_y along the chart slots y' that
+# give the curvature matrix.
 FD_STEP = 1e-4
 # Slack of the fold-point check |c| >= c_bound - C_SLACK.
 C_SLACK = 1e-8
@@ -205,19 +207,28 @@ def curvature_matrix(s: MetivierStructure, x: np.ndarray, t: float,
                      y: np.ndarray, N: np.ndarray):
     """(C, rank C) for the curvature matrix C_{jl} = d <N, Xi_{y_j}> / dy_l.
 
-    Central differences of the analytic xi_y at FD_STEP and FD_STEP/2,
-    combined by one Richardson step and symmetrized; N is held fixed while
-    y varies.
+    Along the 2n-1 chart slots y', central differences of the analytic xi_y
+    at FD_STEP and FD_STEP/2, combined by one Richardson step.  Xi_y is
+    affine in the slots (y_{2n}, ybar), since the phase is linear in them,
+    so along each of those one unit forward difference from the shared
+    xi_y(y) is exact.  C is the symmetrized D; N is held fixed while y
+    varies.
     """
-    def jacobian(h):
-        D = np.empty((s.d, s.d))
-        for l in range(s.d):
-            yp = np.array(y); yp[l] += h
-            ym = np.array(y); ym[l] -= h
-            D[:, l] = N @ (xi_y(s, x, t, yp) - xi_y(s, x, t, ym)) / (2.0 * h)
-        return D
+    k = 2 * s.n - 1
+    D = np.empty((s.d, s.d))
 
-    D = (4.0 * jacobian(FD_STEP / 2.0) - jacobian(FD_STEP)) / 3.0
+    def chart_column(l, h):
+        yp = np.array(y); yp[l] += h
+        ym = np.array(y); ym[l] -= h
+        return N @ (xi_y(s, x, t, yp) - xi_y(s, x, t, ym)) / (2.0 * h)
+
+    for l in range(k):
+        D[:, l] = (4.0 * chart_column(l, FD_STEP / 2.0)
+                   - chart_column(l, FD_STEP)) / 3.0
+    base = xi_y(s, x, t, y)
+    for l in range(k, s.d):
+        yl = np.array(y); yl[l] += 1.0
+        D[:, l] = N @ (xi_y(s, x, t, yl) - base)
     C = (D + D.T) / 2.0
     return C, _rank(np.linalg.svd(C, compute_uv=False))
 

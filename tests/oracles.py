@@ -3,6 +3,8 @@
 Nothing in heislab, the demos or the bench calls these; they check the
 package's own evaluations:
 
+  * whole_grid_margin, the smallness margin over the whole theta grid at
+    once;
   * phi and its defining functions, whose differences test the gradient
     xi, whose differences in turn test the analytic xi_y;
   * det_identity_rhs, the closed form of det Pi Xi_y;
@@ -30,7 +32,7 @@ from typing import Tuple
 import numpy as np
 
 from heislab.families import _row_dot, c_one, knapp_frame
-from heislab.groups import DomainError, MetivierStructure
+from heislab.groups import DomainError, MetivierStructure, theta_grid
 from heislab.phase import (FD_STEP, _chart, _g_hess, _linear_columns,
                            _rank, _split_x, c_value, sigma_value, xi_y,
                            y2n_on_fold)
@@ -42,6 +44,19 @@ TRANSVERSAL_STEP = 1e-5     # central differences of fold_transversality
 # above its differencing noise floor (about 1e-7 relative) and well below
 # any curvature the fold cone has.
 CURVATURE_TOL = 1e-5
+
+
+# --- groups --------------------------------------------------------------
+
+def whole_grid_margin(s: MetivierStructure) -> float:
+    """heislab.groups.smallness_margin in one pass over the whole theta grid."""
+    thetas = theta_grid(s.m)
+    Jt = np.tensordot(thetas, s.J, axes=(1, 0))          # (T, 2n, 2n)
+    svals = np.linalg.svd(Jt, compute_uv=False)
+    smin = svals[:, -1]
+    lam_norm = np.linalg.norm(thetas @ s.Lambda, axis=1)
+    singular = smin <= 1e-12 * np.maximum(1.0, svals[:, 0])
+    return float(np.where(singular, -lam_norm, smin - lam_norm).min())
 
 
 # --- phase ---------------------------------------------------------------

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heislab import groups
 from heislab.groups import (DimensionMismatch, DomainError,
                             MetivierStructure, dilate, group_inverse,
                             group_multiply, normalized_heisenberg,
                             quaternionic_htype, radon_hurwitz,
                             skew_inverse_norm, smallness_margin,
                             standard_heisenberg, theta_grid)
+from oracles import whole_grid_margin
 
 
 def random_point(rng, s, scale=2.0):
@@ -209,6 +211,23 @@ def test_quaternionic_htype_identity():
     assert np.allclose(sv, 1.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_j_theta_is_tensordot(m):
+    # the broadcast contract: theta (..., m) gives (..., 2n, 2n), with the
+    # bits of tensordot, on the quaternionic units and on random skew J
+    rng = np.random.default_rng(29 + m)
+    raw = rng.standard_normal((m, 4, 4))
+    for s in (quaternionic_htype(1, m),
+              MetivierStructure(n=2, m=m, J=raw - raw.transpose(0, 2, 1),
+                                Lambda=np.zeros((m, 4)))):
+        for shape in ((m,), (7, m), (3, 5, m)):
+            theta = rng.standard_normal(shape)
+            got = s.J_theta(theta)
+            want = np.tensordot(theta, s.J, axes=(-1, 0))
+            assert got.shape == shape[:-1] + (4, 4)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_structure_validation():
     with pytest.raises(DimensionMismatch):
         MetivierStructure(n=1, m=1, J=np.ones((1, 2, 2)),
@@ -291,6 +310,18 @@ def test_margin_degenerate_flag():
     J = np.array([[[0.0, -1e-13], [1e-13, 0.0]]])
     s = MetivierStructure(n=1, m=1, J=J, Lambda=np.zeros((1, 2)))
     assert smallness_margin(s) == 0.0
+
+
+@pytest.mark.parametrize("block", [groups.MARGIN_BLOCK, 300])
+def test_margin_blocks_match_whole_grid(monkeypatch, block):
+    # the m = 3 grid of 10^4 theta in blocks (300 leaves a short last
+    # block) gives the whole-grid minimum bit for bit
+    monkeypatch.setattr(groups, "MARGIN_BLOCK", block)
+    q = quaternionic_htype(1, 3)
+    tilt = 0.05 * np.random.default_rng(31).standard_normal((3, 4))
+    for s in (q, MetivierStructure(n=q.n, m=q.m, J=q.J, Lambda=tilt)):
+        assert smallness_margin(s) == whole_grid_margin(s)
+    assert smallness_margin(s) < smallness_margin(q)    # the tilt counts
 
 
 def test_theta_grid_shapes():

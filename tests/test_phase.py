@@ -273,9 +273,9 @@ def test_normal_is_orthogonal_unit():
 
 
 def test_curvature_matches_block_form_at_matched_points():
-    # the central difference of the analytic xi_y is exact to rounding
-    # (0.6-1.9e-12 here).  The tilt has a nonzero e_{2n} entry, which
-    # enters c and the rows of A.
+    # the differences of the analytic xi_y are exact to rounding (at most
+    # 1.1e-12 off here; the fiber slots' unit differences are exact).  The
+    # tilt has a nonzero e_{2n} entry, which enters c and the rows of A.
     h2 = standard_heisenberg(2)
     tilted = MetivierStructure(2, 1, h2.J, np.array([[0.1, 0.05, 0.0, 0.2]]))
     for s in (h2, quaternionic_htype(1, 3), tilted):
@@ -287,6 +287,34 @@ def test_curvature_matches_block_form_at_matched_points():
             C_an = curvature_block_form(s, x, t, y, N)
             assert np.max(np.abs(C_fd - C_an)) <= 1e-9
             assert rank == s.d - 1
+
+
+def test_xi_y_is_affine_in_the_fiber_slots():
+    # curvature_matrix differences the slots (y_2n, ybar) once with a unit
+    # step, which is exact because Xi_y is affine in them; along a chart
+    # slot y' the same check fails, so it can tell affine from curved
+    h2 = standard_heisenberg(2)
+    tilted = MetivierStructure(2, 1, h2.J, np.array([[0.1, 0.05, 0.0, 0.2]]))
+
+    def defect(s, x, t, y, l, a, step):
+        base = xi_y(s, x, t, y)
+        e = np.zeros(s.d)
+        e[l] = step
+        dev = xi_y(s, x, t, y + a * e) - base - a * (xi_y(s, x, t, y + e)
+                                                     - base)
+        return np.max(np.abs(dev)) / np.max(np.abs(base))
+
+    for s in (h2, quaternionic_htype(1, 3), tilted):
+        rng = np.random.default_rng(53)
+        k = 2 * s.n - 1
+        for _ in range(15):
+            x, t, y = sample_chart_point(s, rng, on_fold=True)
+            for a in (-2.0, 0.5):
+                for l in range(k, s.d):
+                    assert defect(s, x, t, y, l, a, 1.0) <= 1e-12
+            for l in range(k):
+                assert max(defect(s, x, t, y, l, a, 0.01)
+                           for a in (-2.0, 0.5)) >= 1e-6
 
 
 def test_c_value_lower_bound_matched_frame():
