@@ -172,13 +172,19 @@ def _cell(value):
     return str(value)
 
 
-def _table(columns, rows, head=(), tail=()):
-    """CSV bytes: the schema line, '# ' head comments, the column row, one
-    line per row, then '# ' tail comments."""
-    lines = ["# schema=1"] + [f"# {c}" for c in head] + [",".join(columns)]
-    lines += [",".join(_cell(v) for v in row) for row in rows]
-    lines += [f"# {c}" for c in tail]
-    return ("\n".join(lines) + "\n").encode()
+def _row(values):
+    """One CSV line of cells."""
+    return ",".join(_cell(v) for v in values)
+
+
+def _table(columns, lines, head=(), tail=()):
+    """CSV bytes: the schema line, '# ' head comments, the column row, the
+    row lines (each made by _row), then '# ' tail comments."""
+    out = ["# schema=1"] + [f"# {c}" for c in head] + [",".join(columns)]
+    out += lines
+    out += [f"# {c}" for c in tail]
+    out.append("")     # so that the text ends in a newline
+    return "\n".join(out).encode()
 
 
 # --- subcommands: each maps (cfg, args) to (output bytes, exit code) -----
@@ -222,7 +228,8 @@ def cmd_group_check(cfg, args):
         worst_h = np.max(np.abs(dev))
         failed = not worst_h <= tol
         rows.append(("htype", worst_h, tol, "FAIL" if failed else "pass"))
-    return (_table(["check", "worst_error", "tolerance", "status"], rows),
+    return (_table(["check", "worst_error", "tolerance", "status"],
+                   map(_row, rows)),
             1 if failed else 0)
 
 
@@ -231,25 +238,36 @@ def cmd_lemma_check(cfg, args):
     tol = _real(cfg, "tolerance", 1e-10)
     cfg.reject_unread()
     rng = np.random.default_rng(args.seed)
-    rows = []
-    for _ in range(count):
+    # one sample at a time in the order of the generator's draws: the size,
+    # the matrix, then rho (0 becomes 1)
+    draws = {}
+    for i in range(count):
         size = int(rng.integers(2, 9))
         raw = rng.standard_normal((size, size))
-        B = raw - raw.T
         rho = float(rng.uniform(-2.0, 2.0))
-        if rho == 0.0:
-            rho = 1.0
-        got = float(groups.skew_inverse_norm(rho, B))
-        brute = float(np.linalg.norm(
-            np.linalg.inv(rho * np.eye(size) + B), 2))
-        rel = float(abs(got - brute) / brute)
+        draws.setdefault(size, []).append((i, raw, 1.0 if rho == 0.0 else rho))
+    # the checks run on one stack per size; every LAPACK call still takes
+    # one matrix, so each row has the bits of its own evaluation
+    rows = [None] * count
+    for size, samples in draws.items():
+        index, raw, rho = zip(*samples)
+        raw, rho = np.array(raw), np.array(rho)
+        B = raw - np.swapaxes(raw, 1, 2)
+        got = groups.skew_inverse_norm(rho, B)
+        brute = np.linalg.norm(
+            np.linalg.inv(rho[:, None, None] * np.eye(size) + B), 2,
+            axis=(1, 2))
+        rel = np.abs(got - brute) / brute
         ok = rel <= tol
         if size % 2 == 1:
-            ok = ok and abs(got - 1.0 / abs(rho)) <= tol / abs(rho)
-        rows.append((size, rho, got, brute, rel, "pass" if ok else "FAIL"))
+            ok &= np.abs(got - 1.0 / np.abs(rho)) <= tol / np.abs(rho)
+        for i, *cells, passed in zip(index, rho.tolist(), got.tolist(),
+                                     brute.tolist(), rel.tolist(),
+                                     ok.tolist()):
+            rows[i] = _row((size, *cells, "pass" if passed else "FAIL"))
     return (_table(["size", "rho", "formula", "bruteforce", "rel_error",
                     "status"], rows),
-            1 if any(row[-1] == "FAIL" for row in rows) else 0)
+            1 if any(row.endswith("FAIL") for row in rows) else 0)
 
 
 def cmd_geometry(cfg, args):
@@ -262,20 +280,22 @@ def cmd_geometry(cfg, args):
     margin = groups.smallness_margin(s)
     certified = margin > 0
     rng = np.random.default_rng(args.seed)
-    reports = []
-    # the generic points, then the fold points
+    # the generic points, then the fold points; a report is formatted as
+    # soon as it is made, so that only the row text outlives it
+    rows, deviations = [], 0
     for on_fold in [False] * points + [True] * fold_points:
         x, t, y = phase.sample_chart_point(s, rng, on_fold=on_fold)
-        reports.append(phase.certify_point(s, x, t, y, on_fold=on_fold))
-    deviations = sum(r.deviates for r in reports)
+        r = phase.certify_point(s, x, t, y, on_fold=on_fold)
+        deviations += r.deviates
+        # rank_curv is -1 at the generic points, which skip the curvature
+        rows.append(_row((*r.x, r.t, *r.y, r.sigma, r.rank_xi,
+                          r.rank_spatial,
+                          -1 if r.rank_curv is None else r.rank_curv,
+                          r.c_value, r.c_bound)))
     columns = ([f"x{i}" for i in range(s.d)] + ["t"]
                + [f"y{i}" for i in range(s.d)]
                + ["sigma", "rank_xi", "rank_spatial", "rank_curv",
                   "c_value", "c_bound"])
-    # rank_curv is -1 at the generic points, which skip the curvature
-    rows = ((*r.x, r.t, *r.y, r.sigma, r.rank_xi, r.rank_spatial,
-             -1 if r.rank_curv is None else r.rank_curv, r.c_value, r.c_bound)
-            for r in reports)
     status = "certified" if certified else "uncertified"
     return (_table(columns, rows, head=[f"smallness_margin={margin!r}"],
                    tail=[f"status={status} deviations={deviations}"]),
@@ -295,7 +315,7 @@ def cmd_counterexample(cfg, args):
         # the growth fit refuses a curve that does not increase
         expo = families.stein_growth_exponent(curve)
         verdict = abs(expo - (1.0 - alpha)) <= tol
-        rows = [(int(j), v) for j, v in curve]
+        rows = [_row((int(j), v)) for j, v in curve]
         return (_table(["j", "value"], rows, head=[f"alpha={alpha!r}"],
                        tail=[f"growth_exponent={expo!r} "
                              f"expected={1.0 - alpha!r}",
@@ -328,7 +348,7 @@ def cmd_counterexample(cfg, args):
     verdict = families.fit_passes(fit, predicted, tol)
     return (_table(["family", "n", "m", "p", "q", "delta", "ratio",
                     "predicted_exponent"],
-                   [(family, s.n, s.m, p, q, delta, ratio, predicted)
+                   [_row((family, s.n, s.m, p, q, delta, ratio, predicted))
                     for delta, ratio in rows],
                    tail=[f"slope={fit.slope!r} intercept={fit.intercept!r} "
                          f"r_squared={fit.r_squared!r}",

@@ -269,19 +269,26 @@ def skew_inverse_norm(rho, B):
     Even size: singular iff rho = 0 and B singular; norm is 1/|rho| when
     det B = 0 and (rho^2 + |B^{-1}|^{-2})^{-1/2} otherwise.  Odd size:
     singular iff rho = 0, else 1/|rho|.  Returns math.inf for
-    non-invertible input.
+    non-invertible input.  B of shape (..., N, N) broadcast against rho
+    gives one norm per matrix, each with the bits of its own call; one
+    (N, N) B and a scalar rho give one float.
     """
     B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
+    if B.ndim < 2 or B.shape[-1] != B.shape[-2]:
         raise DimensionMismatch("B must be square")
-    if not np.allclose(B.T, -B, atol=1e-12):
+    if not np.allclose(np.swapaxes(B, -1, -2), -B, atol=1e-12):
         raise DimensionMismatch("B is not skew-symmetric")
-    N = B.shape[0]
-    rho = float(rho)
-    sv = np.linalg.svd(B, compute_uv=False)
-    sv_max = sv[0] if N else 0.0
-    b_singular = N == 0 or sv[-1] <= 1e-12 * max(1.0, sv_max)
-    if N % 2 == 1 or b_singular:
-        return math.inf if rho == 0.0 else 1.0 / abs(rho)
-    inv_norm_B = sv[-1]  # |B^{-1}|^{-1} equals the smallest singular value
-    return 1.0 / np.hypot(rho, inv_norm_B)
+    N = B.shape[-1]
+    rho = np.asarray(rho, dtype=float)
+    if N % 2 == 1 or N == 0:
+        # a skew matrix of odd size is singular
+        singular, inv_norm_B = np.ones(B.shape[:-2], dtype=bool), 0.0
+    else:
+        sv = np.linalg.svd(B, compute_uv=False)
+        # |B^{-1}|^{-1} equals the smallest singular value
+        inv_norm_B = sv[..., -1]
+        singular = inv_norm_B <= 1e-12 * np.maximum(1.0, sv[..., 0])
+    with np.errstate(divide="ignore"):
+        norm = np.where(singular, 1.0 / np.abs(rho),
+                        1.0 / np.hypot(rho, inv_norm_B))
+    return float(norm) if norm.ndim == 0 else norm

@@ -5,6 +5,8 @@ package's own evaluations:
 
   * whole_grid_margin, the smallness margin over the whole theta grid at
     once;
+  * lemma_check_table, lemma-check's output with each sample checked as
+    it is drawn, one matrix per call;
   * phi and its defining functions, whose differences test the gradient
     xi, whose differences in turn test the analytic xi_y;
   * det_identity_rhs, the closed form of det Pi Xi_y;
@@ -31,8 +33,10 @@ from typing import Tuple
 
 import numpy as np
 
+from heislab.cli import _row, _table
 from heislab.families import _row_dot, c_one, knapp_frame
-from heislab.groups import DomainError, MetivierStructure, theta_grid
+from heislab.groups import (DomainError, MetivierStructure, skew_inverse_norm,
+                            theta_grid)
 from heislab.phase import (FD_STEP, _chart, _g_hess, _linear_columns,
                            _rank, _split_x, c_value, sigma_value, xi_y,
                            y2n_on_fold)
@@ -57,6 +61,32 @@ def whole_grid_margin(s: MetivierStructure) -> float:
     lam_norm = np.linalg.norm(thetas @ s.Lambda, axis=1)
     singular = smin <= 1e-12 * np.maximum(1.0, svals[:, 0])
     return float(np.where(singular, -lam_norm, smin - lam_norm).min())
+
+
+def lemma_check_table(seed: int, samples: int, tol: float = 1e-10) -> bytes:
+    """heislab lemma-check's output bytes, one sample at a time: each draw
+    (size, matrix, rho with 0 made 1) is checked as it is drawn, with one
+    skew_inverse_norm call and one dense inverse and norm of its matrix."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(samples):
+        size = int(rng.integers(2, 9))
+        raw = rng.standard_normal((size, size))
+        B = raw - raw.T
+        rho = float(rng.uniform(-2.0, 2.0))
+        if rho == 0.0:
+            rho = 1.0
+        got = float(skew_inverse_norm(rho, B))
+        brute = float(np.linalg.norm(
+            np.linalg.inv(rho * np.eye(size) + B), 2))
+        rel = float(abs(got - brute) / brute)
+        ok = rel <= tol
+        if size % 2 == 1:
+            ok = ok and abs(got - 1.0 / abs(rho)) <= tol / abs(rho)
+        rows.append(_row((size, rho, got, brute, rel,
+                          "pass" if ok else "FAIL")))
+    return _table(["size", "rho", "formula", "bruteforce", "rel_error",
+                   "status"], rows)
 
 
 # --- phase ---------------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from heislab import cli, families
 from heislab.cli import (ConfigError, apply_overrides, load_config, main,
                          parse_deltas, parse_rational)
+from oracles import lemma_check_table
 
 
 def run(argv, capsys):
@@ -386,6 +387,17 @@ def test_lemma_check(capsys):
     assert len(lines) == 52
     assert all(line.endswith(",pass") for line in lines[2:])
     assert "np.float64" not in out
+
+
+@pytest.mark.parametrize("samples", [1, 7, 50, 2000])
+@pytest.mark.parametrize("seed", range(4))
+def test_lemma_check_bytes_match_the_per_sample_loop(seed, samples, capsys):
+    # the CLI checks its draws in one stack per matrix size; at 1 and 7
+    # samples some sizes are drawn once and make stacks of one matrix
+    code, out, _ = run(["lemma-check", "--seed", str(seed),
+                        "--set", f"samples={samples}"], capsys)
+    assert code == 0
+    assert out.encode() == lemma_check_table(seed, samples)
 
 
 # --- geometry -------------------------------------------------------------

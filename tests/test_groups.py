@@ -373,3 +373,37 @@ def test_skew_inverse_norm_singular_cases():
         skew_inverse_norm(1.0, np.ones((2, 2)))
     with pytest.raises(DimensionMismatch):
         skew_inverse_norm(1.0, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("size", range(9))
+def test_skew_inverse_norm_stack_matches_single_calls(size):
+    # a (k, N, N) stack with a (k,) rho gives k norms, each with the bits of
+    # its own one-matrix call; entry 1 is a singular B (zeros) with rho != 0,
+    # entry 2 has rho = 0, entry 3 both
+    rng = np.random.default_rng(60 + size)
+    raw = rng.standard_normal((6, size, size))
+    B = raw - np.swapaxes(raw, 1, 2)
+    B[1] = B[3] = 0.0
+    rho = rng.uniform(-2.0, 2.0, 6)
+    rho[2] = rho[3] = 0.0
+    got = skew_inverse_norm(rho, B)
+    assert got.shape == (6,)
+    single = [skew_inverse_norm(r, b) for r, b in zip(rho.tolist(), B)]
+    assert all(isinstance(v, float) for v in single)
+    assert [g.hex() for g in got.tolist()] == [v.hex() for v in single]
+    assert got[1] == 1.0 / abs(rho[1])
+    assert got[3] == math.inf
+    # a skew matrix of odd size (or of size 0) is singular
+    assert (got[2] == math.inf) == (size % 2 == 1 or size == 0)
+
+
+def test_skew_inverse_norm_stack_refuses_bad_members():
+    rng = np.random.default_rng(7)
+    raw = rng.standard_normal((4, 4, 4))
+    B = raw - np.swapaxes(raw, 1, 2)
+    assert skew_inverse_norm(np.ones(4), B).shape == (4,)
+    B[2, 0, 1] += 1.0
+    with pytest.raises(DimensionMismatch):
+        skew_inverse_norm(np.ones(4), B)
+    with pytest.raises(DimensionMismatch):
+        skew_inverse_norm(np.ones(3), np.zeros((3, 2, 3)))
