@@ -202,19 +202,18 @@ def cmd_group_check(cfg, args):
     x, y, z = (-2.0 + 4.0 * u[:, i * d:(i + 1) * d] for i in range(3))
     t = 0.5 + 1.5 * u[:, 3 * d:]
     mul = lambda a, b: groups.group_multiply(s, a, b)
+    worst = lambda residual: np.max(np.abs(residual))
     xy = mul(x, y)
-    residuals = {
-        "associativity": mul(xy, z) - mul(x, mul(y, z)),
-        "identity": mul(x, np.zeros(d)) - x,
-        "inverse": mul(x, groups.group_inverse(s, x)),
-        "dilation": (groups.dilate(s, t, xy)
-                     - mul(groups.dilate(s, t, x), groups.dilate(s, t, y))),
+    errors = {
+        "associativity": worst(mul(xy, z) - mul(x, mul(y, z))),
+        "identity": worst(mul(x, np.zeros(d)) - x),
+        "inverse": worst(mul(x, groups.group_inverse(s, x))),
+        "dilation": worst(groups.dilate(s, t, xy) - mul(
+            groups.dilate(s, t, x), groups.dilate(s, t, y))),
     }
 
-    rows = []
-    for name, residual in residuals.items():
-        err = np.max(np.abs(residual))
-        rows.append((name, err, tol, "pass" if err <= tol else "FAIL"))
+    rows = [(name, err, tol, "pass" if err <= tol else "FAIL")
+            for name, err in errors.items()]
     failed = any(row[-1] == "FAIL" for row in rows)
     margin = groups.smallness_margin(s)
     rows.append(("margin", margin, None,
@@ -239,19 +238,21 @@ def cmd_lemma_check(cfg, args):
     cfg.reject_unread()
     rng = np.random.default_rng(args.seed)
     # one sample at a time in the order of the generator's draws: the size,
-    # the matrix, then rho (0 becomes 1)
+    # the matrix, then rho (0 becomes 1); per size, the (index, rho) pairs
+    # and one flat buffer of the matrices' entries
     draws = {}
     for i in range(count):
         size = int(rng.integers(2, 9))
-        raw = rng.standard_normal((size, size))
+        samples, flat = draws.setdefault(size, ([], bytearray()))
+        flat += rng.standard_normal((size, size)).tobytes()
         rho = float(rng.uniform(-2.0, 2.0))
-        draws.setdefault(size, []).append((i, raw, 1.0 if rho == 0.0 else rho))
+        samples.append((i, 1.0 if rho == 0.0 else rho))
     # the checks run on one stack per size; every LAPACK call still takes
     # one matrix, so each row has the bits of its own evaluation
     rows = [None] * count
-    for size, samples in draws.items():
-        index, raw, rho = zip(*samples)
-        raw, rho = np.array(raw), np.array(rho)
+    for size, (samples, flat) in draws.items():
+        index, rho = zip(*samples)
+        raw, rho = np.frombuffer(flat).reshape(-1, size, size), np.array(rho)
         B = raw - np.swapaxes(raw, 1, 2)
         got = groups.skew_inverse_norm(rho, B)
         brute = np.linalg.norm(

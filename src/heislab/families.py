@@ -11,13 +11,12 @@ Test regions are parametrized over the unit cube with explicit Jacobians,
 so thin slabs are integrated in coordinates aligned with their thin
 directions.  All per-axis lattice counts are fixed along the ladder while
 the coordinate ranges scale linearly with delta; relative quadrature bias
-is then delta-independent and cancels in the fitted slope.  The scaling
-and moment sets have closed-form measures; the scaling set's indicator is
-a closure, since its shell needs a square root.  The ball, knapp and
-moment sets are declared as Conditions on linear forms of the point,
-which give their indicator.  For ball and knapp they give the measure
-too: the count of the 24^d midpoint lattice of a support box that scales
-as the set does.  Conditions that share no axis are counted apart and
+is then delta-independent and cancels in the fitted slope.  Every
+family declares its set as Conditions on linear forms of the point,
+which give its indicator.  The scaling and moment sets have closed-form
+measures; for ball and knapp the Conditions give the measure too: the
+count of the 24^d midpoint lattice of a support box that scales as the
+set does.  Conditions that share no axis are counted apart and
 their counts multiplied, and each group of axes is walked in chunks of at
 most BLOCK_POINTS lattice points.
 """
@@ -29,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,24 +129,28 @@ def operator_ratio(s: MetivierStructure, instance: ExampleInstance,
 
 @dataclass(frozen=True)
 class Condition:
-    """A condition on linear forms of a point x in R^d.
+    """A condition least <= value <= bound on linear forms of a point x
+    in R^d, with no lower bound when least is None.
 
     Each row of rows is the coefficient vector of one form rows[j] . x.
-    With squares, the condition is sum_j (rows[j] . x)^2 <= bound;
-    without, |rows[0] . x| <= bound, and rows has one row.
+    With squares, the value is sum_j (rows[j] . x)^2; without, it is
+    |rows[0] . x|, and rows has one row.
     """
 
     rows: np.ndarray
     bound: float
     squares: bool = True
+    least: Optional[float] = None
 
     def value(self, cols) -> np.ndarray:
-        """The left side at coordinates cols, cols[k] holding coordinate k.
+        """The value at coordinates cols, cols[k] holding coordinate k.
 
         The cols may be any arrays that broadcast together.  A form adds
-        its terms cols[k] * rows[j, k] one coordinate at a time, skipping
-        the zero coefficients, in the order _row_dot adds them, so each
-        point gets the same bits whatever the shape it is evaluated in.
+        its terms cols[k] * rows[j, k] one coordinate at a time, so unlike
+        np.einsum and matmul it gives each point the same bits whatever the
+        shape, memory order or split of the batch.  It skips its 0.0 and
+        -0.0 coefficients: for finite cols that can change only the sign of
+        a zero form, which the square or the absolute value hides.
         """
         forms = []
         for (k, a), *rest in self._terms:
@@ -161,6 +164,14 @@ class Condition:
         out = forms[0] * forms[0]
         for form in forms[1:]:
             out = out + form * form
+        return out
+
+    def holds(self, cols) -> np.ndarray:
+        """Booleans of least <= value <= bound at coordinates cols."""
+        value = self.value(cols)
+        out = value <= self.bound
+        if self.least is not None:
+            out &= self.least <= value
         return out
 
     @cached_property
@@ -182,11 +193,10 @@ class Conditions:
         return self.holds(pts.T)
 
     def holds(self, cols) -> np.ndarray:
-        """Booleans of the set at coordinates cols, as Condition.value
-        takes them."""
-        out = self.items[0].value(cols) <= self.items[0].bound
+        """Booleans of the set at coordinates cols (see Condition.value)."""
+        out = self.items[0].holds(cols)
         for c in self.items[1:]:
-            out = out & (c.value(cols) <= c.bound)
+            out = out & c.holds(cols)
         return out
 
 
@@ -239,32 +249,6 @@ def _box_measure(f: ScalarField) -> float:
     """
     lo, hi = f.support_lo, f.support_hi
     return _lattice_count(f) * (float(np.prod(hi - lo)) / 24 ** len(lo))
-
-
-def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot product of each row of x with the matching row of y, or with y.
-
-    The sum runs one coordinate at a time, so unlike np.einsum and matmul
-    its order, and with it every bit of the result, depends neither on the
-    memory order of x nor on where a batch is split.  The scaling field
-    and the ball and scaling time maps take their norms and dot products
-    from here, the Conditions of ball, knapp and moment from
-    Condition.value, which adds in the same order.
-
-    A 1-D y skips its coefficients equal to zero, 0.0 and -0.0 alike, as
-    a zero Lambda has them.  For finite x
-    each skipped term is a zero, and adding a zero to a nonzero partial
-    sum returns that sum, so only the sign of a zero result can differ
-    from the full sum (all zeros give 0.0).  Every caller squares the
-    result or takes its absolute value, which hides that sign.
-    """
-    terms = np.flatnonzero(y) if y.ndim == 1 else range(x.shape[1])
-    if not len(terms):
-        return np.zeros(len(x))
-    out = x[:, terms[0]] * y[..., terms[0]]
-    for k in terms[1:]:
-        out += x[:, k] * y[..., k]
-    return out
 
 
 # --- family constants ----------------------------------------------------
@@ -368,9 +352,10 @@ def ball_example(s: MetivierStructure, delta: float) -> ExampleInstance:
 
     counts = (8, 16, 8) if n == 1 else (3, 4, 6, 6, 4)
     rule = sphere_rule(n, _cap_resolution(n, delta))
+    horizontal = Condition(np.eye(d)[:two_n], math.inf)     # |ubar x|^2
     return ExampleInstance(
         "ball", delta, s, f, ParamRegion(counts, param), _box_measure(f),
-        lambda pts: np.sqrt(_row_dot(pts[:, :two_n], pts[:, :two_n])), rule)
+        lambda pts: np.sqrt(horizontal.value(pts.T)), rule)
 
 
 # --- scaling family ------------------------------------------------------
@@ -379,39 +364,34 @@ def scaling_example(s: MetivierStructure, delta: float,
                     t: float = 1.5) -> ExampleInstance:
     """Fixed-time shell indicator tested near the origin.
 
-    Field: indicator of ||ubar y| - t| <= C0 delta, |ybar - t Lambda
-    ubar y| <= C0 delta.  Test region: |ubar x| <= delta with the center
-    within delta of the tilt sheet; the average there is order one.
+    Field: indicator of (t - C0 delta)^2 <= |ubar y|^2 <= (t + C0
+    delta)^2, with no inner radius when C0 delta >= t, and |ybar - t
+    Lambda ubar y| <= C0 delta.  Test region: |ubar x| <= delta with the
+    center within delta of the tilt sheet; the average there is order one.
     """
     _check_delta(delta)
     _check_structure(s)
     if not 1.0 <= t <= 2.0:
         raise DomainError("t must lie in [1, 2]")
-    n, m = s.n, s.m
+    n, m, d = s.n, s.m, s.d
     two_n = 2 * n
-    C0 = c_zero(s)
-    shell = C0 * delta
+    shell = c_zero(s) * delta
+    r_hi, r_lo = t + shell, max(t - shell, 0.0)
 
-    def inside(pts):
-        ubar = pts[:, :two_n]
-        r = np.sqrt(_row_dot(ubar, ubar))
-        # m = 1: one center coordinate
-        dev = pts[:, two_n] - t * _row_dot(ubar, s.Lambda[0])
-        return (np.abs(r - t) <= shell) & (np.abs(dev) <= shell)
-
-    r_hi = t + shell
+    ring = Condition(np.eye(d)[:two_n], r_hi * r_hi,
+                     least=r_lo * r_lo if r_lo > 0.0 else None)
+    # m = 1: one center coordinate, ybar - t Lambda . ubar
+    sheet = Condition(np.append(-t * s.Lambda[0], 1.0)[None], shell,
+                      squares=False)
     bar_hw = shell + t * _specnorm(s.Lambda) * r_hi
     lo = np.concatenate([-r_hi * np.ones(two_n), -bar_hw * np.ones(m)])
-    hi = -lo
-    f = ScalarField(inside, lo, hi)
-
-    dd = two_n - 1
+    f = ScalarField(Conditions((ring, sheet)), lo, -lo)
 
     # the center shear keeps volume: a 2n-dimensional annulus (a ball when
     # shell > t) times a center interval of length 2 shell
-    r_lo = max(t - shell, 0.0)
     measure = (math.pi ** n / math.factorial(n)
                * (r_hi ** two_n - r_lo ** two_n) * (2.0 * shell) ** m)
+    dd = two_n - 1
 
     def r_param(u):
         rho = delta * u[:, 0] ** (1.0 / two_n)
@@ -485,9 +465,8 @@ def knapp_example(s: MetivierStructure, delta: float) -> ExampleInstance:
     hw_plane = C1 * delta
     hw_perp = C1 * sq
 
-    def forms(*vecs):
-        """Rows ubar . vec of the point, with no center coefficient."""
-        return np.concatenate([np.stack(vecs), np.zeros((len(vecs), 1))], 1)
+    # rows ubar . vec of the point, with no center coefficient
+    forms = lambda *vecs: np.pad(np.stack(vecs), ((0, 0), (0, 1)))
 
     # |P ubar|^2 and |P_perp ubar|^2 from the frame coordinates ubar.u,
     # ubar.v and ubar.comp[:, k]

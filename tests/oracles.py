@@ -19,10 +19,11 @@ package's own evaluations:
     kernel and cokernel (two-sided fold);
   * is_member and parse_region_csv for the exact rational regions;
   * box_count_blocks, the support-box lattice count with every block's
-    points built afresh and the field evaluated on them, ball_inside and
-    knapp_inside, the ball and knapp sets as closures on _row_dot,
-    moment_inside, the moment set as a closure on the coordinates, and
-    row_dot_full, the row dot product that skips no zero coefficient;
+    points built afresh and the field evaluated on them; ball_inside,
+    knapp_inside and scaling_inside, the ball, knapp and scaling sets as
+    closures on row_dot_full, the row dot product that skips no zero
+    coefficient; and moment_inside, the moment set as a closure on the
+    coordinates;
   * node_order_average, the spherical average with no node culled.
 
 Coordinates follow heislab.phase.
@@ -34,7 +35,7 @@ from typing import Tuple
 import numpy as np
 
 from heislab.cli import _row, _table
-from heislab.families import _row_dot, c_one, knapp_frame
+from heislab.families import c_one, c_zero, knapp_frame
 from heislab.groups import (DomainError, MetivierStructure, skew_inverse_norm,
                             theta_grid)
 from heislab.phase import (FD_STEP, _chart, _g_hess, _linear_columns,
@@ -358,18 +359,18 @@ def box_count_blocks(f: ScalarField) -> int:
 
 def ball_inside(s: MetivierStructure, delta: float):
     """The indicator of heislab.families.ball_example's set written
-    directly on _row_dot: the points x with |x|^2 <= (10 delta)^2."""
+    directly on row_dot_full: the points x with |x|^2 <= (10 delta)^2."""
     r_ball = 10.0 * delta
 
     def inside(pts):
-        return _row_dot(pts, pts) <= r_ball * r_ball
+        return row_dot_full(pts, pts) <= r_ball * r_ball
 
     return inside
 
 
 def knapp_inside(s: MetivierStructure, delta: float):
     """(indicator, time map) of heislab.families.knapp_example written
-    directly on _row_dot, in the frame of knapp_frame."""
+    directly on row_dot_full, in the frame of knapp_frame."""
     two_n = 2 * s.n
     C1 = c_one(s)
     u_dir, v_dir, comp = knapp_frame(s)
@@ -377,18 +378,35 @@ def knapp_inside(s: MetivierStructure, delta: float):
 
     def plane_sq(ubar):
         """|P ubar|^2 = (ubar.u)^2 + (ubar.v)^2."""
-        a, b = _row_dot(ubar, u_dir), _row_dot(ubar, v_dir)
+        a, b = row_dot_full(ubar, u_dir), row_dot_full(ubar, v_dir)
         return a * a + b * b
 
     def inside(pts):
         ubar = pts[:, :two_n]
         # |P_perp ubar|^2 from the complement coordinates ubar.comp[:, k]
-        c, e = (_row_dot(ubar, w) for w in comp.T)
+        c, e = (row_dot_full(ubar, w) for w in comp.T)
         return ((c * c + e * e <= C1 * C1 * delta)
                 & (plane_sq(ubar) <= hw_plane * hw_plane)
                 & (np.abs(pts[:, two_n]) <= C1 * delta))
 
     return inside, lambda pts: np.sqrt(plane_sq(pts[:, :two_n]))
+
+
+def scaling_inside(s: MetivierStructure, delta: float, t: float = 1.5):
+    """The indicator of heislab.families.scaling_example's set written
+    directly on row_dot_full, with the shell's square root:
+    ||ubar y| - t| <= C0 delta and |ybar - t Lambda ubar y| <= C0 delta."""
+    two_n = 2 * s.n
+    shell = c_zero(s) * delta
+
+    def inside(pts):
+        ubar = pts[:, :two_n]
+        r = np.sqrt(row_dot_full(ubar, ubar))
+        # m = 1: one center coordinate
+        dev = pts[:, two_n] - t * row_dot_full(ubar, s.Lambda[0])
+        return (np.abs(r - t) <= shell) & (np.abs(dev) <= shell)
+
+    return inside
 
 
 def moment_inside(delta: float):
@@ -405,8 +423,9 @@ def moment_inside(delta: float):
 
 
 def row_dot_full(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """heislab.families._row_dot with every term kept: the products
-    x[:, k] * y[..., k] added one coordinate at a time, zero coefficients
+    """Dot product of each row of x with the matching row of y, or with y:
+    the products x[:, k] * y[..., k] added one coordinate at a time, in
+    the order of heislab.families.Condition.value, zero coefficients
     included."""
     out = x[:, 0] * y[..., 0]
     for k in range(1, x.shape[1]):

@@ -13,16 +13,17 @@ from heislab import cli, families, spheres
 from heislab.groups import (DomainError, MetivierStructure,
                             normalized_heisenberg, quaternionic_htype,
                             standard_heisenberg)
-from heislab.families import (ParamRegion, _box_measure, _lattice_count,
-                              _row_dot, ball_example, c_one, c_ring, c_zero,
-                              fit_exponent, fit_passes, knapp_example,
+from heislab.families import (Condition, ParamRegion, _box_measure,
+                              _lattice_count, ball_example, c_one, c_ring,
+                              c_zero, fit_exponent, fit_passes, knapp_example,
                               knapp_frame, moment_example, moment_structure,
                               operator_ratio, predicted_exponent, run_ladder,
                               scaling_example, stein_growth_exponent,
                               stein_probe_curve)
 from heislab.spheres import ScalarField, sphere_rule, spherical_average_batch
 from oracles import (ball_inside, box_count_blocks, knapp_inside,
-                     moment_inside, node_order_average, row_dot_full)
+                     moment_inside, node_order_average, row_dot_full,
+                     scaling_inside)
 
 F = Fraction
 
@@ -113,7 +114,7 @@ CONDITION_FAMILIES = {**LATTICE_FAMILIES, "moment": moment_example}
 @pytest.mark.parametrize("family", CONDITION_FAMILIES)
 def test_conditions_match_the_closures(family):
     # the Conditions give the booleans, and knapp's time map the bits, of
-    # the closures written directly on _row_dot or on the coordinates, on
+    # the closures written on row_dot_full or on the coordinates, on
     # random points of the support box and on points scaled to within a
     # few ulp of each bound
     rng = np.random.default_rng(11)
@@ -140,6 +141,26 @@ def test_conditions_match_the_closures(family):
             assert np.array_equal(f(y), inside(y))
             if time is not None:
                 assert inst.time(y).tobytes() == time(y).tobytes()
+
+
+def test_scaling_conditions_match_the_closure():
+    # the squared shell and the linear center slab decide every point of a
+    # support-box lattice as the closure with the shell's square root
+    # does, also where the shell has no inner radius (normalized H^1 at
+    # delta = 1/4: C0 delta = 5/2 > t).  Within a few ulp of a bound the
+    # two arithmetics can decide a point differently
+    for s, delta, count in ((standard_heisenberg(1), 0.125, 64),
+                            (TILTED_H2, 0.125, 12),
+                            (normalized_heisenberg(1), 0.25, 64)):
+        f = scaling_example(s, delta).field
+        pts, _ = support_lattice(f, count).points_and_weights()
+        want = scaling_inside(s, delta)(pts)
+        assert 0 < np.count_nonzero(want) < len(pts)
+        assert np.array_equal(f(pts), want)
+        if s.n == 1:
+            # the lattice count reads the shell's lower bound, where there
+            # is one, as the field does
+            assert _lattice_count(f) == box_count_blocks(f)
 
 
 def test_instance_rejects_a_bad_measure():
@@ -240,7 +261,6 @@ def test_row_major_batches_give_the_same_bits(inst):
     for x in (pts, box_pts):
         rows = np.ascontiguousarray(x)
         assert x.flags.f_contiguous and not rows.flags.f_contiguous
-        assert np.array_equal(_row_dot(rows, rows), _row_dot(x, x))
     # the time map gives the same bits on a row-major copy and on a batch
     # split at an odd index
     times = inst.time(pts)
@@ -268,25 +288,28 @@ def test_row_major_batches_give_the_same_bits(inst):
 
 
 def test_row_dot_skips_zero_coefficients():
-    # 0.0 and -0.0 coefficients, all zeros, and none; the rows of x make
-    # negative, positive and zero products, so full sums hold -0.0
+    # a Condition's form skips its 0.0 and -0.0 coefficients.  The rows of
+    # x make negative, positive and zero products, so full sums hold -0.0,
+    # which the square and the absolute value hide
     rng = np.random.default_rng(7)
     x = np.concatenate([rng.standard_normal((40, 4)),
-                        [[1.0, -1.0, -1.0, -1.0], [-0.0, 2.0, -3.0, 0.0]],
+                        [[1.0, -1.0, -1.0, -1.0], [-0.0, 2.0, -3.0, 0.0],
+                         [1.0, -0.0, 1.0, 0.0], [-1.0, -0.0, 1.0, 0.0]],
                         np.zeros((1, 4))])
-    coefficients = [[0.0, 1.5, -0.0, -2.0], [-0.0, 0.0, 0.0, 0.0],
-                    [0.0, 0.0, 0.0, 0.0], [-0.0, -0.0, 0.0, 0.7],
+    coefficients = [[0.0, 1.5, -0.0, -2.0], [-0.0, -0.0, 0.0, 0.7],
                     [0.3, -1.1, 2.0, 0.5]]
-    signs_differ = False
+    negative_zero = False
     for y in map(np.array, coefficients):
-        got, want = _row_dot(x, y), row_dot_full(x, y)
-        assert (got * got).tobytes() == (want * want).tobytes()
-        assert np.abs(got).tobytes() == np.abs(want).tobytes()
-        # equal as numbers: only the sign of a zero may differ
-        assert np.array_equal(got, want)
-        signs_differ |= bool(np.any(np.signbit(got) != np.signbit(want)))
-    assert signs_differ
-    assert _row_dot(x, x).tobytes() == row_dot_full(x, x).tobytes()
+        want = row_dot_full(x, y)
+        got = Condition(y[None], 0.0).value(x.T)
+        assert got.tobytes() == (want * want).tobytes()
+        got = Condition(y[None], 0.0, squares=False).value(x.T)
+        assert got.tobytes() == np.abs(want).tobytes()
+        negative_zero |= bool(np.any((want == 0.0) & np.signbit(want)))
+    assert negative_zero
+    # the squared norm: one form per coordinate, each with coefficient 1
+    assert (Condition(np.eye(4), 0.0).value(x.T).tobytes()
+            == row_dot_full(x, x).tobytes())
 
 
 def with_zeros(pts, two_n):
@@ -303,7 +326,9 @@ def with_zeros(pts, two_n):
     knapp_example(TILTED_H2, 0.125),
     scaling_example(standard_heisenberg(1), 0.125),
     scaling_example(standard_heisenberg(2), 0.125),
-], ids=["knapp-n2", "knapp-tilted-n2", "scaling-n1", "scaling-n2"])
+    scaling_example(TILTED_H2, 0.125),
+], ids=["knapp-n2", "knapp-tilted-n2", "scaling-n1", "scaling-n2",
+        "scaling-tilted-n2"])
 def test_fields_match_full_row_dots(inst, monkeypatch):
     # the frames and the zero Lambda hold 0.0 and -0.0 coefficients
     two_n = 2 * inst.structure.n
@@ -312,8 +337,7 @@ def test_fields_match_full_row_dots(inst, monkeypatch):
     x = with_zeros(np.concatenate([pts, box_pts]), two_n)
     field, times = inst.field(x), inst.time(x)
     assert 0 < np.count_nonzero(field) < len(x)
-    monkeypatch.setattr(families, "_row_dot", row_dot_full)
-    # a Condition skips its zero coefficients as _row_dot does
+    # a Condition that skips no zero coefficient
     monkeypatch.setattr(families.Condition, "_terms", property(
         lambda c: [list(enumerate(row)) for row in c.rows]))
     assert inst.field(x).tobytes() == field.tobytes()
@@ -650,6 +674,18 @@ def test_scaling_ratio_exact_halving():
     assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
 
 
+def test_tilted_scaling_ratios_keep_their_bits():
+    # the tilted scaling ladder on standard H^2 at p = q = 2, as the CLI
+    # runs it with tilt=0.1,0.05,0,0.2: every ratio keeps its pinned bits
+    s = MetivierStructure(2, 1, standard_heisenberg(2).J,
+                          np.array([[0.1, 0.05, 0.0, 0.2]]))
+    rows = run_ladder(lambda d: scaling_example(s, d),
+                      [2.0 ** -3, 2.0 ** -4, 2.0 ** -5], 2, 2)
+    assert [ratio.hex() for _, ratio in rows] == [
+        "0x1.9b9d617ad776cp-10", "0x1.34aebad5fbc6ap-11",
+        "0x1.bb8429bc0f0c2p-13"]
+
+
 def test_scaling_time_window():
     s = standard_heisenberg(1)
     with pytest.raises(DomainError):
@@ -661,6 +697,9 @@ def test_scaling_field_region_when_shell_exceeds_time():
     # center interval of length 5, and its volume is 80 pi
     inst = scaling_example(normalized_heisenberg(1), 0.25)
     assert inst.measure == 80.0 * math.pi
+    # the shell has no inner radius here; the ratio keeps its pinned bits
+    assert (operator_ratio(inst.structure, inst, 2.0, 2.0).hex()
+            == "0x1.43d136248490fp-6")
 
 
 def test_scaling_measure_matches_radial_quadrature():
